@@ -287,68 +287,6 @@ void AppendRow(std::string* out, const ThroughputRow& row, bool last,
   *out += buf;
 }
 
-// Wide-blob lane-XOR delta: the same 72-byte-key workload (a cascading
-// outer-table-ish width, 9 lanes/cell) through the dispatched SIMD backend
-// and through the forced-scalar path. Only the XOR instruction width
-// differs — tables are bit-identical — so the ratio isolates the SIMD win.
-struct SimdDeltaRow {
-  const char* backend = "scalar";
-  double insert_keys_per_sec = 0;
-  double insert_keys_per_sec_scalar = 0;
-  double subtract_cells_per_sec = 0;
-  double subtract_cells_per_sec_scalar = 0;
-};
-
-SimdDeltaRow MeasureSimdDelta() {
-  constexpr size_t kD = 4096;
-  constexpr size_t kWidth = 72;
-  constexpr int kRepeats = 5;
-  SimdDeltaRow row;
-  row.backend = Iblt::LaneXorBackend();
-  IbltConfig config = IbltConfig::ForDifference(kD, 47, kWidth);
-  Rng rng(47);
-  std::vector<uint8_t> packed(kD * kWidth);
-  for (auto& byte : packed) byte = static_cast<uint8_t>(rng.NextU64());
-
-  for (int pass = 0; pass < 2; ++pass) {
-    const bool scalar = pass == 1;
-    Iblt::ForceScalarLaneXorForTest(scalar);
-    Iblt table(config);
-    double insert_rate = 0;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      const int reps = 64;
-      double t0 = NowSeconds();
-      for (int r = 0; r < reps; ++r) table.InsertBatch(packed.data(), kD);
-      insert_rate = std::max(
-          insert_rate, static_cast<double>(kD) * reps / (NowSeconds() - t0));
-    }
-    Iblt a(config), b(config);
-    a.InsertBatch(packed.data(), kD / 2);
-    b.InsertBatch(packed.data() + (kD / 2) * kWidth, kD - kD / 2);
-    double subtract_rate = 0;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-      const int reps = 64;
-      double t0 = NowSeconds();
-      for (int r = 0; r < reps; ++r) {
-        Iblt work = a;
-        benchmark::DoNotOptimize(work.Subtract(b));
-      }
-      subtract_rate = std::max(
-          subtract_rate, static_cast<double>(config.PaddedCells()) * reps /
-                             (NowSeconds() - t0));
-    }
-    if (scalar) {
-      row.insert_keys_per_sec_scalar = insert_rate;
-      row.subtract_cells_per_sec_scalar = subtract_rate;
-    } else {
-      row.insert_keys_per_sec = insert_rate;
-      row.subtract_cells_per_sec = subtract_rate;
-    }
-  }
-  Iblt::ForceScalarLaneXorForTest(false);  // Restore the dispatch.
-  return row;
-}
-
 int RunJsonSuite() {
   bench::Header("IBLT throughput", "insert/subtract/decode vs seed baseline");
   std::string json = "{\n  \"bench\": \"iblt\",\n";
@@ -405,31 +343,6 @@ int RunJsonSuite() {
                   current[1].decode_allocs_warm_blob);
     json += tail;
   }
-  SimdDeltaRow simd = MeasureSimdDelta();
-  std::printf(
-      "simd (%s) blob72 insert %.3g keys/s (scalar %.3g, %.2fx)  "
-      "subtract %.3g cells/s (scalar %.3g, %.2fx)\n",
-      simd.backend, simd.insert_keys_per_sec,
-      simd.insert_keys_per_sec_scalar,
-      simd.insert_keys_per_sec / simd.insert_keys_per_sec_scalar,
-      simd.subtract_cells_per_sec, simd.subtract_cells_per_sec_scalar,
-      simd.subtract_cells_per_sec / simd.subtract_cells_per_sec_scalar);
-  char simd_buf[512];
-  std::snprintf(
-      simd_buf, sizeof simd_buf,
-      ",\n  \"simd_lane_xor\": {\"backend\": \"%s\", \"key_width\": 72,\n"
-      "    \"blob72_insert_keys_per_sec\": %.4g, "
-      "\"blob72_insert_keys_per_sec_scalar\": %.4g, "
-      "\"insert_speedup\": %.2f,\n"
-      "    \"subtract_cells_per_sec\": %.4g, "
-      "\"subtract_cells_per_sec_scalar\": %.4g, "
-      "\"subtract_speedup\": %.2f}",
-      simd.backend, simd.insert_keys_per_sec,
-      simd.insert_keys_per_sec_scalar,
-      simd.insert_keys_per_sec / simd.insert_keys_per_sec_scalar,
-      simd.subtract_cells_per_sec, simd.subtract_cells_per_sec_scalar,
-      simd.subtract_cells_per_sec / simd.subtract_cells_per_sec_scalar);
-  json += simd_buf;
   json += "\n}\n";
   std::FILE* f = std::fopen("BENCH_iblt.json", "w");
   if (f == nullptr) {

@@ -96,7 +96,7 @@ inline Result<SsrOutcome> RunDemoClientSession(
 
 /// Traced variant for the operator console's --probe: owns the whole
 /// connect→hello→protocol arc so the client timeline has spans for every
-/// leg. The hello carries `trace_id` (a v3 hello), so the server tags its
+/// leg. The hello carries `trace_id`, so the server tags its
 /// half of the session with the same id; the caller fetches that half via
 /// QueryTracesOverFd and merges the two (obs/trace_text.h). `tracer` must
 /// have capture armed (SessionTracer::EnableCapture) and `trace_id` must

@@ -9,7 +9,7 @@
 //                   forest / shingle sessions sharing the same scheduler.
 //
 //  --listen=tcp:PORT | --listen=unix:PATH  [--serve=N] [--shards=K]
-//                   [--stats-every=N] [--trace-slow=MS] [--poller=KIND]
+//                   [--stats-every=N] [--trace-slow=MS]
 //                   REAL remote clients: a src/net/ NetPump accepts
 //                   connections, decodes wire frames, and the service
 //                   hosts only the Alice half of each session against the
@@ -28,9 +28,6 @@
 //                   client-side traces). A stall watchdog dumps a shard's
 //                   tracer ring if its driving thread stops stepping for
 //                   2s with mailbox work queued.
-//                   --poller=auto|poll|epoll|io_uring selects the pump's
-//                   readiness backend (auto = SETREC_POLLER env, else
-//                   epoll on Linux, else poll).
 //
 //  --selftest-net   End-to-end loop-device check: listens on an ephemeral
 //                   TCP port, drives a real client (the sync_client code
@@ -78,8 +75,7 @@ using namespace setrec;
 /// The multi-core server: K shards, one pump thread per shard, one
 /// SO_REUSEPORT TCP listener per pump.
 int RunListenSharded(uint16_t want_port, size_t serve_count, size_t shards,
-                     size_t stats_every, uint64_t trace_slow_ns,
-                     PollerKind poller) {
+                     size_t stats_every, uint64_t trace_slow_ns) {
   ShardedSyncServiceOptions service_options;
   service_options.shards = shards;
   service_options.spawn_threads = false;  // Pump threads drive the shards.
@@ -88,9 +84,7 @@ int RunListenSharded(uint16_t want_port, size_t serve_count, size_t shards,
   auto server_set = std::make_shared<SetOfSets>(net_demo::MakeServerSet());
   uint64_t set_id = service.RegisterSharedSet(server_set);
 
-  MultiNetPumpOptions pump_options;
-  pump_options.pump.poller = poller;
-  MultiNetPump pump(&service, pump_options);
+  MultiNetPump pump(&service);
   Result<uint16_t> port = pump.ListenTcp(want_port);
   if (!port.ok()) {
     std::fprintf(stderr, "listen failed: %s\n",
@@ -173,16 +167,13 @@ int RunListenSharded(uint16_t want_port, size_t serve_count, size_t shards,
 }
 
 int RunListen(const std::string& target, size_t serve_count,
-              size_t stats_every, uint64_t trace_slow_ns,
-              PollerKind poller) {
+              size_t stats_every, uint64_t trace_slow_ns) {
   SyncServiceOptions options;
   options.trace_slow_ns = trace_slow_ns;
   SyncService service(options);
   auto server_set = std::make_shared<SetOfSets>(net_demo::MakeServerSet());
   uint64_t set_id = service.RegisterSharedSet(server_set);
-  NetPumpOptions pump_options;
-  pump_options.poller = poller;
-  NetPump pump(&service, pump_options);
+  NetPump pump(&service);
   std::printf("poller backend: %s\n", PollerKindName(pump.poller_kind()));
   // Same stall watchdog as the sharded mode, over the one shard this
   // thread drives; the pump heartbeat beats on every poller return and
@@ -269,13 +260,11 @@ int RunListen(const std::string& target, size_t serve_count,
   return failed == 0 ? 0 : 1;
 }
 
-int RunNetSelftest(PollerKind poller) {
+int RunNetSelftest() {
   SyncService service;
   auto server_set = std::make_shared<SetOfSets>(net_demo::MakeServerSet());
   service.RegisterSharedSet(server_set);
-  NetPumpOptions pump_options;
-  pump_options.poller = poller;
-  NetPump pump(&service, pump_options);
+  NetPump pump(&service);
   std::printf("poller backend: %s\n", PollerKindName(pump.poller_kind()));
   Result<uint16_t> port = pump.ListenTcp(0);
   if (!port.ok()) {
@@ -334,7 +323,7 @@ int RunNetSelftest(PollerKind poller) {
       } else if (stats.value().find("rate setrec_sessions_per_sec") ==
                  std::string::npos) {
         stat_status = VerificationFailure(
-            "STAT reply has no windowed rate lines (v2 suffix)");
+            "STAT reply has no windowed rate lines");
       }
     } else {
       stat_status = fd.status();
@@ -386,26 +375,12 @@ int RunLoopbackDemo();
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--selftest-net") {
-      PollerKind poller = PollerKind::kAuto;
-      for (int j = 1; j < argc; ++j) {
-        if (std::strncmp(argv[j], "--poller=", 9) == 0) {
-          Result<PollerKind> kind = ParsePollerKind(argv[j] + 9);
-          if (!kind.ok()) {
-            std::fprintf(stderr, "--poller needs auto|poll|epoll|io_uring\n");
-            return 2;
-          }
-          poller = kind.value();
-        }
-      }
-      return RunNetSelftest(poller);
-    }
+    if (arg == "--selftest-net") return RunNetSelftest();
     if (arg.rfind("--listen=", 0) == 0) {
       size_t serve = 0;
       size_t shards = 1;
       size_t stats_every = 0;
       uint64_t trace_slow_ns = 0;
-      PollerKind poller = PollerKind::kAuto;
       for (int j = 1; j < argc; ++j) {
         if (std::strncmp(argv[j], "--serve=", 8) == 0) {
           serve = std::strtoull(argv[j] + 8, nullptr, 10);
@@ -420,15 +395,6 @@ int main(int argc, char** argv) {
           trace_slow_ns =
               std::strtoull(argv[j] + 13, nullptr, 10) * 1'000'000ull;
         }
-        if (std::strncmp(argv[j], "--poller=", 9) == 0) {
-          Result<PollerKind> kind = ParsePollerKind(argv[j] + 9);
-          if (!kind.ok()) {
-            std::fprintf(stderr,
-                         "--poller needs auto|poll|epoll|io_uring\n");
-            return 2;
-          }
-          poller = kind.value();
-        }
       }
       const std::string target = arg.substr(9);
       if (shards > 1) {
@@ -440,9 +406,9 @@ int main(int argc, char** argv) {
         return RunListenSharded(
             static_cast<uint16_t>(
                 std::strtoul(target.c_str() + 4, nullptr, 10)),
-            serve, shards, stats_every, trace_slow_ns, poller);
+            serve, shards, stats_every, trace_slow_ns);
       }
-      return RunListen(target, serve, stats_every, trace_slow_ns, poller);
+      return RunListen(target, serve, stats_every, trace_slow_ns);
     }
   }
   return RunLoopbackDemo();

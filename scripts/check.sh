@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One-shot gate driver: runs the four verification lanes (default, asan,
 # tsan, lint — see docs/ANALYSIS.md) plus the obs smoke lanes
-# (bench gate + live distributed-obs probe, docs/OBSERVABILITY.md) and
-# exits non-zero if any fails.
+# (bench gate + live distributed-obs probe, docs/OBSERVABILITY.md) and the
+# benchmark smoke lane (perfbench/), and exits non-zero if any fails.
 # Usage: scripts/check.sh [-j N]
 set -u
 
@@ -106,6 +106,40 @@ run distributed-obs distributed_obs
 # measured sessions with zero failures/protocol errors and a bounded p99.
 run net-scale ./build/bench_service --net-scale=2000
 
+# Lane 1e: benchmark smoke — perfbench/run.py builds the benchmark from this
+# tree's src/ (so a src/ change that breaks the benchmark's build fails
+# here) and runs every workload briefly, untraced and traced. Each run's
+# last line must report "correct": true, and a run against corrupted
+# expectations must report "correct": false (the check can fire).
+bench_run() {
+  # bench_run <true|false> <run.py args...>
+  local expect="$1" err last
+  shift
+  err=$(mktemp)
+  last=$(python3 perfbench/run.py "$@" 2>"$err" | tail -n 1)
+  if ! echo "$last" | grep -q "\"correct\": $expect"; then
+    echo "bench-smoke: '$*' did not report \"correct\": $expect:"
+    tail -n 40 "$err"
+    echo "$last"
+    rm -f "$err"
+    return 1
+  fi
+  rm -f "$err"
+}
+bench_smoke() {
+  local w t rc=0
+  for w in service-mixed net-unix bulk-ssru; do
+    for t in 0 1; do
+      bench_run true --workload "$w" --seed 1 --seconds 1 --trace "$t" || rc=1
+    done
+  done
+  bench_run false --workload net-unix --seed 1 --seconds 1 --trace 0 \
+    --corrupt-expected || rc=1
+  [ "$rc" -eq 0 ] && echo "bench-smoke: every workload correct; corruption caught"
+  return "$rc"
+}
+run bench-smoke bench_smoke
+
 # Lane 2: ASan+UBSan over the lifetime-sensitive suites.
 lane asan asan -L 'fast|service'
 
@@ -120,4 +154,4 @@ if [ "${#failed[@]}" -ne 0 ]; then
   echo "CHECK FAILED: ${failed[*]}"
   exit 1
 fi
-echo "CHECK OK: default, obs-smoke, distributed-obs, net-scale, asan, tsan, lint all green"
+echo "CHECK OK: default, obs-smoke, distributed-obs, net-scale, bench-smoke, asan, tsan, lint all green"

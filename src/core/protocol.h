@@ -52,8 +52,8 @@ struct SsrParams {
   double estimate_slack = 2.0;
   /// Wire encoding for the IBLT tables the protocols exchange (a transport
   /// concern: tables and decode results are identical under every codec).
-  /// Both parties must agree; src/net negotiates it in the hello frame,
-  /// defaulting to kDense so old transcripts and peers stay compatible.
+  /// Both parties must agree; src/net carries it in the hello frame.
+  /// Defaults to kDense so existing transcripts stay byte-identical.
   WireCodec wire_codec = WireCodec::kDense;
 
   bool operator==(const SsrParams&) const = default;

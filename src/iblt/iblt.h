@@ -247,9 +247,8 @@ struct DecodeScratch {
   std::vector<IbltCellMeta> meta;
   /// The scratch lane arenas are cache-line aligned (util/aligned.h): a
   /// scratch is allocated once and reused across decodes, so the aligned
-  /// allocation is amortized to zero while whole-arena SIMD passes start
-  /// on a cache line. (Per-TABLE arenas stay plain vectors — see
-  /// Iblt::key_lanes_ for why.)
+  /// allocation is amortized to zero. (Per-TABLE arenas stay plain
+  /// vectors — see Iblt::key_lanes_ for why.)
   AlignedLaneVector key_lanes;
   std::vector<uint32_t> queue;   // Pure-cell FIFO (ring over a vector).
   std::vector<uint8_t> queued;   // Per-cell in-queue flag (dedup).
@@ -481,14 +480,6 @@ class Iblt {
   /// can be exercised deterministically on any machine.
   static int sharded_workers_for_test;
 
-  /// The wide-key lane-XOR backend the runtime dispatch selected
-  /// ("avx512", "avx2" or "scalar"). Key XOR is bit-identical across
-  /// backends; only the instruction width differs.
-  static const char* LaneXorBackend();
-  /// Test/bench hook: forces the scalar backend (measuring the SIMD delta
-  /// on one machine). Not synchronized: flip before spawning threads.
-  static void ForceScalarLaneXorForTest(bool force);
-
  private:
   void Update(const uint8_t* key, int32_t delta);
   KeyHashes HashKey(const uint8_t* key) const;
@@ -558,10 +549,9 @@ class Iblt {
   /// are allocated per session in the hot path and over-aligned operator
   /// new bypasses the allocator's fast bins (measured ~25% service-level
   /// regression when this arena was 64-byte aligned). Per-cell starts are
-  /// only 8-aligned regardless (lanes_per_key_ is arbitrary), so the SIMD
-  /// XOR paths use unaligned loads either way; the cache-line-aligned
-  /// arenas live in DecodeScratch, whose vectors are allocated once and
-  /// reused.
+  /// only 8-aligned regardless (lanes_per_key_ is arbitrary); the
+  /// cache-line-aligned arenas live in DecodeScratch, whose vectors are
+  /// allocated once and reused.
   std::vector<uint64_t> key_lanes_;
   HashFamily bucket_family_;
   HashFamily check_family_;

@@ -34,15 +34,10 @@ constexpr uint64_t kWakeToken = 0;
 constexpr uint64_t kListenerTokenBase = 1;
 constexpr uint64_t kConnTokenBase = uint64_t{1} << 16;
 
-// Timer-wheel user_data: (connection token << 2) | type. Accept-resume
-// carries no token.
+// Timer-wheel user_data: (connection token << 2) | type.
 constexpr uint64_t kTimerHandshake = 0;
 constexpr uint64_t kTimerIdle = 1;
 constexpr uint64_t kTimerShedLinger = 2;
-constexpr uint64_t kTimerAcceptResume = 3;
-
-/// Accept token bucket window (see NetPumpOptions::accept_rate_per_sec).
-constexpr uint64_t kAcceptWindowNs = 100'000'000;
 
 /// How long a shed connection may linger flushing its busy frame before
 /// the wheel force-closes it (a peer that never reads must not pin a fd).
@@ -108,7 +103,7 @@ struct NetPump::Connection {
 NetPump::NetPump(SyncService* service, NetPumpOptions options)
     : service_(service),
       options_(options),
-      poller_(MakePoller(options.poller)),
+      poller_(MakePoller()),
       wheel_(obs::NowNanos()),
       next_token_(kConnTokenBase) {
   // Eager self-pipe: Wake()/AdoptConnectionAsync may be called from any
@@ -119,8 +114,6 @@ NetPump::NetPump(SyncService* service, NetPumpOptions options)
   if (wake_pipe_[0] >= 0) {
     (void)poller_->Add(wake_pipe_[0], Poller::kRead, kWakeToken);
   }
-  pump_metrics_.poller_backends |=
-      1u << static_cast<uint32_t>(poller_->kind());
   // A networked service answers TRACE?, so traced/slow sessions must be
   // retained even when --trace-slow never armed the tracer's stderr dump.
   service_->tracer().EnableCapture(service_->options().trace_ring_capacity);
@@ -311,10 +304,6 @@ void NetPump::RearmIdleTimer(Connection* conn) {
 
 void NetPump::OnTimer(uint64_t data) {
   const uint64_t type = data & 3u;
-  if (type == kTimerAcceptResume) {
-    ResumeListeners();
-    return;
-  }
   auto it = connections_.find(data >> 2);
   if (it == connections_.end()) return;  // Raced a close; stale fire.
   Connection* conn = it->second.get();
@@ -349,55 +338,11 @@ void NetPump::OnTimer(uint64_t data) {
   }
 }
 
-bool NetPump::AcceptBudgetOk(uint64_t now_ns) {
-  if (options_.accept_rate_per_sec == 0) return true;
-  if (now_ns - accept_window_start_ns_ >= kAcceptWindowNs) {
-    accept_window_start_ns_ = now_ns;
-    accept_budget_ =
-        std::max<uint64_t>(1, options_.accept_rate_per_sec / 10);
-  }
-  if (accept_budget_ == 0) return false;
-  --accept_budget_;
-  return true;
-}
-
-void NetPump::PauseListeners() {
-  if (listeners_paused_) return;
-  listeners_paused_ = true;
-  for (size_t i = 0; i < listeners_.size(); ++i) {
-    (void)poller_->Modify(listeners_[i], 0, kListenerTokenBase + i);
-  }
-}
-
-void NetPump::ResumeListeners() {
-  if (!listeners_paused_) return;
-  listeners_paused_ = false;
-  for (size_t i = 0; i < listeners_.size(); ++i) {
-    (void)poller_->Modify(listeners_[i], Poller::kRead,
-                          kListenerTokenBase + i);
-  }
-}
-
 void NetPump::AcceptFrom(size_t index) {
   if (index >= listeners_.size()) return;
   for (;;) {
-    const uint64_t now = obs::NowNanos();
-    if (!AcceptBudgetOk(now)) {
-      // Budget exhausted: park the listeners and let the wheel re-enable
-      // them at the window boundary. The kernel backlog absorbs the burst.
-      PauseListeners();
-      const uint64_t elapsed = now - accept_window_start_ns_;
-      const uint64_t delay =
-          elapsed >= kAcceptWindowNs ? 1 : kAcceptWindowNs - elapsed;
-      wheel_.Schedule(delay, kTimerAcceptResume);
-      return;
-    }
     int fd = ::accept(listeners_[index], nullptr, nullptr);
-    if (fd < 0) {
-      // Refund the unconsumed budget token.
-      if (options_.accept_rate_per_sec != 0) ++accept_budget_;
-      return;
-    }
+    if (fd < 0) return;
     if (!AdoptConnection(fd).ok()) ::close(fd);
   }
 }
@@ -447,8 +392,7 @@ void NetPump::HandleStatQuery(Connection* conn) {
   } else {
     // Default: this pump's own shard. The pump thread is the service's
     // driving thread, so the LIVE metric blocks are safe to read here and
-    // fresher than any published snapshot. Rate lines ride LAST — the v2
-    // suffix a v1 parser never reaches (see obs/export.h version rule).
+    // fresher than any published snapshot.
     obs::ExpositionWriter writer;
     AppendServiceExposition(service_->metrics(), service_->stats(), &writer);
     obs::AppendPumpMetrics(pump_metrics_, writer);
@@ -512,8 +456,9 @@ void NetPump::HandleFrame(Connection* conn, Channel::Message message) {
     spec.params = hello.value().params;
     spec.alice = std::move(set);
     spec.known_d = hello.value().known_d;
-    // Trace context from a v3 hello: the service tags its spans with the
-    // client's id so both halves of the session merge into one timeline.
+    // Trace context from a traced hello: the service tags its spans with
+    // the client's id so both halves of the session merge into one
+    // timeline.
     spec.trace_id = hello.value().trace_id;
     spec.mirror = std::make_shared<Endpoint>(std::move(server_end));
     conn->mirror_peer = std::make_shared<Endpoint>(std::move(client_end));
@@ -747,7 +692,7 @@ size_t NetPump::PumpOnce(int timeout_ms) {
     if (event.readable) HandleReadable(conn);
     // Writable-only events: the finish phase flushes every touched conn.
   }
-  // Fire due timers: handshake/idle reaps, shed lingers, accept refills.
+  // Fire due timers: handshake/idle reaps and shed lingers.
   wheel_.Advance(obs::NowNanos(), [this](uint64_t data) { OnTimer(data); });
   pump_metrics_.timers_fired = wheel_.fired();
   pump_metrics_.timer_cascades = wheel_.cascades();

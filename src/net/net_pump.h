@@ -39,9 +39,6 @@ struct NetPumpOptions {
   /// shard) can bind the same port and let the kernel spread accepted
   /// connections across them (the multi-pump listener distribution).
   bool reuse_port = false;
-  /// Readiness backend (net/poller.h). kAuto = SETREC_POLLER env var if
-  /// set, else epoll on Linux, else poll(2).
-  PollerKind poller = PollerKind::kAuto;
   /// A connection must complete its hello within this window or it is
   /// reaped (counted in handshake_timeouts). 0 disables — half-open
   /// connections then live until EOF, the pre-PR-10 lifecycle.
@@ -49,12 +46,6 @@ struct NetPumpOptions {
   /// An established session's connection is reaped after this much
   /// byte-level silence (no reads, no writes). 0 disables.
   uint32_t idle_timeout_ms = 120'000;
-  /// Accept-rate ceiling per pump (token bucket over 100ms windows);
-  /// while exhausted the listeners' read interest is paused and the
-  /// timer wheel re-enables it at the window boundary, so a connect storm
-  /// queues in the kernel backlog instead of monopolizing the pump.
-  /// 0 = unlimited.
-  uint32_t accept_rate_per_sec = 0;
   /// Load-aware admission cap: at most this many concurrently admitted
   /// (non-shed) connections per pump. Connections beyond the cap are shed
   /// with a protocol-level busy frame carrying `busy_retry_after_ms` and
@@ -94,13 +85,12 @@ struct NetPumpStats {
 ///                               → frames: DeliverRemote(session, message)
 ///   session ctx->Send → mirror Endpoint → DrainToStream → socket bytes
 ///
-/// Readiness comes through the Poller interface (epoll by default — cost
-/// O(ready fds), so 10k idle connections are free; poll(2) as the portable
-/// fallback; io_uring opt-in). Per-pass work is proportional to touched
-/// connections (fd events + live sessions + fired timers), never to the
-/// total connection count. Connection lifecycle is timer-driven: a hashed
-/// timer wheel reaps handshake stragglers and idle sessions and paces
-/// accepts, replacing the old "EOF or never" model.
+/// Readiness comes through the Poller interface (epoll — cost O(ready
+/// fds), so 10k idle connections are free; poll(2) where epoll is
+/// unavailable). Per-pass work is proportional to touched connections (fd
+/// events + live sessions + fired timers), never to the total connection
+/// count. Connection lifecycle is timer-driven: a hashed timer wheel reaps
+/// handshake stragglers and idle sessions.
 ///
 /// One session per connection; the server side runs Alice's half of the
 /// chosen protocol against the registered shared set named by the client's
@@ -150,8 +140,7 @@ class NetPump {
   size_t listener_count() const { return listeners_.size(); }
   const NetPumpStats& stats() const { return stats_; }
 
-  /// The readiness backend actually in use (after kAuto resolution and
-  /// availability fallback).
+  /// The readiness backend in use (epoll unless it was unavailable).
   PollerKind poller_kind() const { return poller_->kind(); }
 
   /// Stamped every time the poller returns — the stall watchdog's
@@ -207,11 +196,8 @@ class NetPump {
   /// Adds `conn` to this pass's work list (idempotent). Only touched
   /// connections pay per-pass processing.
   void Touch(Connection* conn);
-  /// Accept loop for listener `index`, bounded by the accept budget.
+  /// Accept loop for listener `index`: adopts until accept would block.
   void AcceptFrom(size_t index);
-  bool AcceptBudgetOk(uint64_t now_ns);
-  void PauseListeners();
-  void ResumeListeners();
   /// Re-registers desired poller interest after a pass touched `conn`.
   void UpdateInterest(Connection* conn);
   /// Marks `conn` for shedding: busy frame queued, write-only, closed
@@ -241,10 +227,6 @@ class NetPump {
   MpscQueue<int> adopt_queue_;
   std::vector<int> listeners_;
   std::vector<std::string> unix_paths_;
-  bool listeners_paused_ = false;
-  /// Accept token bucket (see accept_rate_per_sec).
-  uint64_t accept_budget_ = 0;
-  uint64_t accept_window_start_ns_ = 0;
   /// Connections keyed by poller token (monotonic, never reused — a
   /// recycled fd number can't alias a stale registration or timer).
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;

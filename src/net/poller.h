@@ -4,22 +4,17 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "util/status.h"
 
 namespace setrec {
 
-/// Which readiness backend a Poller runs on. kAuto resolves at
-/// construction: SETREC_POLLER if set (how the ctest `net` label runs
-/// every suite once per backend without recompiling), else epoll on
-/// Linux, else poll. io_uring is explicit opt-in via flag or env.
+/// Which readiness backend a Poller runs on: epoll where the build has it,
+/// else poll (see MakePoller).
 enum class PollerKind : uint8_t {
-  kAuto = 0,
-  kPoll = 1,   ///< Portable ::poll(2): O(watched fds) per wakeup.
-  kEpoll = 2,  ///< Linux epoll, level-triggered: O(ready fds) per wakeup.
-  kUring = 3,  ///< Linux io_uring POLL_ADD (raw syscalls, no liburing).
+  kPoll,   ///< Portable ::poll(2): O(watched fds) per wakeup.
+  kEpoll,  ///< Linux epoll, level-triggered: O(ready fds) per wakeup.
 };
 
 /// One readiness report. `token` is the caller's opaque registration tag
@@ -45,7 +40,8 @@ struct PollerEvent {
 ///    valid: the fd stays registered but reports nothing (the pump parks
 ///    backpressured connections this way).
 ///  * Remove unregisters; the caller closes the fd itself, always AFTER
-///    Remove (io_uring holds per-fd kernel state keyed on the fd number).
+///    Remove (registrations are keyed by fd number, which the kernel
+///    reuses once the fd is closed).
 ///  * Wait blocks up to timeout_ms (-1 = forever, 0 = poll-and-return) and
 ///    appends ready events to `out` (which the caller clears); it returns
 ///    the number appended. Hangup-only events are reported even when the
@@ -58,7 +54,6 @@ class Poller {
 
   virtual ~Poller() = default;
 
-  /// The backend actually running (never kAuto).
   virtual PollerKind kind() const = 0;
 
   virtual Status Add(int fd, uint32_t interest, uint64_t token) = 0;
@@ -68,32 +63,19 @@ class Poller {
                               std::vector<PollerEvent>* out) = 0;
 };
 
-/// Stable lowercase backend name ("poll", "epoll", "io_uring"); kAuto maps
-/// to "auto". Used in flags, STAT? exposition, and BENCH_service.json.
+/// Stable lowercase backend name ("poll" or "epoll"), as printed in
+/// example banners and bench reports.
 const char* PollerKindName(PollerKind kind);
 
-/// Parses a backend name as accepted by --poller= and SETREC_POLLER
-/// ("auto", "poll", "epoll", "io_uring" or "uring").
-Result<PollerKind> ParsePollerKind(std::string_view name);
-
-/// True if `kind` can actually run here (epoll: Linux build; io_uring:
-/// kernel accepts io_uring_setup — probed once and cached). kAuto and
-/// kPoll are always available.
-bool PollerBackendAvailable(PollerKind kind);
-
-/// Builds the backend for `requested`. kAuto consults SETREC_POLLER, then
-/// defaults to epoll (io_uring stays explicit opt-in via flag/env). An
-/// unavailable request degrades io_uring -> epoll -> poll rather than
-/// failing: the caller reads the achieved backend from kind(). Never
-/// returns null.
-std::unique_ptr<Poller> MakePoller(PollerKind requested);
+/// Builds the pump's backend: epoll, or poll where the build has no
+/// <sys/epoll.h> or epoll_create1 fails. Never returns null.
+std::unique_ptr<Poller> MakePoller();
 
 namespace internal {
-/// Backend constructors, exposed for MakePoller and the backend-matrix
-/// tests. The uring factory returns null when the kernel refuses.
+/// Backend constructors, exposed for MakePoller and the readiness-contract
+/// tests. The epoll factory returns null where epoll is unavailable.
 std::unique_ptr<Poller> MakePollPoller();
 std::unique_ptr<Poller> MakeEpollPoller();
-std::unique_ptr<Poller> MakeUringPoller();
 }  // namespace internal
 
 }  // namespace setrec

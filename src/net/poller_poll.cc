@@ -1,8 +1,7 @@
 // The portable fallback backend: one ::poll(2) call per Wait over the
-// whole registration table. O(watched fds) per wakeup — exactly the cost
-// model the epoll/io_uring backends exist to beat — but it runs anywhere
-// and keeps the Poller contract honest (the ctest `net` label re-runs
-// every suite on this backend).
+// whole registration table. O(watched fds) per wakeup — the cost model
+// the epoll backend exists to beat — but it runs on platforms without
+// <sys/epoll.h>, where MakePoller falls back to it.
 
 #include <poll.h>
 

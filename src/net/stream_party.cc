@@ -191,9 +191,8 @@ Result<std::string> QueryStatsOverFd(int fd) {
   Result<std::string> text =
       QueryAdminOverFd(fd, MakeStatQueryMessage(), kStatReplyLabel);
   if (!text.ok()) return text;
-  // Fail closed on a version this client cannot claim to understand: a
-  // v3+ server may have changed line semantics anywhere, so "parse the
-  // prefix and hope" is not an option (see obs/export.h version rule).
+  // Fail closed on any other version: its lines may mean something else
+  // anywhere in the text, so "parse the prefix and hope" is not an option.
   if (!obs::ValidMetricsExpositionHeader(text.value())) {
     return ParseError("unsupported metrics exposition version");
   }

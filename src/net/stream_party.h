@@ -38,8 +38,8 @@ std::optional<uint32_t> PendingBusyHintOnFd(int fd);
 /// see docs/OBSERVABILITY.md). Works on a fresh connection (no hello
 /// needed) or interleaved between protocol turns the caller owns.
 /// Fails closed — kParseError — on an exposition whose version line is
-/// neither v1 nor v2 (a reply this client cannot claim to understand)
-/// and on replies larger than the admin frame ceiling.
+/// not `# setrec-metrics v2` and on replies larger than the admin frame
+/// ceiling.
 Result<std::string> QueryStatsOverFd(int fd);
 
 /// Admin round-trip for "TRACE?": returns the server's recent completed

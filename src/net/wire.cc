@@ -9,21 +9,15 @@
 namespace setrec {
 
 namespace {
-// Version 1: fields through estimate_slack, implicitly dense tables.
-// Version 2: version 1 fields + one trailing wire-codec byte.
-// Version 3: version 2 fields + one trailing u64 trace id (must be
-// nonzero — "absent ⇒ untraced" stays unambiguous). Untraced clients
-// emit v2, byte-identical to a pre-trace client; traced clients emit v3.
-// All three versions are accepted so pre-codec clients (and recorded v1
-// transcripts) interoperate — a v1 hello IS the dense negotiation.
-constexpr uint8_t kHelloVersionLegacy = 1;
+// The one hello layout: version byte 2, the SsrParams fields, a required
+// wire-codec byte, then either nothing (untraced) or a nonzero u64 trace
+// id. Any other version or length fails closed.
 constexpr uint8_t kHelloVersion = 2;
-constexpr uint8_t kHelloVersionTraced = 3;
 }
 
 Channel::Message MakeHelloMessage(const HelloSpec& spec) {
   ByteWriter writer;
-  writer.PutU8(spec.trace_id != 0 ? kHelloVersionTraced : kHelloVersion);
+  writer.PutU8(kHelloVersion);
   writer.PutU8(static_cast<uint8_t>(spec.protocol));
   writer.PutVarint(spec.set_id);
   writer.PutU8(spec.known_d.has_value() ? 1 : 0);
@@ -43,9 +37,7 @@ Result<HelloSpec> ParseHelloMessage(const Channel::Message& m) {
   if (!IsHelloMessage(m)) return ParseError("not a hello frame");
   ByteReader reader(m.payload);
   uint8_t version = 0, protocol = 0, has_d = 0;
-  if (!reader.GetU8(&version) ||
-      (version != kHelloVersionLegacy && version != kHelloVersion &&
-       version != kHelloVersionTraced)) {
+  if (!reader.GetU8(&version) || version != kHelloVersion) {
     return ParseError("hello: unsupported version");
   }
   if (!reader.GetU8(&protocol) || protocol >= kSsrProtocolKindCount) {
@@ -56,23 +48,21 @@ Result<HelloSpec> ParseHelloMessage(const Channel::Message& m) {
   uint64_t set_id = 0, known_d = 0;
   uint64_t max_child_size = 0, max_children = 0, max_differing = 0;
   uint64_t max_attempts = 0, slack_bits = 0;
-  uint8_t codec = static_cast<uint8_t>(WireCodec::kDense);
+  uint8_t codec = 0;
   if (!reader.GetVarint(&set_id) || !reader.GetU8(&has_d) || has_d > 1 ||
       (has_d == 1 && !reader.GetVarint(&known_d)) ||
       !reader.GetVarint(&max_child_size) || !reader.GetVarint(&max_children) ||
       !reader.GetVarint(&max_differing) || !reader.GetU64(&spec.params.seed) ||
       !reader.GetVarint(&max_attempts) || !reader.GetU64(&slack_bits) ||
-      (version >= kHelloVersion &&
-       (!reader.GetU8(&codec) ||
-        codec > static_cast<uint8_t>(WireCodec::kSparse))) ||
-      (version >= kHelloVersionTraced && !reader.GetU64(&spec.trace_id)) ||
-      !reader.empty()) {
-    return ParseError("hello: truncated or trailing bytes");
+      !reader.GetU8(&codec) ||
+      codec > static_cast<uint8_t>(WireCodec::kSparse)) {
+    return ParseError("hello: truncated fields or unknown codec");
   }
-  // A v3 hello exists only to carry a trace id; zero would make "absent ⇒
-  // untraced" ambiguous, so it is malformed rather than meaning v2.
-  if (version >= kHelloVersionTraced && spec.trace_id == 0) {
-    return ParseError("hello: zero trace id on a traced hello");
+  // Then nothing, or exactly a trace id. A zero id would make "absent ⇒
+  // untraced" ambiguous, so it is malformed rather than meaning untraced.
+  if (!reader.empty() && (!reader.GetU64(&spec.trace_id) ||
+                          spec.trace_id == 0 || !reader.empty())) {
+    return ParseError("hello: malformed trace id or trailing bytes");
   }
   spec.params.wire_codec = static_cast<WireCodec>(codec);
   // Bound the client-supplied sizes: they shape server-side IBLT sizes

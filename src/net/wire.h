@@ -21,11 +21,10 @@ struct HelloSpec {
   uint64_t set_id = 0;
   SsrParams params;
   std::optional<size_t> known_d;
-  /// Client-generated trace context. 0 = untraced, and the hello is
-  /// emitted as v2 — identical bytes to a pre-trace client, so trace
-  /// support costs untraced peers nothing. Nonzero ids ride a v3 hello;
-  /// the server tags its spans with the id so both halves of the session
-  /// merge into one timeline (docs/OBSERVABILITY.md).
+  /// Client-generated trace context. 0 = untraced: the hello ends at the
+  /// codec byte, so untraced peers pay no bytes for tracing. A nonzero id
+  /// is appended as a u64; the server tags its spans with it so both
+  /// halves of the session merge into one timeline (docs/OBSERVABILITY.md).
   uint64_t trace_id = 0;
 };
 

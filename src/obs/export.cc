@@ -15,14 +15,11 @@ void AppendU64(std::string* out, uint64_t v) {
 }  // namespace
 
 bool ValidMetricsExpositionHeader(std::string_view text) {
-  // v1 is accepted for old servers; v2 is what this build emits. The
-  // version token must end the line — "v21" is not a known version.
-  for (std::string_view known : {"# setrec-metrics v1", "# setrec-metrics v2"}) {
-    if (text.size() < known.size()) continue;
-    if (text.substr(0, known.size()) != known) continue;
-    if (text.size() == known.size() || text[known.size()] == '\n') return true;
-  }
-  return false;
+  // The whole version line must match ("v21" is not v2); a bare header
+  // with no metrics may lack the newline.
+  const std::string_view line = kVersionLine;
+  return text.substr(0, line.size()) == line ||
+         text == line.substr(0, line.size() - 1);
 }
 
 ExpositionWriter::ExpositionWriter() : out_(kVersionLine) {}
@@ -132,20 +129,6 @@ void AppendPumpMetrics(const PumpMetrics& pm, ExpositionWriter& w) {
   w.Counter("setrec_pump_handshake_timeouts", "", pm.handshake_timeouts);
   w.Counter("setrec_pump_idle_timeouts", "", pm.idle_timeouts);
   w.Counter("setrec_pump_admissions_rejected", "", pm.admissions_rejected);
-  // One labeled gauge per backend the merged pumps ran on ("poll",
-  // "epoll", "io_uring") — new NAMES of an existing line type, so this
-  // stays within the v2 exposition contract.
-  // Bit positions follow PollerKind (net/poller.h); names are duplicated
-  // here so obs stays below net in the layering.
-  static constexpr const char* kBackendNames[] = {nullptr, "poll", "epoll",
-                                                  "io_uring"};
-  for (uint32_t kind = 1; kind <= 3; ++kind) {
-    if ((pm.poller_backends & (1u << kind)) == 0) continue;
-    std::string labels = "backend=\"";
-    labels += kBackendNames[kind];
-    labels += "\"";
-    w.Gauge("setrec_pump_poller_backend", labels, 1);
-  }
 }
 
 void AppendRates(const RateRing::Rates& rates, ExpositionWriter& w) {

@@ -15,17 +15,12 @@ namespace setrec::obs {
 ///   counter <name>{<labels>} <value>
 ///   gauge <name>{<labels>} <value>
 ///   histogram <name>{<labels>} count=N sum=S max=M p50=V p90=V p99=V p999=V
-///   rate <name>{<labels>} <value>            (v2 and later)
+///   rate <name>{<labels>} <value>
 ///
 /// Labels are a comma-separated key="value" list and may be empty ({}).
 /// Histogram values are in the unit named by the metric suffix (_ns, _keys,
-/// _bytes). The version line is first; parsers must reject versions they do
-/// not know (ValidMetricsExpositionHeader).
-///
-/// Version rule: a vN+1 exposition only APPENDS line types after the lines
-/// a vN parser understands — v2 is the v1 text plus trailing `rate` lines —
-/// so a v1 consumer keeps working on the shared prefix. Producers must keep
-/// emitting new line types last.
+/// _bytes). The version line is first. There is one version; consumers
+/// reject any other (ValidMetricsExpositionHeader).
 class ExpositionWriter {
  public:
   ExpositionWriter();
@@ -35,7 +30,7 @@ class ExpositionWriter {
   void Gauge(std::string_view name, std::string_view labels, uint64_t value);
   void Histogram(std::string_view name, std::string_view labels,
                  const LatencyHistogram& h);
-  /// v2: a derived per-time rate, rendered with three decimals.
+  /// A derived per-time rate, rendered with three decimals.
   void Rate(std::string_view name, std::string_view labels, double value);
 
   const std::string& text() const { return out_; }
@@ -47,8 +42,8 @@ class ExpositionWriter {
   std::string out_;
 };
 
-/// True iff `text` starts with a metrics version line this build can parse
-/// (v1 or v2). Consumers of STAT? replies fail closed on anything else.
+/// True iff `text` starts with the `# setrec-metrics v2` version line.
+/// Consumers of STAT? replies fail closed on anything else.
 bool ValidMetricsExpositionHeader(std::string_view text);
 
 /// Appends every histogram/counter of a (merged) service-layer registry.
@@ -62,8 +57,7 @@ void AppendRegistry(const MetricRegistry& reg,
 /// Appends a (merged) net-layer pump metric block.
 void AppendPumpMetrics(const PumpMetrics& pm, ExpositionWriter& w);
 
-/// Appends the windowed rates. These are `rate` lines — v2 vocabulary — so
-/// per the version rule they must be the LAST block appended.
+/// Appends the windowed rates as `rate` lines.
 void AppendRates(const RateRing::Rates& rates, ExpositionWriter& w);
 
 }  // namespace setrec::obs

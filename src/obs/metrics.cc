@@ -71,7 +71,6 @@ void PumpMetrics::Merge(const PumpMetrics& other) {
   handshake_timeouts += other.handshake_timeouts;
   idle_timeouts += other.idle_timeouts;
   admissions_rejected += other.admissions_rejected;
-  poller_backends |= other.poller_backends;
 }
 
 void PumpMetrics::Reset() { *this = PumpMetrics{}; }

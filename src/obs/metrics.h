@@ -143,9 +143,6 @@ struct PumpMetrics {
   size_t idle_timeouts = 0;
   /// Connections shed with a busy frame by load-aware admission.
   size_t admissions_rejected = 0;
-  /// Bitmask of PollerKind values (1 << kind) the pump(s) ran on; merged
-  /// snapshots can span shards on different backends, hence a set.
-  uint32_t poller_backends = 0;
 
   void Merge(const PumpMetrics& other);
   void Reset();

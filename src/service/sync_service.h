@@ -87,9 +87,9 @@ struct SessionSpec {
   /// an Endpoint::MailboxPair half (transport/endpoint.h).
   std::shared_ptr<Endpoint> mirror;
 
-  /// Client-propagated trace context (hello v3; 0 = untraced). The shard
-  /// tags every trace event of this session with it, so the server half
-  /// of a traced session is joinable with the client's own spans.
+  /// Client-propagated trace context (from the hello; 0 = untraced). The
+  /// shard tags every trace event of this session with it, so the server
+  /// half of a traced session is joinable with the client's own spans.
   uint64_t trace_id = 0;
 };
 
@@ -196,7 +196,7 @@ struct SyncServiceOptions {
 /// labelled with protocol/codec names plus every ServiceStats counter — to
 /// a `# setrec-metrics` text block (obs/export.h). Callers pass merged
 /// or per-shard snapshots; the net layer serves the result for `STAT?`
-/// (appending windowed `rate` lines last — the v2 suffix).
+/// (followed by the windowed `rate` lines).
 void AppendServiceExposition(const obs::MetricRegistry& metrics,
                              const ServiceStats& stats,
                              obs::ExpositionWriter* writer);

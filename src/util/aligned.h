@@ -8,10 +8,9 @@
 
 namespace setrec {
 
-/// Minimal over-aligned allocator for std::vector. The IBLT key-lane arenas
-/// use it at 64-byte alignment so the SIMD lane-XOR paths (AVX2 today) can
-/// issue aligned 32-byte loads/stores on cell boundaries and whole arenas
-/// start on a cache line.
+/// Minimal over-aligned allocator for std::vector. The IBLT decode-scratch
+/// lane arenas use it at 64-byte alignment so each arena starts on a cache
+/// line.
 template <typename T, size_t Align>
 struct AlignedAllocator {
   using value_type = T;

@@ -3,8 +3,7 @@
 // serialization, which lists every cell) for randomized tables across the
 // shapes the protocols actually send — empty, singleton, lightly loaded,
 // saturated, and wide blob keys. Also covers delta frames against a
-// lineage parent, the SerializeWith/DeserializeWith codec dispatch, and
-// scalar/SIMD lane-XOR backend equivalence.
+// lineage parent and the SerializeWith/DeserializeWith codec dispatch.
 //
 // Runs under the `fast` ctest label, so the asan preset exercises every
 // decode path with sanitizers on.
@@ -202,28 +201,6 @@ TEST(IbltSparseCodecTest, SerializeWithDispatchesOnCodecAndLineage) {
   regrown.SerializeWith(WireCodec::kSparse, &fallback, TableLineage{&parent});
   ASSERT_FALSE(fallback.bytes().empty());
   EXPECT_NE(fallback.bytes()[0], 2);
-}
-
-TEST(IbltSparseCodecTest, ScalarAndSimdBackendsBuildIdenticalTables) {
-  // The codec reads key lanes the XOR backends wrote; whatever backend the
-  // dispatcher picked (avx512 > avx2 > scalar) must produce tables — and
-  // therefore frames — identical to forced-scalar.
-  auto build = [] {
-    IbltConfig config = IbltConfig::ForDifference(64, 31, /*key_width=*/36);
-    Iblt table(config);
-    Rng rng(31);
-    for (int i = 0; i < 64; ++i) table.Insert(RandomKey(36, &rng));
-    for (int i = 0; i < 32; ++i) table.Erase(RandomKey(36, &rng));
-    ByteWriter writer;
-    table.SerializeSparse(&writer);
-    return writer.bytes();
-  };
-  std::vector<uint8_t> dispatched = build();
-  Iblt::ForceScalarLaneXorForTest(true);
-  EXPECT_STREQ(Iblt::LaneXorBackend(), "scalar");
-  std::vector<uint8_t> scalar = build();
-  Iblt::ForceScalarLaneXorForTest(false);
-  EXPECT_EQ(dispatched, scalar);
 }
 
 }  // namespace

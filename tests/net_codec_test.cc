@@ -1,17 +1,18 @@
-// Wire-codec negotiation over the hello frame, and mixed-version peers
-// end-to-end: a v1 (pre-codec) hello is the dense negotiation, a v2 hello
-// carries an explicit codec byte, a v3 hello additionally propagates a
-// trace id (invisible to the protocol bytes), and a sparse-negotiated
+// Wire-codec negotiation over the hello frame, end to end: the one hello
+// layout carries an explicit codec byte and, for a traced client, a trace
+// id (invisible to the protocol bytes); anything else fails closed. A
 // session over a real socket must produce the exact transcript of the
-// direct sparse Reconcile call while spending fewer wire bytes than its
-// dense twin.
+// direct Reconcile call under either codec, and a sparse session must
+// spend fewer wire bytes than its dense twin.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,7 +26,7 @@
 namespace setrec {
 namespace {
 
-HelloSpec MakeSpec(WireCodec codec) {
+HelloSpec MakeSpec(WireCodec codec, uint64_t trace_id = 0) {
   HelloSpec spec;
   spec.protocol = SsrProtocolKind::kCascade;
   spec.set_id = 42;
@@ -34,111 +35,85 @@ HelloSpec MakeSpec(WireCodec codec) {
   spec.params.seed = 777;
   spec.params.wire_codec = codec;
   spec.known_d = 5;
-  return spec;
-}
-
-TEST(HelloCodecTest, V2RoundTripsBothCodecs) {
-  for (WireCodec codec : {WireCodec::kDense, WireCodec::kSparse}) {
-    Channel::Message m = MakeHelloMessage(MakeSpec(codec));
-    ASSERT_GE(m.payload.size(), 2u);
-    EXPECT_EQ(m.payload[0], 2) << "hello frames are emitted as version 2";
-    Result<HelloSpec> parsed = ParseHelloMessage(m);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed.value().params.wire_codec, codec);
-    EXPECT_EQ(parsed.value().params, MakeSpec(codec).params);
-    EXPECT_EQ(parsed.value().set_id, 42u);
-  }
-}
-
-// A v1 hello is the v2 frame minus the trailing codec byte, version 1.
-Channel::Message MakeLegacyHello(const HelloSpec& spec) {
-  Channel::Message m = MakeHelloMessage(spec);
-  m.payload[0] = 1;
-  m.payload.pop_back();
-  return m;
-}
-
-TEST(HelloCodecTest, LegacyV1MeansDense) {
-  Channel::Message m = MakeLegacyHello(MakeSpec(WireCodec::kSparse));
-  Result<HelloSpec> parsed = ParseHelloMessage(m);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  // The codec byte never made it to the wire: a v1 peer is a dense peer,
-  // whatever the local spec said.
-  EXPECT_EQ(parsed.value().params.wire_codec, WireCodec::kDense);
-}
-
-TEST(HelloCodecTest, MalformedCodecNegotiationRejected) {
-  // Unknown codec value.
-  Channel::Message bad_codec = MakeHelloMessage(MakeSpec(WireCodec::kDense));
-  bad_codec.payload.back() = 2;
-  EXPECT_FALSE(ParseHelloMessage(bad_codec).ok());
-
-  // v1 frame with a trailing codec byte: trailing garbage, not negotiation.
-  Channel::Message v1_extra = MakeHelloMessage(MakeSpec(WireCodec::kDense));
-  v1_extra.payload[0] = 1;
-  EXPECT_FALSE(ParseHelloMessage(v1_extra).ok());
-
-  // v2 frame without its codec byte: truncated.
-  Channel::Message v2_short = MakeHelloMessage(MakeSpec(WireCodec::kDense));
-  v2_short.payload.pop_back();
-  EXPECT_FALSE(ParseHelloMessage(v2_short).ok());
-}
-
-HelloSpec MakeTracedSpec(uint64_t trace_id) {
-  HelloSpec spec = MakeSpec(WireCodec::kSparse);
   spec.trace_id = trace_id;
   return spec;
 }
 
-TEST(HelloCodecTest, V3CarriesTraceId) {
-  Channel::Message traced = MakeHelloMessage(MakeTracedSpec(0xdeadbeef));
-  EXPECT_EQ(traced.payload[0], 3) << "a nonzero trace id makes a v3 hello";
-  Result<HelloSpec> parsed = ParseHelloMessage(traced);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().trace_id, 0xdeadbeefu);
-  EXPECT_EQ(parsed.value().params.wire_codec, WireCodec::kSparse);
-  EXPECT_EQ(parsed.value().params, MakeTracedSpec(0xdeadbeef).params);
+TEST(HelloCodecTest, OneLayoutRoundTripsAndEverythingElseFailsClosed) {
+  for (WireCodec codec : {WireCodec::kDense, WireCodec::kSparse}) {
+    for (uint64_t trace_id : {uint64_t{0}, uint64_t{0xdeadbeef}}) {
+      SCOPED_TRACE(::testing::Message() << "codec " << static_cast<int>(codec)
+                                        << " trace " << trace_id);
+      const HelloSpec spec = MakeSpec(codec, trace_id);
+      const Channel::Message hello = MakeHelloMessage(spec);
+      ASSERT_FALSE(hello.payload.empty());
+      EXPECT_EQ(hello.payload[0], 2) << "every hello is version 2";
+      Result<HelloSpec> parsed = ParseHelloMessage(hello);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(parsed.value().protocol, spec.protocol);
+      EXPECT_EQ(parsed.value().set_id, spec.set_id);
+      EXPECT_EQ(parsed.value().known_d, spec.known_d);
+      EXPECT_EQ(parsed.value().params, spec.params);
+      EXPECT_EQ(parsed.value().trace_id, trace_id);
+    }
+  }
+
+  // Malformed variants of an untraced frame (its last byte is the codec
+  // byte) and of a traced one (its last 8 bytes are the trace id).
+  const std::vector<uint8_t> untraced =
+      MakeHelloMessage(MakeSpec(WireCodec::kSparse)).payload;
+  const std::vector<uint8_t> traced =
+      MakeHelloMessage(MakeSpec(WireCodec::kSparse, 0xdeadbeef)).payload;
+  struct Case {
+    std::string what;
+    std::vector<uint8_t> payload;
+  };
+  std::vector<Case> cases;
+  for (int version : {0, 1, 3, 4, 255}) {
+    for (const std::vector<uint8_t>& frame : {untraced, traced}) {
+      Case c{"version " + std::to_string(version), frame};
+      c.payload[0] = static_cast<uint8_t>(version);
+      cases.push_back(std::move(c));
+    }
+  }
+  Case no_codec{"missing codec byte", untraced};
+  no_codec.payload.pop_back();
+  cases.push_back(std::move(no_codec));
+  for (int codec : {2, 255}) {
+    Case c{"codec " + std::to_string(codec), untraced};
+    c.payload.back() = static_cast<uint8_t>(codec);
+    cases.push_back(std::move(c));
+  }
+  for (int extra : {1, 2, 3, 4, 5, 6, 7, 9, 16}) {
+    Case c{std::to_string(extra) + " bytes after the codec byte", untraced};
+    c.payload.insert(c.payload.end(), static_cast<size_t>(extra), 0x5a);
+    cases.push_back(std::move(c));
+  }
+  Case zero_id{"zero trace id", traced};
+  std::fill(zero_id.payload.end() - 8, zero_id.payload.end(), 0);
+  cases.push_back(std::move(zero_id));
+
+  for (const Case& c : cases) {
+    const Channel::Message m{Party::kBob, c.payload, kHelloLabel};
+    EXPECT_FALSE(ParseHelloMessage(m).ok()) << c.what;
+  }
 }
 
 TEST(HelloCodecTest, UntracedHelloIsByteIdenticalToV2) {
-  // The acceptance contract: tracing costs untraced peers zero wire bytes.
-  Channel::Message untraced = MakeHelloMessage(MakeTracedSpec(0));
-  Channel::Message v2 = MakeHelloMessage(MakeSpec(WireCodec::kSparse));
-  EXPECT_EQ(untraced.payload, v2.payload);
-  EXPECT_EQ(untraced.payload[0], 2);
-  // And the traced frame is exactly the v2 frame plus the 8-byte id.
-  Channel::Message traced = MakeHelloMessage(MakeTracedSpec(1));
-  EXPECT_EQ(traced.payload.size(), v2.payload.size() + 8);
-}
-
-TEST(HelloCodecTest, AdversarialTracedHellosRejected) {
-  // v3 frame truncated inside its trace id.
-  Channel::Message truncated = MakeHelloMessage(MakeTracedSpec(0xdeadbeef));
-  truncated.payload.pop_back();
-  EXPECT_FALSE(ParseHelloMessage(truncated).ok());
-
-  // A v2 frame whose version byte claims v3: missing the trace id.
-  Channel::Message missing_id = MakeHelloMessage(MakeSpec(WireCodec::kDense));
-  missing_id.payload[0] = 3;
-  EXPECT_FALSE(ParseHelloMessage(missing_id).ok());
-
-  // v3 with a zero trace id: fails closed, not silently untraced.
-  Channel::Message zero_id = MakeHelloMessage(MakeTracedSpec(0xdeadbeef));
-  for (size_t i = zero_id.payload.size() - 8; i < zero_id.payload.size();
-       ++i) {
-    zero_id.payload[i] = 0;
-  }
-  EXPECT_FALSE(ParseHelloMessage(zero_id).ok());
-
-  // v3 with trailing garbage after the trace id.
-  Channel::Message v3_extra = MakeHelloMessage(MakeTracedSpec(0xdeadbeef));
-  v3_extra.payload.push_back(0x7);
-  EXPECT_FALSE(ParseHelloMessage(v3_extra).ok());
-
-  // Versions beyond v3 are unsupported outright.
-  Channel::Message v4 = MakeHelloMessage(MakeTracedSpec(0xdeadbeef));
-  v4.payload[0] = 4;
-  EXPECT_FALSE(ParseHelloMessage(v4).ok());
+  // Tracing costs untraced peers zero wire bytes: the untraced frame is
+  // pinned byte for byte, and the traced frame only appends the 8-byte id.
+  const std::vector<uint8_t> want = {
+      0x02, 0x02, 0x2a, 0x01, 0x05, 0x0c, 0x14, 0x00, 0x09,
+      0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x01};
+  const std::vector<uint8_t> untraced =
+      MakeHelloMessage(MakeSpec(WireCodec::kSparse)).payload;
+  EXPECT_EQ(untraced, want);
+  std::vector<uint8_t> traced =
+      MakeHelloMessage(MakeSpec(WireCodec::kSparse, 1)).payload;
+  ASSERT_EQ(traced.size(), untraced.size() + 8);
+  traced.resize(untraced.size());
+  EXPECT_EQ(traced, untraced);
 }
 
 struct Fixture {
@@ -171,11 +146,9 @@ struct ClientResult {
   std::vector<Channel::Message> transcript;
 };
 
-// The sync_client flow, with the hello frame swappable so a test can speak
-// v1 (legacy dense) or v3 (traced) against the server.
+// The sync_client flow; a nonzero `trace_id` sends a traced hello.
 ClientResult RunClient(int fd, SsrProtocolKind kind, uint64_t set_id,
-                       const Fixture& f, bool legacy_hello,
-                       uint64_t trace_id = 0) {
+                       const Fixture& f, uint64_t trace_id) {
   ClientResult result;
   HelloSpec hello;
   hello.protocol = kind;
@@ -183,9 +156,7 @@ ClientResult RunClient(int fd, SsrProtocolKind kind, uint64_t set_id,
   hello.params = f.params;
   hello.known_d = f.known_d;
   hello.trace_id = trace_id;
-  Channel::Message frame =
-      legacy_hello ? MakeLegacyHello(hello) : MakeHelloMessage(hello);
-  if (Status s = WriteFrameToFd(fd, frame); !s.ok()) {
+  if (Status s = SendHello(fd, hello); !s.ok()) {
     result.outcome = s;
     return result;
   }
@@ -207,7 +178,7 @@ struct SessionRun {
 };
 
 SessionRun RunSession(SsrProtocolKind kind, const Fixture& f,
-                      bool legacy_hello, uint64_t trace_id = 0) {
+                      uint64_t trace_id = 0) {
   SessionRun run;
   SyncService service;
   uint64_t set_id =
@@ -217,7 +188,7 @@ SessionRun RunSession(SsrProtocolKind kind, const Fixture& f,
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   EXPECT_TRUE(pump.AdoptConnection(sv[0]).ok());
   std::thread client_thread([&] {
-    run.client = RunClient(sv[1], kind, set_id, f, legacy_hello, trace_id);
+    run.client = RunClient(sv[1], kind, set_id, f, trace_id);
     ::close(sv[1]);
   });
   pump.DrainConnections();
@@ -267,7 +238,7 @@ TEST_P(NetCodecInterop, SparseSessionMatchesDirectAndBeatsDense) {
   EXPECT_LE(sparse_ref.value().stats.bytes, dense_ref.value().stats.bytes);
 
   // A sparse-negotiated socket session replays the direct sparse bytes.
-  SessionRun sparse_run = RunSession(kind, sparse_f, /*legacy_hello=*/false);
+  SessionRun sparse_run = RunSession(kind, sparse_f);
   ASSERT_TRUE(sparse_run.client.outcome.ok())
       << sparse_run.client.outcome.status().ToString();
   EXPECT_EQ(sparse_run.client.outcome.value().recovered,
@@ -276,25 +247,24 @@ TEST_P(NetCodecInterop, SparseSessionMatchesDirectAndBeatsDense) {
                        sparse_run.client.transcript, "sparse session");
   EXPECT_EQ(sparse_run.server_bytes, sparse_ref.value().stats.bytes);
 
-  // A v1 (pre-codec) client against the same server negotiates dense and
-  // replays the direct dense bytes — mixed-version interop.
-  SessionRun legacy_run = RunSession(kind, dense_f, /*legacy_hello=*/true);
-  ASSERT_TRUE(legacy_run.client.outcome.ok())
-      << legacy_run.client.outcome.status().ToString();
-  EXPECT_EQ(legacy_run.client.outcome.value().recovered,
+  // A dense-negotiated session against the same server replays the direct
+  // dense bytes.
+  SessionRun dense_run = RunSession(kind, dense_f);
+  ASSERT_TRUE(dense_run.client.outcome.ok())
+      << dense_run.client.outcome.status().ToString();
+  EXPECT_EQ(dense_run.client.outcome.value().recovered,
             Canonicalize(dense_f.alice));
   ExpectSameTranscript(dense_direct.transcript(),
-                       legacy_run.client.transcript, "legacy session");
-  EXPECT_EQ(legacy_run.server_bytes, dense_ref.value().stats.bytes);
+                       dense_run.client.transcript, "dense session");
+  EXPECT_EQ(dense_run.server_bytes, dense_ref.value().stats.bytes);
 }
 
-TEST(TracedHelloInterop, V3SessionMatchesUntracedAndTagsServerTrace) {
+TEST(TracedHelloInterop, TracedSessionMatchesUntracedAndTagsServerTrace) {
   const SsrProtocolKind kind = SsrProtocolKind::kCascade;
   const Fixture f = MakeFixture(kind, WireCodec::kSparse);
 
-  SessionRun untraced = RunSession(kind, f, /*legacy_hello=*/false);
-  SessionRun traced =
-      RunSession(kind, f, /*legacy_hello=*/false, /*trace_id=*/0xfeedface);
+  SessionRun untraced = RunSession(kind, f);
+  SessionRun traced = RunSession(kind, f, /*trace_id=*/0xfeedface);
   ASSERT_TRUE(untraced.client.outcome.ok())
       << untraced.client.outcome.status().ToString();
   ASSERT_TRUE(traced.client.outcome.ok())

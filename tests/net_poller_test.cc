@@ -1,8 +1,8 @@
-// Poller backend matrix + timer-driven connection lifecycle + admission:
+// Poller backends + timer-driven connection lifecycle + admission:
 //
-//  * Every available backend (poll always; epoll on Linux; io_uring when
-//    the kernel grants a ring) passes one shared semantics suite —
-//    registration, readiness, interest-0 parking, retargeting, hangup.
+//  * Both backends (poll always; epoll on Linux) pass one shared semantics
+//    suite — registration, readiness, interest-0 parking, retargeting,
+//    hangup — and the pump's factory picks epoll on Linux.
 //  * A NetPump reaps a half-open connection that never completes its hello
 //    (handshake timeout) and an established session gone byte-silent
 //    (idle timeout), with the reap visible in stats AND pump metrics.
@@ -12,7 +12,6 @@
 //  * MultiNetPump routes new connections to the least-loaded shard.
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -38,20 +37,11 @@ namespace setrec {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Backend matrix: the shared Poller contract, run on every backend the
-// host can construct.
+// The shared Poller contract, run on each backend the host can construct.
 
 std::unique_ptr<Poller> MakeBackend(PollerKind kind) {
-  switch (kind) {
-    case PollerKind::kPoll:
-      return internal::MakePollPoller();
-    case PollerKind::kEpoll:
-      return internal::MakeEpollPoller();
-    case PollerKind::kUring:
-      return internal::MakeUringPoller();
-    default:
-      return nullptr;
-  }
+  return kind == PollerKind::kEpoll ? internal::MakeEpollPoller()
+                                    : internal::MakePollPoller();
 }
 
 class PollerBackend : public ::testing::TestWithParam<PollerKind> {};
@@ -130,59 +120,19 @@ TEST_P(PollerBackend, ReadinessContract) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, PollerBackend,
                          ::testing::Values(PollerKind::kPoll,
-                                           PollerKind::kEpoll,
-                                           PollerKind::kUring),
+                                           PollerKind::kEpoll),
                          [](const ::testing::TestParamInfo<PollerKind>&
                                 param_info) {
                            return std::string(
                                PollerKindName(param_info.param));
                          });
 
-TEST(PollerFactory, ExplicitRequestAndDegradation) {
-  // Explicit poll always succeeds as itself.
-  std::unique_ptr<Poller> poll = MakePoller(PollerKind::kPoll);
-  ASSERT_NE(poll, nullptr);
-  EXPECT_EQ(poll->kind(), PollerKind::kPoll);
-  // An explicit request for an available backend is honored; an
-  // unavailable one degrades (never null).
-  for (PollerKind kind : {PollerKind::kEpoll, PollerKind::kUring}) {
-    std::unique_ptr<Poller> poller = MakePoller(kind);
-    ASSERT_NE(poller, nullptr);
-    if (PollerBackendAvailable(kind)) {
-      EXPECT_EQ(poller->kind(), kind);
-    } else {
-      EXPECT_NE(poller->kind(), kind);
-    }
-  }
-}
-
-TEST(PollerFactory, AutoHonorsEnvSteer) {
-  // Save and restore: the ctest backend variants drive the whole binary
-  // through this very variable.
-  const char* old = ::getenv("SETREC_POLLER");
-  const std::string saved = old != nullptr ? old : "";
-  ::setenv("SETREC_POLLER", "poll", 1);
-  std::unique_ptr<Poller> steered = MakePoller(PollerKind::kAuto);
-  ASSERT_NE(steered, nullptr);
-  EXPECT_EQ(steered->kind(), PollerKind::kPoll);
-  if (old != nullptr) {
-    ::setenv("SETREC_POLLER", saved.c_str(), 1);
-  } else {
-    ::unsetenv("SETREC_POLLER");
-  }
-}
-
-TEST(PollerFactory, NamesRoundTrip) {
-  for (PollerKind kind : {PollerKind::kAuto, PollerKind::kPoll,
-                          PollerKind::kEpoll, PollerKind::kUring}) {
-    Result<PollerKind> parsed = ParsePollerKind(PollerKindName(kind));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(parsed.value(), kind);
-  }
-  Result<PollerKind> alias = ParsePollerKind("uring");
-  ASSERT_TRUE(alias.ok());
-  EXPECT_EQ(alias.value(), PollerKind::kUring);
-  EXPECT_FALSE(ParsePollerKind("kqueue").ok());
+TEST(PollerFactory, PumpBackendIsEpollOnLinux) {
+#ifdef __linux__
+  EXPECT_EQ(MakePoller()->kind(), PollerKind::kEpoll);
+#else
+  GTEST_SKIP() << "epoll is Linux-only";
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -424,37 +374,6 @@ TEST(MultiPumpRouting, NewConnectionsAvoidTheLoadedShard) {
   ::close(pair_b[1]);
   // Pumps were never started: the queued fds are closed by the pump
   // destructors (adopt-queue drain).
-}
-
-// ---------------------------------------------------------------------------
-// STAT? carries the poller backend.
-
-TEST(NetPumpStatExposition, ReportsPollerBackendGauge) {
-  SyncService service;
-  NetPumpOptions options;
-  options.poller = PollerKind::kPoll;
-  NetPump pump(&service, options);
-  ASSERT_EQ(pump.poller_kind(), PollerKind::kPoll);
-
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  ASSERT_TRUE(pump.AdoptConnection(sv[0]).ok());
-
-  std::atomic<bool> done{false};
-  Result<std::string> text = Status::Ok();
-  std::thread client([&] {
-    text = QueryStatsOverFd(sv[1]);
-    done.store(true, std::memory_order_release);
-  });
-  EXPECT_TRUE(PumpUntil(
-      &pump, [&] { return done.load(std::memory_order_acquire); }));
-  client.join();
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  EXPECT_NE(text.value().find("setrec_pump_poller_backend{backend=\"poll\"}"),
-            std::string::npos)
-      << text.value();
-  ::close(sv[1]);
-  EXPECT_TRUE(PumpUntil(&pump, [&] { return pump.connection_count() == 0; }));
 }
 
 }  // namespace

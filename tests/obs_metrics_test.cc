@@ -264,17 +264,18 @@ TEST(RateRingTest, AccumulateSumsAcrossShards) {
 }
 
 TEST(ExpositionTest, HeaderValidationAcceptsKnownVersionsOnly) {
-  EXPECT_TRUE(ValidMetricsExpositionHeader("# setrec-metrics v1\n"));
   EXPECT_TRUE(ValidMetricsExpositionHeader("# setrec-metrics v2\n"));
   EXPECT_TRUE(ValidMetricsExpositionHeader("# setrec-metrics v2"));
+  EXPECT_FALSE(ValidMetricsExpositionHeader("# setrec-metrics v1\n"));
   EXPECT_FALSE(ValidMetricsExpositionHeader("# setrec-metrics v3\n"));
   EXPECT_FALSE(ValidMetricsExpositionHeader("# setrec-metrics v12\n"));
+  EXPECT_FALSE(ValidMetricsExpositionHeader("# setrec-metrics v21\n"));
   EXPECT_FALSE(ValidMetricsExpositionHeader("# setrec-trace v1\n"));
   EXPECT_FALSE(ValidMetricsExpositionHeader(""));
   EXPECT_FALSE(ValidMetricsExpositionHeader("counter x{} 1\n"));
 }
 
-TEST(ExpositionTest, V2KeepsTheV1PrefixAndAppendsRates) {
+TEST(ExpositionTest, WritesCounterAndRateLines) {
   ExpositionWriter w;
   w.Counter("setrec_sessions_completed", "", 4);
   RateRing::Rates rates;
@@ -284,13 +285,10 @@ TEST(ExpositionTest, V2KeepsTheV1PrefixAndAppendsRates) {
   AppendRates(rates, w);
   const std::string text = w.Take();
   EXPECT_EQ(text.rfind("# setrec-metrics v2\n", 0), 0u);
-  // The version rule: v1 line types first, `rate` lines strictly after —
-  // a v1 consumer parses the prefix and stops at the first rate line.
-  const size_t counter_at = text.find("counter setrec_sessions_completed{} 4");
-  const size_t rate_at = text.find("rate setrec_sessions_per_sec{} 12.400");
-  ASSERT_NE(counter_at, std::string::npos);
-  ASSERT_NE(rate_at, std::string::npos);
-  EXPECT_LT(counter_at, rate_at);
+  EXPECT_NE(text.find("counter setrec_sessions_completed{} 4"),
+            std::string::npos);
+  EXPECT_NE(text.find("rate setrec_sessions_per_sec{} 12.400"),
+            std::string::npos);
   EXPECT_NE(text.find("rate setrec_bytes_per_sec{} 182333.000"),
             std::string::npos);
   EXPECT_NE(text.find("rate setrec_decode_failures_per_min{} 0.000"),

@@ -355,9 +355,8 @@ void CheckFormatInRegions(const SourceFile& f, std::vector<Violation>* out) {
 
 // Readiness syscalls live behind the Poller interface (net/poller.h):
 // exactly the files under src/net/poller* may touch ::poll, epoll, or
-// io_uring. Anything else polling raw fds bypasses the backend matrix —
-// it would work on the developer's box and break under SETREC_POLLER
-// steering (how the ctest `net` label runs every suite per backend).
+// io_uring. Code polling raw fds elsewhere ties itself to one backend and
+// loses the poll fallback MakePoller keeps for platforms without epoll.
 const char* const kPollerBackendPrefix = "src/net/poller";
 
 void CheckRawPoll(const SourceFile& f, std::vector<Violation>* out) {
@@ -370,8 +369,8 @@ void CheckRawPoll(const SourceFile& f, std::vector<Violation>* out) {
     if (std::regex_search(f.code[i], kRawPoll)) {
       out->push_back({f.rel_path, i + 1, "raw-poll",
                       "raw readiness syscall outside src/net/poller_*; go "
-                      "through the Poller interface (net/poller.h) so the "
-                      "backend matrix stays the only readiness layer"});
+                      "through the Poller interface (net/poller.h) so it "
+                      "stays the only readiness layer"});
     }
   }
 }

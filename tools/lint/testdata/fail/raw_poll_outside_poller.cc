@@ -2,7 +2,7 @@
 // LINT-TEST: expect raw-poll
 //
 // The pump must go through the Poller interface; a direct epoll_wait here
-// would bypass SETREC_POLLER steering and the backend matrix tests.
+// would tie it to epoll and skip the poll fallback.
 
 int Pump() {
   int n = epoll_wait(3, nullptr, 16, 10);

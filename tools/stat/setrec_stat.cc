@@ -6,7 +6,7 @@
 //       Top-like loop: windowed rates, session-latency quantiles, and the
 //       server's recent traces, refreshed every MS milliseconds.
 //   setrec_stat --connect=tcp:HOST:PORT --probe [--protocol=NAME]
-//       Drives ONE traced demo session (v3 hello carrying a fresh trace
+//       Drives ONE traced demo session (its hello carries a fresh trace
 //       id), fetches the server's half via TRACE?, merges both halves into
 //       a single timeline and prints it. Exits nonzero unless the server
 //       half was found AND the client's spans cover >= 90% of the session

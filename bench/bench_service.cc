@@ -405,11 +405,12 @@ NetBenchResult RunShardedNetBench(size_t sessions, size_t shards) {
 // The swarm runs in a forked child, not a thread: RLIMIT_NOFILE here is
 // hard-capped at 20000 and cannot be raised, so one process cannot hold
 // both ends of 10k socketpairs. The child connects N clients and holds
-// them idle pre-hello (the server disables its handshake timeout for
-// this run — idle ballast is the point); a fixed 512-session set then
-// runs the normal hello -> Bob-half path, and exact p50/p99 from the
-// sorted samples come back over a pipe. The parent is the server: one
-// NetPump over TCP, so the poller watches all N fds every wakeup.
+// them idle pre-hello; the server's handshake timeout outlasts the run,
+// so every ballast connection holds a live deadline that must never fire.
+// A fixed 512-session set then runs the normal hello -> Bob-half path,
+// and exact p50/p99 from the sorted samples come back over a pipe. The
+// parent is the server: one NetPump over TCP, so the poller watches all N
+// fds every wakeup.
 // ---------------------------------------------------------------------
 
 struct NetScalePoint {
@@ -420,6 +421,7 @@ struct NetScalePoint {
   double p50_ms = 0;
   double p99_ms = 0;
   size_t protocol_errors = 0;
+  size_t handshake_timeouts = 0;
   size_t poll_wakeups = 0;
   double mean_ready_per_wakeup = 0;
   const char* backend = "";
@@ -544,8 +546,9 @@ NetScalePoint RunNetScalePoint(size_t connections, size_t measured) {
   SyncService service;
   service.RegisterSharedSet(w.server);
   NetPumpOptions options;
-  options.handshake_timeout_ms = 0;  // Idle pre-hello ballast is the point.
-  options.idle_timeout_ms = 0;
+  // Longer than the 300 s wall ceiling below: every pre-hello ballast
+  // connection holds an armed handshake deadline, and none may fire.
+  options.handshake_timeout_ms = 600'000;
   // The swarm connects thousands of sockets back-to-back; the default
   // backlog overflows and every overflow costs the child a 1s+ SYN
   // retransmit. The kernel clamps this to net.core.somaxconn.
@@ -596,6 +599,7 @@ NetScalePoint RunNetScalePoint(size_t connections, size_t measured) {
   point.p50_ms = static_cast<double>(report.p50_ns) / 1e6;
   point.p99_ms = static_cast<double>(report.p99_ns) / 1e6;
   point.protocol_errors = pump.stats().protocol_errors;
+  point.handshake_timeouts = pump.pump_metrics().handshake_timeouts;
   point.poll_wakeups = pump.pump_metrics().poll_wakeups;
   const obs::LatencyHistogram& ready = pump.pump_metrics().ready_per_wakeup;
   point.mean_ready_per_wakeup =
@@ -1000,11 +1004,14 @@ int RunJsonSuite() {
   for (size_t connections : scale_points) {
     scaling.push_back(RunNetScalePoint(connections, /*measured=*/512));
     const NetScalePoint& p = scaling.back();
-    if (p.failed != 0 || p.protocol_errors != 0) {
+    if (p.failed != 0 || p.protocol_errors != 0 ||
+        p.handshake_timeouts != 0) {
       std::fprintf(stderr,
                    "bench_service: net scaling failures at %zu connections "
-                   "(%zu failed, %zu protocol errors)\n",
-                   connections, p.failed, p.protocol_errors);
+                   "(%zu failed, %zu protocol errors, %zu handshake "
+                   "timeouts)\n",
+                   connections, p.failed, p.protocol_errors,
+                   p.handshake_timeouts);
       return 1;
     }
     std::printf("net-scale %5zu conns  p50 %.2fms p99 %.2fms  "
@@ -1253,10 +1260,11 @@ int RunNetSuite() {
   return net.failed == 0 ? 0 : 1;
 }
 
-/// --net-scale=N: one sweep point as a CI gate — N concurrent connections
-/// must carry the measured sessions with zero failures, zero protocol
-/// errors, and a sane p99 (the bound is generous: it catches a poller
-/// melting under fd count, not scheduler noise).
+/// --net-scale=N: one sweep point as a CI gate — N concurrent connections,
+/// each pre-hello one holding an armed handshake deadline, must carry the
+/// measured sessions with zero failures, zero protocol errors, zero
+/// handshake timeouts, and a sane p99 (the bound is generous: it catches a
+/// poller melting under fd count, not scheduler noise).
 int RunNetScaleSuite(size_t connections) {
   bench::Header("service --net-scale",
                 "session latency under concurrent-connection ballast");
@@ -1270,8 +1278,9 @@ int RunNetScaleSuite(size_t connections) {
   std::printf("poller          %zu wakeups, %.2f mean ready fds/wakeup\n",
               p.poll_wakeups, p.mean_ready_per_wakeup);
   std::printf("protocol errors %zu\n", p.protocol_errors);
+  std::printf("handshake timeouts %zu\n", p.handshake_timeouts);
   const double kP99CeilingMs = 500.0;
-  if (p.failed != 0 || p.protocol_errors != 0) {
+  if (p.failed != 0 || p.protocol_errors != 0 || p.handshake_timeouts != 0) {
     std::fprintf(stderr, "bench_service --net-scale: FAILED (errors)\n");
     return 1;
   }

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unistd.h>
 
@@ -65,33 +64,19 @@ inline SetOfSets MakeClientSet(uint64_t index) {
 /// fd. THE client code path — example_sync_client and the server's
 /// --selftest-net both call this, so the selftest exercises exactly what
 /// the real client runs.
-/// `busy_retry_after_ms` (optional) receives the server's retry hint when
-/// the session was refused with a busy frame (see RunBobHalfOverFd).
-inline Result<SsrOutcome> RunDemoClientSession(
-    int fd, SsrProtocolKind kind, uint64_t index,
-    uint32_t* busy_retry_after_ms = nullptr) {
+inline Result<SsrOutcome> RunDemoClientSession(int fd, SsrProtocolKind kind,
+                                               uint64_t index) {
   HelloSpec hello;
   hello.protocol = kind;
   hello.set_id = 1;  // The demo server registers exactly one shared set.
   hello.params = DemoParams();
   hello.known_d = kDemoKnownD;
-  if (Status s = SendHello(fd, hello); !s.ok()) {
-    // A shed server may close before our hello write lands; its busy
-    // frame is still in the receive queue and carries the retry hint.
-    if (std::optional<uint32_t> hint = PendingBusyHintOnFd(fd)) {
-      if (busy_retry_after_ms != nullptr) *busy_retry_after_ms = *hint;
-      return Unavailable("server busy (retry-after " +
-                         std::to_string(*hint) + " ms)");
-    }
-    return s;
-  }
+  if (Status s = SendHello(fd, hello); !s.ok()) return s;
   SetOfSets bob = MakeClientSet(index);
   std::unique_ptr<SetsOfSetsProtocol> protocol =
       MakeSsrProtocol(kind, hello.params);
   Channel channel;
-  return RunBobHalfOverFd(*protocol, bob, hello.known_d, fd, &channel,
-                          /*tracer=*/nullptr, /*trace_id=*/0,
-                          busy_retry_after_ms);
+  return RunBobHalfOverFd(*protocol, bob, hello.known_d, fd, &channel);
 }
 
 /// Traced variant for the operator console's --probe: owns the whole

@@ -9,21 +9,15 @@
 //
 // Also speaks unix sockets: --connect=unix:/tmp/setrec.sock
 //
-// --retry-busy[=N] honors the server's admission shedding: when the hello
-// is answered with a "busy, retry-after" frame, the client sleeps the
-// server's hint (plus jitter, so a shed thundering herd doesn't reconnect
-// in lockstep) and retries up to N times (default 5).
+// The client makes one attempt: a connect or session failure exits 1.
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <random>
 #include <string>
-#include <thread>
 
 #include "examples/net_demo.h"
 #include "net/stream_party.h"
@@ -44,13 +38,27 @@ bool ParseProtocol(const std::string& name, SsrProtocolKind* kind) {
   return false;
 }
 
+Result<int> Connect(const std::string& connect) {
+  if (connect.rfind("tcp:", 0) == 0) {
+    const std::string hostport = connect.substr(4);
+    const size_t colon = hostport.rfind(':');
+    if (colon == std::string::npos) {
+      return InvalidArgument("--connect=tcp: needs HOST:PORT");
+    }
+    return ConnectTcp(hostport.substr(0, colon),
+                      static_cast<uint16_t>(std::strtoul(
+                          hostport.c_str() + colon + 1, nullptr, 10)));
+  }
+  if (connect.rfind("unix:", 0) == 0) return ConnectUnix(connect.substr(5));
+  return InvalidArgument("unparsed --connect");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string connect;
   std::string protocol_name = "iblt2";
   uint64_t index = 1;
-  int busy_retries = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--connect=", 0) == 0) {
@@ -59,15 +67,10 @@ int main(int argc, char** argv) {
       protocol_name = arg.substr(11);
     } else if (arg.rfind("--index=", 0) == 0) {
       index = std::strtoull(arg.c_str() + 8, nullptr, 10);
-    } else if (arg == "--retry-busy") {
-      busy_retries = 5;
-    } else if (arg.rfind("--retry-busy=", 0) == 0) {
-      busy_retries = std::atoi(arg.c_str() + 13);
     } else {
       std::fprintf(stderr,
                    "usage: %s --connect=tcp:HOST:PORT|unix:PATH "
-                   "[--protocol=naive|iblt2|cascade|multiround] [--index=N] "
-                   "[--retry-busy[=N]]\n",
+                   "[--protocol=naive|iblt2|cascade|multiround] [--index=N]\n",
                    argv[0]);
       return 2;
     }
@@ -78,48 +81,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const auto connect_once = [&]() -> Result<int> {
-    if (connect.rfind("tcp:", 0) == 0) {
-      const std::string hostport = connect.substr(4);
-      const size_t colon = hostport.rfind(':');
-      if (colon == std::string::npos) {
-        return InvalidArgument("--connect=tcp: needs HOST:PORT");
-      }
-      return ConnectTcp(hostport.substr(0, colon),
-                        static_cast<uint16_t>(
-                            std::strtoul(hostport.c_str() + colon + 1,
-                                         nullptr, 10)));
-    }
-    if (connect.rfind("unix:", 0) == 0) return ConnectUnix(connect.substr(5));
-    return InvalidArgument("unparsed --connect");
-  };
-
-  // One attempt, plus up to busy_retries reconnects honoring the server's
-  // retry-after hint. The sleep is jittered to 50–150% of the hint so a
-  // whole shed cohort doesn't reconnect in lockstep and get shed again.
-  std::mt19937_64 jitter_rng(std::random_device{}());
-  Result<SsrOutcome> outcome = InvalidArgument("no attempt ran");
-  for (int attempt = 0;; ++attempt) {
-    Result<int> fd = connect_once();
-    if (!fd.ok()) {
-      std::fprintf(stderr, "connect failed: %s\n",
-                   fd.status().ToString().c_str());
-      return 1;
-    }
-    uint32_t busy_hint_ms = 0;
-    outcome =
-        net_demo::RunDemoClientSession(fd.value(), kind, index, &busy_hint_ms);
-    ::close(fd.value());
-    if (outcome.ok() || busy_hint_ms == 0 || attempt >= busy_retries) break;
-    std::uniform_real_distribution<double> jitter(0.5, 1.5);
-    const double sleep_ms =
-        static_cast<double>(busy_hint_ms) * jitter(jitter_rng);
-    std::fprintf(stderr,
-                 "server busy (retry-after %u ms); retry %d/%d in %.0f ms\n",
-                 busy_hint_ms, attempt + 1, busy_retries, sleep_ms);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(static_cast<long>(sleep_ms)));
+  Result<int> fd = Connect(connect);
+  if (!fd.ok()) {
+    std::fprintf(stderr, "connect failed: %s\n",
+                 fd.status().ToString().c_str());
+    return 1;
   }
+  Result<SsrOutcome> outcome =
+      net_demo::RunDemoClientSession(fd.value(), kind, index);
+  ::close(fd.value());
   if (!outcome.ok()) {
     std::fprintf(stderr, "session failed: %s\n",
                  outcome.status().ToString().c_str());

@@ -102,8 +102,10 @@ distributed_obs() {
 run distributed-obs distributed_obs
 
 # Lane 1d: net-scale smoke — the server end of 2k concurrent connections
-# (client swarm in a forked child; see bench_service.cc) must finish its
-# measured sessions with zero failures/protocol errors and a bounded p99.
+# (client swarm in a forked child; see bench_service.cc), each pre-hello
+# one holding an armed handshake deadline, must finish its measured
+# sessions with zero failures/protocol errors/handshake timeouts and a
+# bounded p99.
 run net-scale ./build/bench_service --net-scale=2000
 
 # Lane 1e: benchmark smoke — perfbench/run.py builds the benchmark from this

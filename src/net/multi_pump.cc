@@ -65,9 +65,8 @@ size_t MultiNetPump::AdoptConnection(int fd) {
   // signal (live sessions + undrained mailbox). The scan starts at a
   // rotating offset so equal-load shards round-robin instead of piling
   // onto shard 0; relaxed reads are fine — a one-command skew cannot
-  // misroute by more than it already costs. Replaces the old dense-id
-  // hash, which kept CONNECTION counts balanced but ignored how expensive
-  // each shard's sessions actually are.
+  // misroute by more than it already costs. Load, not connection count,
+  // is the signal: shards differ in how expensive their sessions are.
   const uint64_t salt = next_conn_id_.fetch_add(1, std::memory_order_relaxed);
   const size_t n = pumps_.size();
   size_t best = static_cast<size_t>(salt % n);
@@ -146,9 +145,6 @@ NetPumpStats MultiNetPump::AggregateStats() const {
     total.bytes_in += s.bytes_in;
     total.bytes_out += s.bytes_out;
     total.backpressure_stalls += s.backpressure_stalls;
-    total.handshake_timeouts += s.handshake_timeouts;
-    total.idle_timeouts += s.idle_timeouts;
-    total.admissions_rejected += s.admissions_rejected;
   }
   return total;
 }

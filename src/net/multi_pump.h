@@ -31,9 +31,9 @@ struct MultiNetPumpOptions {
 ///
 ///  * TCP: every pump listens on the same port with SO_REUSEPORT; the
 ///    kernel spreads accepted connections across the listeners.
-///  * Adopted fds (socketpairs, inherited sockets): hashed to a pump by a
-///    dense connection id and handed off through the pump's lock-free
-///    adopt queue + self-pipe wake.
+///  * Adopted fds (socketpairs, inherited sockets): routed to the pump
+///    whose shard carries the least load (see AdoptConnection) and handed
+///    off through that pump's lock-free adopt queue + self-pipe wake.
 ///
 /// The ShardedSyncService must be constructed with spawn_threads == false;
 /// the multi-pump registers itself as the shard wake hook so cross-shard

@@ -26,22 +26,22 @@ namespace {
 /// honest maximum (one in-flight protocol message).
 constexpr size_t kMaxFramesPerStep = 4;
 
+/// Backpressure: once a connection's outgoing buffer holds this many
+/// unwritten bytes, the pump stops reading from that fd (so the session
+/// stops advancing) and stops draining the session's mirror endpoint
+/// (frames queue there, bounded by the protocol's one-in-flight-message
+/// ping-pong) until the client drains its socket.
+constexpr size_t kMaxOutbufBytes = 1u << 20;
+
+/// Read granularity per readable wakeup.
+constexpr size_t kReadChunkBytes = 64u << 10;
+
 // Poller token space: 0 is the wake pipe, small integers are listeners,
 // and connections draw monotonically from kConnTokenBase up (tokens are
-// never reused, so a recycled fd number can't alias a stale registration
-// or a stale timer).
+// never reused, so a recycled fd number can't alias a stale registration).
 constexpr uint64_t kWakeToken = 0;
 constexpr uint64_t kListenerTokenBase = 1;
 constexpr uint64_t kConnTokenBase = uint64_t{1} << 16;
-
-// Timer-wheel user_data: (connection token << 2) | type.
-constexpr uint64_t kTimerHandshake = 0;
-constexpr uint64_t kTimerIdle = 1;
-constexpr uint64_t kTimerShedLinger = 2;
-
-/// How long a shed connection may linger flushing its busy frame before
-/// the wheel force-closes it (a peer that never reads must not pin a fd).
-constexpr uint64_t kShedLingerNs = 1'000'000'000;
 
 Status SetNonBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
@@ -68,9 +68,6 @@ struct NetPump::Connection {
   uint64_t session_id = 0;
   bool session_done = false;
   bool closing = false;
-  /// Admission control refused this connection: it carries only a busy
-  /// frame and closes once it flushes (or the linger timer fires).
-  bool shedding = false;
   /// In this pass's touched_ work list.
   bool touched = false;
   /// Peer sent EOF. Judged only after the service has consumed every frame
@@ -79,7 +76,6 @@ struct NetPump::Connection {
   bool eof = false;
   std::vector<uint8_t> outbuf;
   size_t outbuf_off = 0;
-  size_t frames_before_session = 0;
   /// Timestamp of the last protocol frame serialized toward the peer;
   /// cleared when the peer's answer arrives (per-conn round-trip metric).
   uint64_t last_send_ns = 0;
@@ -89,14 +85,13 @@ struct NetPump::Connection {
   /// the session consumes them is flooding, and gets dropped before its
   /// transcript can grow without bound.
   size_t frames_since_step = 0;
-  // Wheel timers (0 = not armed). Handshake runs hello-less connections
-  // out of town; idle reaps byte-silent sessions; shed linger bounds how
-  // long a refused connection may hold its fd.
-  TimerWheel::TimerId handshake_timer = 0;
-  TimerWheel::TimerId idle_timer = 0;
-  TimerWheel::TimerId shed_timer = 0;
+  /// The one armed timeout: handshake_list_ until the hello, idle_list_
+  /// after it; null when none is armed.
+  DeadlineList* deadline_list = nullptr;
+  Connection* deadline_prev = nullptr;
+  Connection* deadline_next = nullptr;
+  uint64_t deadline_ns = 0;
 
-  explicit Connection(size_t max_frame_bytes) : decoder(max_frame_bytes) {}
   size_t outbuf_pending() const { return outbuf.size() - outbuf_off; }
 };
 
@@ -104,7 +99,6 @@ NetPump::NetPump(SyncService* service, NetPumpOptions options)
     : service_(service),
       options_(options),
       poller_(MakePoller()),
-      wheel_(obs::NowNanos()),
       next_token_(kConnTokenBase) {
   // Eager self-pipe: Wake()/AdoptConnectionAsync may be called from any
   // thread, so the fds must exist before the pump is shared. On the
@@ -236,28 +230,17 @@ Status NetPump::ListenUnix(const std::string& path) {
 
 Status NetPump::AdoptConnection(int fd) {
   if (Status s = SetNonBlocking(fd); !s.ok()) return s;
-  auto owned = std::make_unique<Connection>(options_.max_frame_bytes);
+  auto owned = std::make_unique<Connection>();
   Connection* conn = owned.get();
   conn->fd = fd;
   conn->token = next_token_++;
-  // Load-aware admission: over the cap, the connection exists only to
-  // carry an explicit "busy, retry-after" frame — cheaper for everyone
-  // than an accept-queue stall the client can't distinguish from loss.
-  const bool shed =
-      options_.admission_max_sessions != 0 &&
-      connections_.size() - shed_live_ >= options_.admission_max_sessions;
-  const uint32_t interest = shed ? Poller::kWrite : Poller::kRead;
-  if (Status s = poller_->Add(fd, interest, conn->token); !s.ok()) {
+  if (Status s = poller_->Add(fd, Poller::kRead, conn->token); !s.ok()) {
     return s;  // Caller still owns (and closes) the fd.
   }
-  conn->interest = interest;
+  conn->interest = Poller::kRead;
   connections_.emplace(conn->token, std::move(owned));
   ++stats_.accepted;
-  if (shed) {
-    StartShed(conn);
-  } else {
-    ArmHandshakeTimer(conn);
-  }
+  ArmDeadline(conn, &handshake_list_, options_.handshake_timeout_ms);
   Touch(conn);
   return Status::Ok();
 }
@@ -268,74 +251,50 @@ void NetPump::Touch(Connection* conn) {
   touched_.push_back(conn);
 }
 
-void NetPump::StartShed(Connection* conn) {
-  conn->shedding = true;
-  ++shed_live_;
-  ByteWriter writer;
-  WriteMessageFrame(MakeBusyMessage(options_.busy_retry_after_ms), &writer);
-  const std::vector<uint8_t>& bytes = writer.bytes();
-  conn->outbuf.insert(conn->outbuf.end(), bytes.begin(), bytes.end());
-  ++stats_.frames_out;
-  ++stats_.admissions_rejected;
-  ++pump_metrics_.admissions_rejected;
-  metrics_dirty_ = true;
-  conn->shed_timer =
-      wheel_.Schedule(kShedLingerNs, (conn->token << 2) | kTimerShedLinger);
+// Every deadline in a list was armed with the same duration from a
+// CLOCK_MONOTONIC reading, so appending at the tail keeps the list sorted:
+// the head is always the next to expire, and re-arming is unlink + append.
+void NetPump::ArmDeadline(Connection* conn, DeadlineList* list,
+                          uint32_t timeout_ms) {
+  DisarmDeadline(conn);
+  if (timeout_ms == 0) return;
+  conn->deadline_ns = obs::NowNanos() + uint64_t{timeout_ms} * 1'000'000;
+  conn->deadline_list = list;
+  conn->deadline_prev = list->tail;
+  (list->tail != nullptr ? list->tail->deadline_next : list->head) = conn;
+  list->tail = conn;
 }
 
-void NetPump::ArmHandshakeTimer(Connection* conn) {
-  if (options_.handshake_timeout_ms == 0) return;
-  if (conn->handshake_timer != 0) wheel_.Cancel(conn->handshake_timer);
-  conn->handshake_timer =
-      wheel_.Schedule(uint64_t{options_.handshake_timeout_ms} * 1'000'000,
-                      (conn->token << 2) | kTimerHandshake);
+void NetPump::DisarmDeadline(Connection* conn) {
+  DeadlineList* list = conn->deadline_list;
+  if (list == nullptr) return;
+  (conn->deadline_prev != nullptr ? conn->deadline_prev->deadline_next
+                                  : list->head) = conn->deadline_next;
+  (conn->deadline_next != nullptr ? conn->deadline_next->deadline_prev
+                                  : list->tail) = conn->deadline_prev;
+  conn->deadline_list = nullptr;
+  conn->deadline_prev = nullptr;
+  conn->deadline_next = nullptr;
 }
 
-void NetPump::RearmIdleTimer(Connection* conn) {
-  if (options_.idle_timeout_ms == 0 || conn->session_id == 0 ||
-      conn->closing) {
-    return;
-  }
-  if (conn->idle_timer != 0) wheel_.Cancel(conn->idle_timer);
-  conn->idle_timer =
-      wheel_.Schedule(uint64_t{options_.idle_timeout_ms} * 1'000'000,
-                      (conn->token << 2) | kTimerIdle);
+void NetPump::RearmIdle(Connection* conn) {
+  if (conn->session_id == 0 || conn->closing) return;
+  ArmDeadline(conn, &idle_list_, options_.idle_timeout_ms);
 }
 
-void NetPump::OnTimer(uint64_t data) {
-  const uint64_t type = data & 3u;
-  auto it = connections_.find(data >> 2);
-  if (it == connections_.end()) return;  // Raced a close; stale fire.
-  Connection* conn = it->second.get();
-  switch (type) {
-    case kTimerHandshake:
-      conn->handshake_timer = 0;
-      if (!conn->closing && conn->session_id == 0 && !conn->shedding) {
-        ++stats_.handshake_timeouts;
-        ++pump_metrics_.handshake_timeouts;
-        metrics_dirty_ = true;
-        FailConnection(conn, /*protocol_error=*/false);
-      }
-      break;
-    case kTimerIdle:
-      conn->idle_timer = 0;
-      if (!conn->closing) {
-        ++stats_.idle_timeouts;
-        ++pump_metrics_.idle_timeouts;
-        metrics_dirty_ = true;
-        FailConnection(conn, /*protocol_error=*/false);
-      }
-      break;
-    case kTimerShedLinger:
-      conn->shed_timer = 0;
-      if (!conn->closing) {
-        conn->closing = true;
-        Touch(conn);
-      }
-      break;
-    default:
-      break;
-  }
+void NetPump::ExpireDeadlines(uint64_t now_ns) {
+  const auto expire = [&](DeadlineList* list, size_t* reaped) {
+    while (list->head != nullptr && list->head->deadline_ns <= now_ns) {
+      Connection* conn = list->head;
+      DisarmDeadline(conn);
+      if (conn->closing) continue;
+      ++*reaped;
+      metrics_dirty_ = true;
+      FailConnection(conn, /*protocol_error=*/false);
+    }
+  };
+  expire(&handshake_list_, &pump_metrics_.handshake_timeouts);
+  expire(&idle_list_, &pump_metrics_.idle_timeouts);
 }
 
 void NetPump::AcceptFrom(size_t index) {
@@ -417,26 +376,25 @@ void NetPump::HandleTraceQuery(Connection* conn) {
 void NetPump::HandleFrame(Connection* conn, Channel::Message message) {
   ++stats_.frames_in;
   if (IsStatQueryMessage(message)) {
-    // Admin traffic: answered inline, invisible to the session layer (no
-    // pre-hello budget, no flood gate, never delivered to a transcript).
+    // Admin traffic: answered inline, invisible to the session layer (it
+    // is not the hello, skips the flood gate, never enters a transcript).
     // It IS liveness though: an operator console holding a hello-less
     // connection open must not be reaped as a handshake straggler.
     HandleStatQuery(conn);
-    if (conn->session_id == 0) ArmHandshakeTimer(conn);
+    if (conn->session_id == 0) {
+      ArmDeadline(conn, &handshake_list_, options_.handshake_timeout_ms);
+    }
     return;
   }
   if (IsTraceQueryMessage(message)) {
     HandleTraceQuery(conn);
-    if (conn->session_id == 0) ArmHandshakeTimer(conn);
+    if (conn->session_id == 0) {
+      ArmDeadline(conn, &handshake_list_, options_.handshake_timeout_ms);
+    }
     return;
   }
   if (conn->session_id == 0) {
-    if (++conn->frames_before_session >
-        options_.max_frames_before_session ||
-        !IsHelloMessage(message)) {
-      FailConnection(conn, /*protocol_error=*/true);
-      return;
-    }
+    // The first non-admin frame must be a valid hello.
     Result<HelloSpec> hello = ParseHelloMessage(message);
     if (!hello.ok()) {
       FailConnection(conn, /*protocol_error=*/true);
@@ -464,13 +422,9 @@ void NetPump::HandleFrame(Connection* conn, Channel::Message message) {
     conn->mirror_peer = std::make_shared<Endpoint>(std::move(client_end));
     conn->session_id = service_->Submit(std::move(spec));
     by_session_.emplace(conn->session_id, conn);
-    // Hello completed: the handshake clock retires and the idle clock
-    // takes over the connection's lifecycle.
-    if (conn->handshake_timer != 0) {
-      wheel_.Cancel(conn->handshake_timer);
-      conn->handshake_timer = 0;
-    }
-    RearmIdleTimer(conn);
+    // Hello completed: the connection moves from the handshake list to the
+    // idle list.
+    RearmIdle(conn);
     return;
   }
   if (conn->session_done) {
@@ -493,16 +447,15 @@ void NetPump::HandleFrame(Connection* conn, Channel::Message message) {
 }
 
 void NetPump::HandleReadable(Connection* conn) {
-  if (conn->shedding) return;  // Shed connections only flush and close.
   // One reusable read buffer for the whole (single-threaded) pump — no
   // per-wakeup allocation.
   std::vector<uint8_t>& buf = read_buf_;
-  buf.resize(options_.read_chunk_bytes);
+  buf.resize(kReadChunkBytes);
   for (;;) {
     ssize_t n = ::read(conn->fd, buf.data(), buf.size());
     if (n > 0) {
       stats_.bytes_in += static_cast<size_t>(n);
-      RearmIdleTimer(conn);
+      RearmIdle(conn);
       conn->decoder.Feed(buf.data(), static_cast<size_t>(n));
       Channel::Message message;
       while (!conn->closing && conn->decoder.Next(&message)) {
@@ -536,7 +489,7 @@ void NetPump::DrainMirror(Connection* conn) {
   // message in flight, so the queue stays tiny).
   Channel::Message message;
   bool wrote = false;
-  while (conn->outbuf_pending() < options_.max_outbuf_bytes &&
+  while (conn->outbuf_pending() < kMaxOutbufBytes &&
          conn->mirror_peer->Poll(&message)) {
     ByteWriter writer;
     WriteMessageFrame(message, &writer);
@@ -555,8 +508,8 @@ void NetPump::DrainMirror(Connection* conn) {
 void NetPump::FlushWrites(Connection* conn) {
   bool wrote = false;
   while (conn->outbuf_pending() > 0) {
-    // MSG_NOSIGNAL: a client that vanished mid-flush must surface as
-    // EPIPE (handled by FailConnection below), not SIGPIPE the pump.
+    // MSG_NOSIGNAL: a client that hung up mid-flush must surface as EPIPE
+    // (handled by FailConnection below), not SIGPIPE the pump.
     ssize_t n = ::send(conn->fd, conn->outbuf.data() + conn->outbuf_off,
                        conn->outbuf_pending(), MSG_NOSIGNAL);
     if (n > 0) {
@@ -576,7 +529,7 @@ void NetPump::FlushWrites(Connection* conn) {
   }
   // Outbound progress is liveness too: a client slowly consuming a large
   // table is not idle.
-  if (wrote) RearmIdleTimer(conn);
+  if (wrote) RearmIdle(conn);
 }
 
 void NetPump::FailConnection(Connection* conn, bool protocol_error) {
@@ -597,11 +550,8 @@ void NetPump::FailConnection(Connection* conn, bool protocol_error) {
 }
 
 void NetPump::CloseConnection(Connection* conn) {
-  if (conn->handshake_timer != 0) wheel_.Cancel(conn->handshake_timer);
-  if (conn->idle_timer != 0) wheel_.Cancel(conn->idle_timer);
-  if (conn->shed_timer != 0) wheel_.Cancel(conn->shed_timer);
+  DisarmDeadline(conn);
   if (conn->session_id != 0) by_session_.erase(conn->session_id);
-  if (conn->shedding && shed_live_ > 0) --shed_live_;
   (void)poller_->Remove(conn->fd);
   if (conn->fd >= 0) ::close(conn->fd);
   ++stats_.closed;
@@ -612,9 +562,9 @@ void NetPump::UpdateInterest(Connection* conn) {
   uint32_t want = 0;
   if (!conn->closing) {
     if (conn->outbuf_pending() > 0) want |= Poller::kWrite;
-    const bool gated = conn->outbuf_pending() >= options_.max_outbuf_bytes;
+    const bool gated = conn->outbuf_pending() >= kMaxOutbufBytes;
     if (gated) ++stats_.backpressure_stalls;
-    if (!gated && !conn->eof && !conn->shedding) want |= Poller::kRead;
+    if (!gated && !conn->eof) want |= Poller::kRead;
   }
   if (want != conn->interest) {
     if (poller_->Modify(conn->fd, want, conn->token).ok()) {
@@ -629,13 +579,18 @@ size_t NetPump::PumpOnce(int timeout_ms) {
   adopt_queue_.DrainInto([this](int&& fd) {
     if (!AdoptConnection(fd).ok()) ::close(fd);
   });
-  // Clamp the wait to the wheel's next deadline so timeouts fire on time;
-  // and don't block at all if work is already queued (a direct
-  // AdoptConnection outside the loop leaves its connection touched).
+  // Clamp the wait to the earlier list head so timeouts fire on time; and
+  // don't block at all if work is already queued (a direct AdoptConnection
+  // outside the loop leaves its connection touched).
   const uint64_t now = obs::NowNanos();
   int wait_ms = timeout_ms;
-  const uint64_t deadline = wheel_.NextDeadlineNs();
-  if (deadline != TimerWheel::kNoDeadline) {
+  uint64_t deadline = UINT64_MAX;
+  for (const DeadlineList* list : {&handshake_list_, &idle_list_}) {
+    if (list->head != nullptr) {
+      deadline = std::min(deadline, list->head->deadline_ns);
+    }
+  }
+  if (deadline != UINT64_MAX) {
     const uint64_t delta_ms =
         deadline > now ? (deadline - now + 999'999) / 1'000'000 : 0;
     const int clamped = delta_ms > (uint64_t{1} << 30)
@@ -692,17 +647,15 @@ size_t NetPump::PumpOnce(int timeout_ms) {
     if (event.readable) HandleReadable(conn);
     // Writable-only events: the finish phase flushes every touched conn.
   }
-  // Fire due timers: handshake/idle reaps and shed lingers.
-  wheel_.Advance(obs::NowNanos(), [this](uint64_t data) { OnTimer(data); });
-  pump_metrics_.timers_fired = wheel_.fired();
-  pump_metrics_.timer_cascades = wheel_.cascades();
+  // Reap connections whose handshake or idle deadline has passed.
+  ExpireDeadlines(obs::NowNanos());
 
   // Advance the sessions fed above, then serialize their output.
   StepService();
   // Live sessions can produce output regardless of which fds woke us
   // (lease releases, cross-shard mailbox work), so they always join the
   // pass. Pre-hello idlers never do — per-pass cost is O(events + live
-  // sessions + fired timers), independent of total connection count.
+  // sessions + expired deadlines), independent of total connection count.
   for (const auto& [id, conn] : by_session_) Touch(conn);
 
   // Finish phase. Index loop: FailConnection/CollectResults may append
@@ -724,7 +677,7 @@ size_t NetPump::PumpOnce(int timeout_ms) {
     // An EOF'd-but-done connection still flushes: the peer may have
     // half-closed (shutdown(SHUT_WR)) and be waiting to read the final
     // frames; a dead peer fails the write and closes via `closing`.
-    if (conn->closing || ((conn->session_done || conn->shedding) && drained)) {
+    if (conn->closing || (conn->session_done && drained)) {
       CloseConnection(conn);
     } else {
       UpdateInterest(conn);

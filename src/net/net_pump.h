@@ -16,44 +16,22 @@
 #include "transport/endpoint.h"
 #include "util/mpsc_queue.h"
 #include "util/status.h"
-#include "util/timer_wheel.h"
 
 namespace setrec {
 
 struct NetPumpOptions {
-  /// Per-frame size ceiling fed to each connection's FrameDecoder.
-  size_t max_frame_bytes = 64u << 20;
-  /// Backpressure: once a connection's outgoing buffer holds this many
-  /// unwritten bytes, the pump stops reading from that fd (so the session
-  /// stops advancing) and stops draining the session's mirror endpoint
-  /// (frames queue there, bounded by the protocol's one-in-flight-message
-  /// ping-pong) until the client drains its socket.
-  size_t max_outbuf_bytes = 1u << 20;
-  /// Read granularity per readable wakeup.
-  size_t read_chunk_bytes = 64u << 10;
   int listen_backlog = 64;
-  /// Frames a connection may send before its hello completes a session —
-  /// anything above 1 pre-hello is a protocol violation.
-  size_t max_frames_before_session = 1;
   /// Sets SO_REUSEPORT on TCP listeners, so N pumps (one per service
   /// shard) can bind the same port and let the kernel spread accepted
   /// connections across them (the multi-pump listener distribution).
   bool reuse_port = false;
   /// A connection must complete its hello within this window or it is
-  /// reaped (counted in handshake_timeouts). 0 disables — half-open
-  /// connections then live until EOF, the pre-PR-10 lifecycle.
+  /// reaped (counted in PumpMetrics::handshake_timeouts). 0 disables —
+  /// half-open connections then live until EOF.
   uint32_t handshake_timeout_ms = 10'000;
   /// An established session's connection is reaped after this much
   /// byte-level silence (no reads, no writes). 0 disables.
   uint32_t idle_timeout_ms = 120'000;
-  /// Load-aware admission cap: at most this many concurrently admitted
-  /// (non-shed) connections per pump. Connections beyond the cap are shed
-  /// with a protocol-level busy frame carrying `busy_retry_after_ms` and
-  /// closed once it flushes — clients see an explicit "busy, retry-after"
-  /// instead of an accept-queue stall. 0 = unbounded.
-  size_t admission_max_sessions = 0;
-  /// Retry hint carried by the busy frame (wire.h kBusyLabel).
-  uint32_t busy_retry_after_ms = 1'000;
 };
 
 struct NetPumpStats {
@@ -70,12 +48,6 @@ struct NetPumpStats {
   size_t bytes_out = 0;
   /// Passes where a connection was input-gated by outbuf size.
   size_t backpressure_stalls = 0;
-  /// Connections reaped for never completing a hello in time.
-  size_t handshake_timeouts = 0;
-  /// Established connections reaped for byte-level silence.
-  size_t idle_timeouts = 0;
-  /// Connections shed with a busy frame by the admission cap.
-  size_t admissions_rejected = 0;
 };
 
 /// A non-blocking event loop that turns remote byte streams into
@@ -88,15 +60,16 @@ struct NetPumpStats {
 /// Readiness comes through the Poller interface (epoll — cost O(ready
 /// fds), so 10k idle connections are free; poll(2) where epoll is
 /// unavailable). Per-pass work is proportional to touched connections (fd
-/// events + live sessions + fired timers), never to the total connection
-/// count. Connection lifecycle is timer-driven: a hashed timer wheel reaps
-/// handshake stragglers and idle sessions.
+/// events + live sessions + expired deadlines), never to the total
+/// connection count. Each connection carries at most one deadline: the
+/// handshake timeout until its hello, the idle timeout after it. Two
+/// deadline-ordered lists reap handshake stragglers and idle sessions.
 ///
 /// One session per connection; the server side runs Alice's half of the
 /// chosen protocol against the registered shared set named by the client's
 /// hello. The pump and service are a single-threaded pair: PumpOnce feeds
 /// input, steps the service until it settles, then drains output. See
-/// src/net/README.md for the loop, backpressure, and admission model.
+/// src/net/README.md for the loop, timeouts and backpressure.
 class NetPump {
  public:
   explicit NetPump(SyncService* service, NetPumpOptions options = {});
@@ -112,8 +85,7 @@ class NetPump {
   Status ListenUnix(const std::string& path);
   /// Takes ownership of an already-connected stream fd (socketpair tests,
   /// inherited sockets). The fd is switched to non-blocking. Pump thread
-  /// only. Admission control applies: over the cap the fd is adopted only
-  /// to carry a busy frame and close.
+  /// only.
   Status AdoptConnection(int fd);
 
   /// Thread-safe adoption hand-off: queues the fd and interrupts the
@@ -128,7 +100,7 @@ class NetPump {
 
   /// One wait + process pass; returns the number of fd events handled
   /// (0 on timeout). `timeout_ms` < 0 blocks until an event or the next
-  /// wheel deadline.
+  /// connection deadline.
   size_t PumpOnce(int timeout_ms);
 
   /// Pumps until no connections remain (listeners stay open; returns when
@@ -177,6 +149,12 @@ class NetPump {
 
  private:
   struct Connection;
+  /// Connections whose deadlines were all armed with one duration, in
+  /// arming order — which is deadline order (see net_pump.cc).
+  struct DeadlineList {
+    Connection* head = nullptr;
+    Connection* tail = nullptr;
+  };
 
   void StepService();
   void HandleReadable(Connection* conn);
@@ -200,13 +178,14 @@ class NetPump {
   void AcceptFrom(size_t index);
   /// Re-registers desired poller interest after a pass touched `conn`.
   void UpdateInterest(Connection* conn);
-  /// Marks `conn` for shedding: busy frame queued, write-only, closed
-  /// once flushed (or when the linger timer fires).
-  void StartShed(Connection* conn);
-  void ArmHandshakeTimer(Connection* conn);
-  void RearmIdleTimer(Connection* conn);
-  /// Timer-wheel fire dispatch (user_data = token<<2 | timer type).
-  void OnTimer(uint64_t data);
+  /// Moves `conn` to the tail of `list` with a deadline `timeout_ms` from
+  /// now; 0 only unlinks it.
+  void ArmDeadline(Connection* conn, DeadlineList* list, uint32_t timeout_ms);
+  /// Unlinks `conn` from whichever list holds it (no-op when unarmed).
+  void DisarmDeadline(Connection* conn);
+  void RearmIdle(Connection* conn);
+  /// Reaps every connection whose deadline is at or before `now_ns`.
+  void ExpireDeadlines(uint64_t now_ns);
 
   /// Creates the self-pipe wakeup interruptor (called once, from the
   /// constructor — the fds must be immutable before the pump is shared
@@ -218,7 +197,10 @@ class NetPump {
   NetPumpOptions options_;
   NetPumpStats stats_;
   std::unique_ptr<Poller> poller_;
-  TimerWheel wheel_;
+  /// Hello-less connections (handshake timeout) and established ones (idle
+  /// timeout).
+  DeadlineList handshake_list_;
+  DeadlineList idle_list_;
   /// Self-pipe: [0] watched by the poller, [1] written by Wake(). Created
   /// eagerly in the constructor; stays {-1, -1} only if pipe(2) failed
   /// (wakes then degrade to the caller's poll timeout).
@@ -228,14 +210,11 @@ class NetPump {
   std::vector<int> listeners_;
   std::vector<std::string> unix_paths_;
   /// Connections keyed by poller token (monotonic, never reused — a
-  /// recycled fd number can't alias a stale registration or timer).
+  /// recycled fd number can't alias a stale registration).
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_token_;
-  /// Connections currently shed (admission): counted so the cap applies
-  /// to admitted connections only.
-  size_t shed_live_ = 0;
   std::unordered_map<uint64_t, Connection*> by_session_;
-  /// This pass's work list (fd events, fired timers, live sessions).
+  /// This pass's work list (fd events, expired deadlines, live sessions).
   std::vector<Connection*> touched_;
   std::vector<PollerEvent> events_;
   std::vector<SessionResult> results_;

@@ -62,8 +62,8 @@ namespace {
 Status WriteAll(int fd, const uint8_t* data, size_t n) {
   size_t off = 0;
   while (off < n) {
-    // MSG_NOSIGNAL: a peer that hung up (e.g. a shedding server that closed
-    // right after its busy frame) must surface as EPIPE, not kill us.
+    // MSG_NOSIGNAL: a peer that hung up mid-write must surface as EPIPE,
+    // not kill us.
     ssize_t w = ::send(fd, data + off, n - off, MSG_NOSIGNAL);
     if (w > 0) {
       off += static_cast<size_t>(w);
@@ -137,14 +137,6 @@ Result<std::string> QueryAdminOverFd(int fd, const Channel::Message& query,
       if (message.label == reply_label) {
         return std::string(message.payload.begin(), message.payload.end());
       }
-      if (IsBusyMessage(message)) {
-        // Admission shedding: the server refused the connection before it
-        // saw the query. Distinct from a peer bug — the caller may retry.
-        Result<uint32_t> hint = ParseBusyMessage(message);
-        if (!hint.ok()) return hint.status();  // Fail closed: bad busy.
-        return Unavailable("server busy (retry-after " +
-                           std::to_string(hint.value()) + " ms)");
-      }
       // Any other frame on an admin query is a peer bug.
       return ParseError("unexpected frame while awaiting admin reply");
     }
@@ -164,27 +156,6 @@ Status WriteFrameToFd(int fd, const Channel::Message& message) {
 
 Status SendHello(int fd, const HelloSpec& spec) {
   return WriteFrameToFd(fd, MakeHelloMessage(spec));
-}
-
-std::optional<uint32_t> PendingBusyHintOnFd(int fd) {
-  FrameDecoder decoder;
-  std::vector<uint8_t> buf(16u << 10);
-  // MSG_DONTWAIT: only what already arrived counts — the peer that broke
-  // our write is gone, so a blocking read could hang forever.
-  for (;;) {
-    ssize_t n = ::recv(fd, buf.data(), buf.size(), MSG_DONTWAIT);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return std::nullopt;
-    decoder.Feed(buf.data(), static_cast<size_t>(n));
-    Channel::Message message;
-    while (decoder.Next(&message)) {
-      if (!IsBusyMessage(message)) continue;
-      Result<uint32_t> hint = ParseBusyMessage(message);
-      if (!hint.ok()) return std::nullopt;  // Malformed: keep the write error.
-      return hint.value();
-    }
-    if (decoder.failed()) return std::nullopt;
-  }
 }
 
 Result<std::string> QueryStatsOverFd(int fd) {
@@ -214,8 +185,7 @@ Result<SsrOutcome> RunBobHalfOverFd(const SetsOfSetsProtocol& protocol,
                                     std::optional<size_t> known_d, int fd,
                                     Channel* channel,
                                     obs::SessionTracer* tracer,
-                                    uint64_t trace_id,
-                                    uint32_t* busy_retry_after_ms) {
+                                    uint64_t trace_id) {
   StreamPartyContext ctx(fd, Party::kBob, tracer, trace_id);
   // The compute span opens before the coroutine frame is built: frame
   // allocation is part of the client's local work, not network waiting.
@@ -240,11 +210,6 @@ Result<SsrOutcome> RunBobHalfOverFd(const SetsOfSetsProtocol& protocol,
   while (!task.Done()) {
     if (!ctx.write_status().ok()) {
       ctx.CancelReceives();
-      if (std::optional<uint32_t> hint = PendingBusyHintOnFd(fd)) {
-        if (busy_retry_after_ms != nullptr) *busy_retry_after_ms = *hint;
-        return Unavailable("server busy (retry-after " +
-                           std::to_string(*hint) + " ms)");
-      }
       return ctx.write_status();
     }
     ssize_t n = ::read(fd, buf.data(), buf.size());
@@ -261,19 +226,6 @@ Result<SsrOutcome> RunBobHalfOverFd(const SetsOfSetsProtocol& protocol,
     Channel::Message message;
     bool delivered = false;
     while (decoder.Next(&message)) {
-      if (IsBusyMessage(message)) {
-        // The server shed this connection instead of starting the session.
-        // Surface the retry hint and fail the run as unavailable; a
-        // malformed busy frame fails closed as a parse error.
-        ctx.CancelReceives();
-        Result<uint32_t> hint = ParseBusyMessage(message);
-        if (!hint.ok()) return hint.status();
-        if (busy_retry_after_ms != nullptr) {
-          *busy_retry_after_ms = hint.value();
-        }
-        return Unavailable("server busy (retry-after " +
-                           std::to_string(hint.value()) + " ms)");
-      }
       channel->Send(message.from, std::move(message.payload),
                     std::move(message.label));
       delivered = true;

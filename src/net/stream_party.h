@@ -24,15 +24,6 @@ Status WriteFrameToFd(int fd, const Channel::Message& message);
 /// Sends the session hello (see net/wire.h) on a fresh connection.
 Status SendHello(int fd, const HelloSpec& spec);
 
-/// Drains frames the peer already delivered (non-blocking) and returns the
-/// retry-after hint if a well-formed busy frame is among them. For client
-/// paths whose WRITE just failed: a shedding server sends its busy frame
-/// and closes without ever reading, so the client's hello or next protocol
-/// write can fail with EPIPE before the client reads the refusal sitting
-/// in its receive queue. RunBobHalfOverFd consults this internally;
-/// callers of bare SendHello should too before reporting a write error.
-std::optional<uint32_t> PendingBusyHintOnFd(int fd);
-
 /// Admin round-trip: sends a "STAT?" frame and blocks for the server's
 /// "STAT" reply, returning its text payload (the versioned exposition —
 /// see docs/OBSERVABILITY.md). Works on a fresh connection (no hello
@@ -55,13 +46,6 @@ Result<std::string> QueryTracesOverFd(int fd);
 /// calling thread until the protocol completes or the stream breaks
 /// (kUnavailable on EOF/error, kParseError on a malformed frame).
 ///
-/// A server shedding load answers the hello with a "busy, retry-after"
-/// frame (net/wire.h kBusyLabel) instead of protocol traffic; the run then
-/// returns kUnavailable and, when `busy_retry_after_ms` is non-null, stores
-/// the server's retry hint there (left untouched otherwise — zero it first
-/// to tell "busy" apart from other unavailability). A malformed busy frame
-/// is kParseError, fail closed.
-///
 /// With a non-null `tracer` (and nonzero `trace_id`), the client half
 /// records its own spans — compute (local protocol work), send-wait
 /// (blocking frame writes), recv-wait (blocked on the server's turn) —
@@ -72,8 +56,7 @@ Result<SsrOutcome> RunBobHalfOverFd(const SetsOfSetsProtocol& protocol,
                                     std::optional<size_t> known_d, int fd,
                                     Channel* channel,
                                     obs::SessionTracer* tracer = nullptr,
-                                    uint64_t trace_id = 0,
-                                    uint32_t* busy_retry_after_ms = nullptr);
+                                    uint64_t trace_id = 0);
 
 }  // namespace setrec
 

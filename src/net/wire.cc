@@ -103,28 +103,4 @@ Channel::Message MakeTraceQueryMessage() {
   return Channel::Message{Party::kBob, {}, kTraceQueryLabel};
 }
 
-Channel::Message MakeBusyMessage(uint32_t retry_after_ms) {
-  ByteWriter writer;
-  writer.PutU8(1);  // busy frame version
-  writer.PutVarint(retry_after_ms);
-  return Channel::Message{Party::kAlice, writer.Take(), kBusyLabel};
-}
-
-Result<uint32_t> ParseBusyMessage(const Channel::Message& m) {
-  if (!IsBusyMessage(m)) return ParseError("not a busy frame");
-  ByteReader reader(m.payload);
-  uint8_t version = 0;
-  uint64_t retry_after_ms = 0;
-  if (!reader.GetU8(&version) || version != 1 ||
-      !reader.GetVarint(&retry_after_ms) || !reader.empty()) {
-    return ParseError("busy: malformed payload");
-  }
-  // An absurd hint is a peer bug, not a reason to stall a client forever.
-  constexpr uint64_t kMaxRetryAfterMs = 60u * 60u * 1000u;
-  if (retry_after_ms > kMaxRetryAfterMs) {
-    return ParseError("busy: retry_after_ms out of range");
-  }
-  return static_cast<uint32_t>(retry_after_ms);
-}
-
 }  // namespace setrec

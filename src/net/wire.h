@@ -45,8 +45,9 @@ inline bool IsHelloMessage(const Channel::Message& m) {
 /// point — before a hello, or interleaved with protocol traffic — and the
 /// pump answers immediately with a "STAT" frame whose payload is the
 /// versioned text exposition (see docs/OBSERVABILITY.md). Admin frames are
-/// invisible to the session layer: they never count against the pre-hello
-/// frame budget or the per-step flood gate, and never enter a transcript.
+/// invisible to the session layer: they are never taken for the hello,
+/// never count against the per-step flood gate, and never enter a
+/// transcript.
 inline constexpr const char kStatQueryLabel[] = "STAT?";
 inline constexpr const char kStatReplyLabel[] = "STAT";
 
@@ -76,25 +77,6 @@ inline bool IsTraceQueryMessage(const Channel::Message& m) {
 inline bool IsTraceReplyMessage(const Channel::Message& m) {
   return m.label == kTraceReplyLabel;
 }
-
-/// Load-shed frame: when admission control refuses a connection, the pump
-/// sends "BUSY" (pre-hello — it replaces the session, so it is the only
-/// frame the client will ever see on that connection) and closes. The
-/// payload is a version byte (1) plus a varint retry hint in milliseconds;
-/// clients with --retry-busy back off for retry_after_ms plus jitter and
-/// redial. Sender is Alice: the frame originates server-side.
-inline constexpr const char kBusyLabel[] = "BUSY";
-
-Channel::Message MakeBusyMessage(uint32_t retry_after_ms);
-
-inline bool IsBusyMessage(const Channel::Message& m) {
-  return m.label == kBusyLabel;
-}
-
-/// Parses a busy frame's retry hint; kParseError on anything but a
-/// well-formed v1 payload (unknown version or trailing bytes fail closed,
-/// same rule as every other parser in this file).
-[[nodiscard]] Result<uint32_t> ParseBusyMessage(const Channel::Message& m);
 
 }  // namespace setrec
 

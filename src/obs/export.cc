@@ -124,11 +124,8 @@ void AppendPumpMetrics(const PumpMetrics& pm, ExpositionWriter& w) {
   w.Histogram("setrec_pump_away_from_poll_ns", "", pm.away_from_poll);
   w.Histogram("setrec_pump_ready_fds_per_wakeup", "", pm.ready_per_wakeup);
   w.Counter("setrec_pump_poll_wakeups", "", pm.poll_wakeups);
-  w.Counter("setrec_pump_timer_cascades", "", pm.timer_cascades);
-  w.Counter("setrec_pump_timers_fired", "", pm.timers_fired);
   w.Counter("setrec_pump_handshake_timeouts", "", pm.handshake_timeouts);
   w.Counter("setrec_pump_idle_timeouts", "", pm.idle_timeouts);
-  w.Counter("setrec_pump_admissions_rejected", "", pm.admissions_rejected);
 }
 
 void AppendRates(const RateRing::Rates& rates, ExpositionWriter& w) {

@@ -66,11 +66,8 @@ void PumpMetrics::Merge(const PumpMetrics& other) {
   stat_requests += other.stat_requests;
   trace_requests += other.trace_requests;
   poll_wakeups += other.poll_wakeups;
-  timer_cascades += other.timer_cascades;
-  timers_fired += other.timers_fired;
   handshake_timeouts += other.handshake_timeouts;
   idle_timeouts += other.idle_timeouts;
-  admissions_rejected += other.admissions_rejected;
 }
 
 void PumpMetrics::Reset() { *this = PumpMetrics{}; }

@@ -134,15 +134,10 @@ struct PumpMetrics {
   size_t trace_requests = 0;
   /// Poller Wait calls that returned (readiness, timeout, or wake pipe).
   size_t poll_wakeups = 0;
-  /// Timer-wheel internals: boundary cascades and timers fired.
-  size_t timer_cascades = 0;
-  size_t timers_fired = 0;
   /// Connections reaped for never completing a hello in time.
   size_t handshake_timeouts = 0;
   /// Established connections reaped for byte-level silence.
   size_t idle_timeouts = 0;
-  /// Connections shed with a busy frame by load-aware admission.
-  size_t admissions_rejected = 0;
 
   void Merge(const PumpMetrics& other);
   void Reset();

@@ -1,25 +1,21 @@
-// Poller backends + timer-driven connection lifecycle + admission:
+// Poller backends + deadline-driven connection lifecycle + routing:
 //
 //  * Both backends (poll always; epoll on Linux) pass one shared semantics
 //    suite — registration, readiness, interest-0 parking, retargeting,
 //    hangup — and the pump's factory picks epoll on Linux.
 //  * A NetPump reaps a half-open connection that never completes its hello
 //    (handshake timeout) and an established session gone byte-silent
-//    (idle timeout), with the reap visible in stats AND pump metrics.
-//  * Over the admission cap, a connection is shed with a parseable
-//    "busy, retry-after" frame the client surfaces as kUnavailable; the
-//    busy codec itself fails closed on malformed frames.
+//    (idle timeout), with the reap counted in the pump metrics. A STAT?
+//    re-arms a hello-less connection's handshake deadline, and deadlines
+//    expire in arming order.
 //  * MultiNetPump routes new connections to the least-loaded shard.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/workload.h"
@@ -31,7 +27,6 @@
 #include "obs/clock.h"
 #include "service/sharded_service.h"
 #include "service/sync_service.h"
-#include "util/serialization.h"
 
 namespace setrec {
 namespace {
@@ -136,41 +131,7 @@ TEST(PollerFactory, PumpBackendIsEpollOnLinux) {
 }
 
 // ---------------------------------------------------------------------------
-// Busy-frame codec: round-trip plus fail-closed on every malformation.
-
-TEST(BusyFrame, RoundTripAndFailClosed) {
-  const Channel::Message busy = MakeBusyMessage(1500);
-  ASSERT_TRUE(IsBusyMessage(busy));
-  Result<uint32_t> hint = ParseBusyMessage(busy);
-  ASSERT_TRUE(hint.ok());
-  EXPECT_EQ(hint.value(), 1500u);
-
-  // Unknown version byte.
-  Channel::Message bad_version = busy;
-  bad_version.payload[0] = 2;
-  EXPECT_FALSE(ParseBusyMessage(bad_version).ok());
-
-  // Trailing bytes after the varint.
-  Channel::Message trailing = busy;
-  trailing.payload.push_back(0);
-  EXPECT_FALSE(ParseBusyMessage(trailing).ok());
-
-  // Truncated (no varint at all).
-  Channel::Message truncated = busy;
-  truncated.payload.resize(1);
-  EXPECT_FALSE(ParseBusyMessage(truncated).ok());
-
-  // An absurd retry hint (> 1h) is rejected rather than honored.
-  Channel::Message absurd{Party::kAlice, {}, kBusyLabel};
-  ByteWriter writer;
-  writer.PutU8(1);
-  writer.PutVarint(uint64_t{2} * 60 * 60 * 1000);
-  absurd.payload = writer.Take();
-  EXPECT_FALSE(ParseBusyMessage(absurd).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Timer-driven lifecycle on a live pump.
+// Deadline-driven lifecycle on a live pump.
 
 /// Pumps until `done` or the wall deadline; returns whether `done` held.
 template <typename Done>
@@ -184,6 +145,16 @@ bool PumpUntil(NetPump* pump, Done&& done, int per_pass_ms = 10,
   return true;
 }
 
+/// Whether the pump closed its end of the socketpair whose client end is
+/// `fd`: whatever it sent is drained first, then EOF reads as 0.
+bool ServerClosed(int fd) {
+  char buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT);
+    if (n <= 0) return n == 0;
+  }
+}
+
 TEST(NetPumpTimers, HalfOpenConnectionReapedByHandshakeTimeout) {
   SyncService service;
   NetPumpOptions options;
@@ -195,15 +166,54 @@ TEST(NetPumpTimers, HalfOpenConnectionReapedByHandshakeTimeout) {
   ASSERT_TRUE(pump.AdoptConnection(sv[0]).ok());
   EXPECT_EQ(pump.connection_count(), 1u);
 
-  // The client never says hello; the wheel must reap the connection even
-  // though no fd event ever fires for it.
+  // The client never says hello; its deadline must reap the connection
+  // even though no fd event ever fires for it.
   EXPECT_TRUE(PumpUntil(&pump, [&] { return pump.connection_count() == 0; }));
-  EXPECT_EQ(pump.stats().handshake_timeouts, 1u);
   EXPECT_EQ(pump.stats().closed, 1u);
   EXPECT_EQ(pump.stats().protocol_errors, 0u);  // A timeout is not garbage.
   EXPECT_EQ(pump.pump_metrics().handshake_timeouts, 1u);
-  EXPECT_GE(pump.pump_metrics().timers_fired, 1u);
   ::close(sv[1]);
+}
+
+// A STAT? on a hello-less connection re-arms its handshake deadline, which
+// moves it behind every connection armed since. B, adopted after A but
+// never queried, is therefore reaped first, and A is still reaped one
+// timeout after its query. Order is read from the pump's counters between
+// passes; A's query lands half a timeout after B's adoption, so only a
+// stall that long could merge the two reaps into one pass.
+TEST(NetPumpTimers, StatQueryRearmsHandshakeBehindLaterConnections) {
+  SyncService service;
+  NetPumpOptions options;
+  options.handshake_timeout_ms = 600;
+  NetPump pump(&service, options);
+
+  int a[2], b[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, a), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, b), 0);
+  ASSERT_TRUE(pump.AdoptConnection(a[0]).ok());
+  ASSERT_TRUE(pump.AdoptConnection(b[0]).ok());
+  const uint64_t adopted = obs::NowNanos();
+  ASSERT_TRUE(PumpUntil(
+      &pump, [&] { return obs::NowNanos() - adopted >= 300'000'000ull; }));
+  ASSERT_EQ(pump.connection_count(), 2u);
+
+  ASSERT_TRUE(WriteFrameToFd(a[1], MakeStatQueryMessage()).ok());
+  ASSERT_TRUE(
+      PumpUntil(&pump, [&] { return pump.pump_metrics().stat_requests == 1; }));
+
+  ASSERT_TRUE(PumpUntil(
+      &pump, [&] { return pump.pump_metrics().handshake_timeouts >= 1; }));
+  EXPECT_EQ(pump.pump_metrics().handshake_timeouts, 1u);
+  EXPECT_EQ(pump.connection_count(), 1u);
+  EXPECT_TRUE(ServerClosed(b[1]));
+  EXPECT_FALSE(ServerClosed(a[1]));
+
+  ASSERT_TRUE(PumpUntil(&pump, [&] { return pump.connection_count() == 0; }));
+  EXPECT_EQ(pump.pump_metrics().handshake_timeouts, 2u);
+  EXPECT_TRUE(ServerClosed(a[1]));
+  EXPECT_EQ(pump.stats().protocol_errors, 0u);
+  ::close(a[1]);
+  ::close(b[1]);
 }
 
 TEST(NetPumpTimers, SilentEstablishedSessionReapedByIdleTimeout) {
@@ -239,7 +249,6 @@ TEST(NetPumpTimers, SilentEstablishedSessionReapedByIdleTimeout) {
   ASSERT_TRUE(SendHello(sv[1], hello).ok());
 
   EXPECT_TRUE(PumpUntil(&pump, [&] { return pump.connection_count() == 0; }));
-  EXPECT_EQ(pump.stats().idle_timeouts, 1u);
   EXPECT_EQ(pump.stats().disconnects, 1u);  // The live session was cancelled.
   EXPECT_EQ(pump.pump_metrics().idle_timeouts, 1u);
 
@@ -253,7 +262,7 @@ TEST(NetPumpTimers, SilentEstablishedSessionReapedByIdleTimeout) {
 TEST(NetPumpTimers, DisabledTimeoutsKeepHalfOpenConnectionAlive) {
   SyncService service;
   NetPumpOptions options;
-  options.handshake_timeout_ms = 0;  // The pre-PR-10 "EOF or never" mode.
+  options.handshake_timeout_ms = 0;  // "EOF or never": no deadline at all.
   options.idle_timeout_ms = 0;
   NetPump pump(&service, options);
   int sv[2];
@@ -264,83 +273,8 @@ TEST(NetPumpTimers, DisabledTimeoutsKeepHalfOpenConnectionAlive) {
     pump.PumpOnce(10);
   }
   EXPECT_EQ(pump.connection_count(), 1u);
-  EXPECT_EQ(pump.stats().handshake_timeouts, 0u);
+  EXPECT_EQ(pump.pump_metrics().handshake_timeouts, 0u);
   ::close(sv[1]);
-  EXPECT_TRUE(PumpUntil(&pump, [&] { return pump.connection_count() == 0; }));
-}
-
-// ---------------------------------------------------------------------------
-// Admission shedding, end to end through the client helper.
-
-TEST(NetPumpAdmission, OverCapConnectionShedWithParseableBusyFrame) {
-  SsrWorkloadSpec spec;
-  spec.num_children = 8;
-  spec.child_size = 6;
-  spec.changes = 2;
-  spec.seed = 991;
-  SsrWorkload w = MakeSsrWorkload(spec);
-  SsrParams params;
-  params.max_child_size = spec.child_size + 4;
-  params.max_children = spec.num_children + 2;
-  params.seed = 992;
-
-  SyncService service;
-  service.RegisterSharedSet(std::make_shared<SetOfSets>(w.alice));
-  NetPumpOptions options;
-  options.admission_max_sessions = 1;
-  options.busy_retry_after_ms = 2500;
-  NetPump pump(&service, options);
-
-  int first[2], second[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, first), 0);
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, second), 0);
-  ASSERT_TRUE(pump.AdoptConnection(first[0]).ok());   // Admitted.
-  ASSERT_TRUE(pump.AdoptConnection(second[0]).ok());  // Over cap: shed.
-  EXPECT_EQ(pump.stats().admissions_rejected, 1u);
-  EXPECT_EQ(pump.pump_metrics().admissions_rejected, 1u);
-
-  // The shed client runs the normal session path and must surface the
-  // busy refusal as kUnavailable with the server's retry hint.
-  std::atomic<bool> client_done{false};
-  Status client_status = Status::Ok();
-  uint32_t hint_ms = 0;
-  std::thread client([&] {
-    HelloSpec hello;
-    hello.protocol = SsrProtocolKind::kIblt2;
-    hello.set_id = 1;
-    hello.params = params;
-    hello.known_d = spec.changes;
-    Status sent = SendHello(second[1], hello);
-    if (sent.ok()) {
-      std::unique_ptr<SetsOfSetsProtocol> protocol =
-          MakeSsrProtocol(SsrProtocolKind::kIblt2, params);
-      Channel channel;
-      Result<SsrOutcome> outcome =
-          RunBobHalfOverFd(*protocol, w.bob, spec.changes, second[1],
-                           &channel, nullptr, 0, &hint_ms);
-      client_status = outcome.ok() ? Status::Ok() : outcome.status();
-    } else if (std::optional<uint32_t> hint = PendingBusyHintOnFd(second[1])) {
-      // The shed server can close before the hello write even lands (the
-      // race real clients hit); the refusal is still in the receive queue.
-      hint_ms = *hint;
-      client_status = Unavailable("server busy");
-    } else {
-      client_status = sent;
-    }
-    client_done.store(true, std::memory_order_release);
-  });
-  EXPECT_TRUE(PumpUntil(
-      &pump, [&] { return client_done.load(std::memory_order_acquire); }));
-  client.join();
-  EXPECT_EQ(client_status.code(), StatusCode::kUnavailable)
-      << client_status.ToString();
-  EXPECT_EQ(hint_ms, 2500u);
-
-  // The shed connection closes once its busy frame flushed; the admitted
-  // one is unaffected.
-  EXPECT_TRUE(PumpUntil(&pump, [&] { return pump.connection_count() == 1; }));
-  ::close(second[1]);
-  ::close(first[1]);
   EXPECT_TRUE(PumpUntil(&pump, [&] { return pump.connection_count() == 0; }));
 }
 

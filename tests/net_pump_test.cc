@@ -154,8 +154,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // STAT? is an admin frame: it must answer on a bare connection (no hello,
-// no session), never count against pre-session budgets, and leave the
-// connection usable. Empty session-latency histograms are omitted from the
+// no session), never be taken for the hello, and leave the connection
+// usable. Empty session-latency histograms are omitted from the
 // exposition, so the bare query must NOT mention them; after one real
 // session the same (still-open) admin connection must see them populated.
 TEST(NetPumpStats, StatQueryAnswersBareAndReflectsTraffic) {
@@ -347,24 +347,40 @@ TEST(NetPumpFailures, MidSessionDisconnectCancelsTheSession) {
   EXPECT_EQ(pump.connection_count(), 0u);
 }
 
+// The first non-admin frame must be a valid hello naming a registered set;
+// anything else is one protocol error and a closed connection, with no
+// session submitted.
 TEST(NetPumpFailures, GarbageHelloDropsConnectionWithoutSession) {
-  SyncService service;
-  NetPump pump(&service);
-  int sv[2];
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-  ASSERT_TRUE(pump.AdoptConnection(sv[0]).ok());
+  HelloSpec unregistered;
+  unregistered.protocol = SsrProtocolKind::kIblt2;
+  unregistered.set_id = 42;  // The service below registers no set.
+  unregistered.params = MakeFixture(SsrProtocolKind::kIblt2, true, 6).params;
+  const struct {
+    const char* name;
+    Channel::Message first;
+  } cases[] = {
+      {"not a hello", Channel::Message{Party::kBob, {1, 2, 3}, "not-hello"}},
+      {"unparseable hello", Channel::Message{Party::kBob, {99}, kHelloLabel}},
+      {"unregistered set id", MakeHelloMessage(unregistered)},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    SyncService service;
+    NetPump pump(&service);
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    ASSERT_TRUE(pump.AdoptConnection(sv[0]).ok());
 
-  // A syntactically valid frame that is not a hello.
-  Channel::Message bogus{Party::kBob, {1, 2, 3}, "not-hello"};
-  ASSERT_TRUE(WriteFrameToFd(sv[1], bogus).ok());
-  for (int i = 0; i < 10 && pump.connection_count() > 0; ++i) {
-    pump.PumpOnce(10);
+    ASSERT_TRUE(WriteFrameToFd(sv[1], c.first).ok());
+    for (int i = 0; i < 10 && pump.connection_count() > 0; ++i) {
+      pump.PumpOnce(10);
+    }
+    ::close(sv[1]);
+    EXPECT_EQ(pump.connection_count(), 0u);
+    EXPECT_EQ(pump.stats().protocol_errors, 1u);
+    EXPECT_TRUE(pump.TakeResults().empty());
+    EXPECT_EQ(service.stats().sessions_submitted, 0u);
   }
-  ::close(sv[1]);
-  EXPECT_EQ(pump.connection_count(), 0u);
-  EXPECT_EQ(pump.stats().protocol_errors, 1u);
-  EXPECT_TRUE(pump.TakeResults().empty());
-  EXPECT_EQ(service.stats().sessions_submitted, 0u);
 }
 
 }  // namespace

@@ -124,8 +124,12 @@ struct ThroughputRow {
   double blob_decode_keys_per_sec = 0;
   double blob_materialize_keys_per_sec = 0;
   // Heap allocations of one warm-scratch decode (global operator new
-  // count). The view API's contract is blob == 0.
+  // count). The view APIs' contract is zero: u64_view (DecodeU64View, the
+  // overload the protocols decode children with) and blob. The owning
+  // DecodeU64(&scratch) is nonzero by contract: it returns two fresh
+  // vectors that grow by doubling, about log2(d) allocations each.
   size_t decode_allocs_warm_u64 = 0;
+  size_t decode_allocs_warm_u64_view = 0;
   size_t decode_allocs_warm_blob = 0;
 };
 
@@ -200,6 +204,9 @@ ThroughputRow MeasureThroughput(size_t d) {
   }
   row.decode_allocs_warm_u64 =
       CountAllocs([&] { benchmark::DoNotOptimize(diff.DecodeU64(&scratch)); });
+  benchmark::DoNotOptimize(diff.DecodeU64View(&scratch));  // Warms pos/neg_u64.
+  row.decode_allocs_warm_u64_view = CountAllocs(
+      [&] { benchmark::DoNotOptimize(diff.DecodeU64View(&scratch)); });
 
   // Byte-key decode: 36-byte blobs (a child-encoding-ish width) through the
   // view API, plus the materializing equivalent of the pre-arena result.
@@ -259,22 +266,24 @@ void AppendRow(std::string* out, const ThroughputRow& row, bool last,
                   "\"blob36_decode_keys_per_sec\": %.4g, "
                   "\"blob36_materialize_keys_per_sec\": %.4g, "
                   "\"decode_allocs_warm_u64\": %zu, "
+                  "\"decode_allocs_warm_u64_view\": %zu, "
                   "\"decode_allocs_warm_blob36\": %zu}%s\n",
                   row.d, row.insert_keys_per_sec, row.subtract_cells_per_sec,
                   row.decode_keys_per_sec, row.blob_decode_keys_per_sec,
                   row.blob_materialize_keys_per_sec,
-                  row.decode_allocs_warm_u64, row.decode_allocs_warm_blob,
-                  last ? "" : ",");
+                  row.decode_allocs_warm_u64, row.decode_allocs_warm_u64_view,
+                  row.decode_allocs_warm_blob, last ? "" : ",");
   } else if (extended) {
     // Blob columns are measured for d <= 1e4 only.
     std::snprintf(buf, sizeof(buf),
                   "    \"d_%zu\": {\"insert_keys_per_sec\": %.4g, "
                   "\"subtract_cells_per_sec\": %.4g, "
                   "\"decode_keys_per_sec\": %.4g, "
-                  "\"decode_allocs_warm_u64\": %zu}%s\n",
+                  "\"decode_allocs_warm_u64\": %zu, "
+                  "\"decode_allocs_warm_u64_view\": %zu}%s\n",
                   row.d, row.insert_keys_per_sec, row.subtract_cells_per_sec,
                   row.decode_keys_per_sec, row.decode_allocs_warm_u64,
-                  last ? "" : ",");
+                  row.decode_allocs_warm_u64_view, last ? "" : ",");
   } else {
     // Seed rows: the baseline predates the blob/allocation columns.
     std::snprintf(buf, sizeof(buf),
@@ -313,12 +322,13 @@ int RunJsonSuite() {
     if (current[i].blob_decode_keys_per_sec > 0) {
       std::printf(
           "           blob36 decode %.3g keys/s (materializing %.3g, %.2fx)  "
-          "warm allocs: u64 %zu, blob %zu\n",
+          "warm allocs: u64 %zu, u64 view %zu, blob %zu\n",
           current[i].blob_decode_keys_per_sec,
           current[i].blob_materialize_keys_per_sec,
           current[i].blob_decode_keys_per_sec /
               current[i].blob_materialize_keys_per_sec,
           current[i].decode_allocs_warm_u64,
+          current[i].decode_allocs_warm_u64_view,
           current[i].decode_allocs_warm_blob);
     }
     AppendRow(&json, current[i], i == 2, /*extended=*/true);

@@ -154,6 +154,7 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
                                              ctx, &sketches);
       if (!s.ok()) co_return s;
       ByteWriter packed;
+      packed.Reserve(alice.size() * plan.outer_configs[level].key_width);
       for (size_t i = 0; i < alice.size(); ++i) {
         AppendChildIbltBlob(sketches[i], fps[i], &packed);
       }
@@ -172,9 +173,8 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
     }
     if (plan.has_star) {
       ByteWriter packed;
-      for (const ChildSet& child : alice) {
-        packed.PutBytes(EncodeChildBlob(child, h));
-      }
+      packed.Reserve(alice.size() * plan.star_config.key_width);
+      for (const ChildSet& child : alice) AppendChildBlob(child, h, &packed);
       Iblt star(plan.star_config);
       ctx->QueueInsertBytes(&star, packed.bytes().data(), alice.size());
       co_await ctx->FlushBuilds();
@@ -281,24 +281,26 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       co_return s;
     }
     ByteWriter bob_packed;
+    bob_packed.Reserve(bob.size() * blob_width);
     for (size_t j = 0; j < bob.size(); ++j) {
       AppendChildIbltBlob(bob_sketches[j], bob_fps[j], &bob_packed);
     }
     // Delete Bob's children not yet known to differ (level 1: all of them),
     // and every already-recovered child of Alice's.
+    const size_t erase_count =
+        static_cast<size_t>(std::count(in_db.begin(), in_db.end(), false)) +
+        da.size();
     ByteWriter erase_packed;
-    size_t erase_count = 0;
+    erase_packed.Reserve(erase_count * blob_width);
     for (size_t j = 0; j < bob.size(); ++j) {
       if (!in_db[j]) {
         erase_packed.PutBytes(bob_packed.bytes().data() + j * blob_width,
                               blob_width);
-        ++erase_count;
       }
     }
     for (size_t i = 0; i < da.size(); ++i) {
       AppendChildIbltBlob(da_sketches[i],
                           ChildFingerprint(da[i], fp_family), &erase_packed);
-      ++erase_count;
     }
     ctx->QueueEraseBytes(&outer, erase_packed.bytes().data(), erase_count);
     co_await ctx->FlushBuilds();
@@ -356,12 +358,9 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     Iblt star = std::move(star_table).value();
     const size_t blob_width = plan.star_config.key_width;
     ByteWriter star_packed;
-    for (const ChildSet& child : bob) {
-      star_packed.PutBytes(EncodeChildBlob(child, h));
-    }
-    for (const ChildSet& child : da) {
-      star_packed.PutBytes(EncodeChildBlob(child, h));
-    }
+    star_packed.Reserve((bob.size() + da.size()) * blob_width);
+    for (const ChildSet& child : bob) AppendChildBlob(child, h, &star_packed);
+    for (const ChildSet& child : da) AppendChildBlob(child, h, &star_packed);
     ctx->QueueEraseBytes(&star, star_packed.bytes().data(),
                          bob.size() + da.size());
     co_await ctx->FlushBuilds();

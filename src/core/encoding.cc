@@ -9,13 +9,18 @@ namespace setrec {
 size_t ChildBlobWidth(size_t h) { return 4 + 8 * h; }
 
 std::vector<uint8_t> EncodeChildBlob(const ChildSet& child, size_t h) {
-  std::vector<uint8_t> blob(ChildBlobWidth(h), 0);
-  uint32_t count = static_cast<uint32_t>(child.size());
-  std::memcpy(blob.data(), &count, 4);
-  for (size_t i = 0; i < child.size(); ++i) {
-    std::memcpy(blob.data() + 4 + 8 * i, &child[i], 8);
-  }
-  return blob;
+  ByteWriter writer;
+  writer.Reserve(ChildBlobWidth(h));
+  AppendChildBlob(child, h, &writer);
+  return writer.Take();
+}
+
+void AppendChildBlob(const ChildSet& child, size_t h, ByteWriter* out) {
+  // Extend zero-fills, which is the blob's padding past the last element.
+  uint8_t* blob = out->Extend(ChildBlobWidth(h));
+  const uint32_t count = static_cast<uint32_t>(child.size());
+  std::memcpy(blob, &count, 4);
+  if (!child.empty()) std::memcpy(blob + 4, child.data(), 8 * child.size());
 }
 
 Result<ChildSet> DecodeChildBlob(const uint8_t* data, size_t size, size_t h) {
@@ -48,6 +53,7 @@ std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
   Iblt sketch(child_config);
   sketch.InsertBatch(child);
   ByteWriter writer;
+  writer.Reserve(ChildIbltBlobWidth(child_config));
   AppendChildIbltBlob(sketch, fingerprint, &writer);
   return writer.Take();
 }

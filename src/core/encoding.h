@@ -7,6 +7,7 @@
 
 #include "core/protocol.h"
 #include "iblt/iblt.h"
+#include "util/serialization.h"
 #include "util/status.h"
 
 namespace setrec {
@@ -21,6 +22,11 @@ size_t ChildBlobWidth(size_t h);
 
 /// Encodes `child` (sorted, size <= h) into a ChildBlobWidth(h) blob.
 std::vector<uint8_t> EncodeChildBlob(const ChildSet& child, size_t h);
+
+/// The in-place form: writes the same ChildBlobWidth(h) bytes straight into
+/// `out` (one Extend, no per-child vector). Packers reserve
+/// children × ChildBlobWidth(h) first.
+void AppendChildBlob(const ChildSet& child, size_t h, ByteWriter* out);
 
 /// Inverse of EncodeChildBlob; validates count, ordering and padding. The
 /// (data, size) form parses straight out of a decode-view arena without an
@@ -56,6 +62,9 @@ std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
 /// defer child-sketch builds into coalesced planner passes build all
 /// sketches first, then pack the blobs contiguously for one outer-table
 /// batch update. Byte-identical to EncodeChildIbltBlob of the same child.
+/// Packers pre-size `out` with ByteWriter::Reserve(children × blob width),
+/// taking both factors from their own set and the (clamped) table config,
+/// so each blob is written in place into one allocation.
 void AppendChildIbltBlob(const Iblt& sketch, uint64_t fingerprint,
                          ByteWriter* out);
 

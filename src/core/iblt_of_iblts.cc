@@ -84,6 +84,7 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
     }
     co_await ctx->FlushBuilds();
     ByteWriter packed;
+    packed.Reserve(alice.size() * configs.outer.key_width);
     for (size_t i = 0; i < alice.size(); ++i) {
       AppendChildIbltBlob(sketches[i],
                           ChildFingerprint(alice[i], fp_family), &packed);
@@ -143,6 +144,7 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   }
   co_await ctx->FlushBuilds();
   ByteWriter bob_packed;
+  bob_packed.Reserve(bob.size() * blob_width);
   for (size_t i = 0; i < bob.size(); ++i) {
     AppendChildIbltBlob(bob_sketches[i],
                         ChildFingerprint(bob[i], fp_family), &bob_packed);

@@ -19,16 +19,13 @@ constexpr uint64_t kAttemptTag = 0x6e616976ull;  // "naiv"
 constexpr uint64_t kEstimatorTag = 0x6e764553ull;
 
 /// Packs every child's fixed-width blob encoding into one contiguous
-/// buffer, the shape Iblt::InsertBatch/EraseBatch consume.
+/// buffer, the shape Iblt::InsertBatch/EraseBatch consume. Sized from the
+/// local set and the configured h; each blob is written in place.
 std::vector<uint8_t> PackChildBlobs(const SetOfSets& children, size_t h) {
-  const size_t width = ChildBlobWidth(h);
-  std::vector<uint8_t> packed;
-  packed.reserve(children.size() * width);
-  for (const ChildSet& child : children) {
-    std::vector<uint8_t> blob = EncodeChildBlob(child, h);
-    packed.insert(packed.end(), blob.begin(), blob.end());
-  }
-  return packed;
+  ByteWriter packed;
+  packed.Reserve(children.size() * ChildBlobWidth(h));
+  for (const ChildSet& child : children) AppendChildBlob(child, h, &packed);
+  return packed.Take();
 }
 
 L0Estimator::Params NaiveEstimatorParams(uint64_t protocol_seed) {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "hashing/random.h"
@@ -75,6 +76,16 @@ class HashFamily {
   uint64_t HashBytes(const std::vector<uint8_t>& data) const {
     return HashBytes(data.data(), data.size());
   }
+
+  /// Hashes one byte string under two families in a single pass: returns
+  /// exactly {a.HashBytes(data, n), b.HashBytes(data, n)}. The per-lane mix
+  /// and the tail mix do not depend on the seed, so they are computed once
+  /// and fed to both chains. This is the IBLT hot path for blob keys, which
+  /// hash every key under a bucket and a check family.
+  static std::pair<uint64_t, uint64_t> HashBytesPair(const HashFamily& a,
+                                                     const HashFamily& b,
+                                                     const uint8_t* data,
+                                                     size_t n);
 
   /// Hashes one 64-bit word exactly as HashBytes would hash its 8
   /// little-endian bytes (same value, no memory round-trip). This is the

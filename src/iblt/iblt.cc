@@ -152,8 +152,10 @@ Iblt::KeyHashes Iblt::HashKey(const uint8_t* key) const {
     std::memcpy(&lane, key, 8);
     return HashKeyU64(lane);
   }
-  return {bucket_family_.HashBytes(key, config_.key_width),
-          check_family_.HashBytes(key, config_.key_width)};
+  // Blob keys: both families in one pass over the key bytes.
+  const auto [bucket, check] = HashFamily::HashBytesPair(
+      bucket_family_, check_family_, key, config_.key_width);
+  return {bucket, check};
 }
 
 size_t Iblt::CellForIndex(uint64_t bucket_hash, int index) const {
@@ -608,11 +610,20 @@ Result<Iblt> Iblt::Deserialize(ByteReader* reader, const IbltConfig& config) {
 }
 
 void Iblt::SerializeFixed(ByteWriter* writer) const {
+  // The whole table is one fixed-size record run, laid out in place
+  // (little-endian, as everywhere in the wire format).
+  const size_t w = config_.key_width;
+  uint8_t* out = writer->Extend(config_.FixedSerializedSize());
+  // LINT(alloc-free) — per-cell copy of every child sketch the set-of-sets
+  // protocols pack, on both parties, at every attempt and level.
   for (size_t i = 0; i < cells_; ++i) {
-    writer->PutU32(static_cast<uint32_t>(meta_[i].count));
-    writer->PutU64(meta_[i].check);
-    writer->PutBytes(CellKeyBytes(i), config_.key_width);
+    const uint32_t count = static_cast<uint32_t>(meta_[i].count);
+    std::memcpy(out, &count, 4);
+    std::memcpy(out + 4, &meta_[i].check, 8);
+    std::memcpy(out + 12, CellKeyBytes(i), w);
+    out += 12 + w;
   }
+  // LINT(end)
 }
 
 Result<Iblt> Iblt::DeserializeFixed(ByteReader* reader,

@@ -282,6 +282,10 @@ struct DecodeScratch {
 /// and the k cells are derived from the single 64-bit h as
 ///   cell_i = i * (m/k) + Mix64(h ^ (GOLDEN * (i+1))) % (m/k),
 /// i.e. one strong hash plus k cheap mixes, instead of k full key hashes.
+/// Both families share their seed-independent lane mixes, so a key's bytes
+/// are read once: 8-byte keys through HashWord8Premixed, blob keys (the
+/// child encodings of the set-of-sets protocols) through
+/// HashFamily::HashBytesPair, which equals the two HashBytes calls exactly.
 /// The derivation is identical to the seed implementation's per-index
 /// Bucket(), so tables, wire bytes, and decode results are bit-identical
 /// for fixed seeds.
@@ -420,7 +424,9 @@ class Iblt {
 
   /// Fixed-width serialization: every table with the same config produces
   /// the same number of bytes, so serialized tables can themselves be used
-  /// as (XOR-able) IBLT keys, as in the IBLT-of-IBLTs constructions.
+  /// as (XOR-able) IBLT keys, as in the IBLT-of-IBLTs constructions. Writes
+  /// all config().FixedSerializedSize() bytes in place with one
+  /// ByteWriter::Extend.
   void SerializeFixed(ByteWriter* writer) const;
   [[nodiscard]] static Result<Iblt> DeserializeFixed(ByteReader* reader,
                                        const IbltConfig& config);

@@ -4,17 +4,28 @@
 
 namespace setrec {
 
-void ByteWriter::PutU16(uint16_t v) {
-  PutU8(static_cast<uint8_t>(v));
-  PutU8(static_cast<uint8_t>(v >> 8));
+namespace {
+
+// Appends the `N` little-endian bytes of `v` with one insert.
+template <size_t N, typename T>
+void AppendLittleEndian(std::vector<uint8_t>* buf, T v) {
+  uint8_t bytes[N];
+  for (size_t i = 0; i < N; ++i) bytes[i] = static_cast<uint8_t>(v >> (8 * i));
+  buf->insert(buf->end(), bytes, bytes + N);
 }
 
-void ByteWriter::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-}
+}  // namespace
 
-void ByteWriter::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
+void ByteWriter::PutU16(uint16_t v) { AppendLittleEndian<2>(&buf_, v); }
+
+void ByteWriter::PutU32(uint32_t v) { AppendLittleEndian<4>(&buf_, v); }
+
+void ByteWriter::PutU64(uint64_t v) { AppendLittleEndian<8>(&buf_, v); }
+
+uint8_t* ByteWriter::Extend(size_t n) {
+  const size_t old_size = buf_.size();
+  buf_.resize(old_size + n);
+  return buf_.data() + old_size;
 }
 
 void ByteWriter::PutVarint(uint64_t v) {

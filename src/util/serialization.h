@@ -14,14 +14,27 @@ namespace setrec {
 /// integers are little-endian. Used to build every protocol message, so the
 /// exact byte counts reported by Channel reflect what a real implementation
 /// would send.
+///
+/// Bulk writers (the child-blob packers, Iblt::SerializeFixed) that know
+/// their output size up front call Reserve() once with the total, then fill
+/// fixed-width records in place through Extend(), so a multi-megabyte
+/// buffer is allocated once instead of regrown as it fills.
 class ByteWriter {
  public:
   ByteWriter() = default;
 
   void PutU8(uint8_t v) { buf_.push_back(v); }
+  /// Each appends its little-endian bytes with one insert.
   void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
+  /// Makes room for exactly `n` more bytes, so appends totalling `n` bytes
+  /// do not reallocate. Call it once with the total, not per record.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+  /// Appends `n` zero bytes and returns a pointer to the first of them, for
+  /// the caller to overwrite in place. The pointer is valid until the next
+  /// append that reallocates (none, within a matching Reserve()).
+  uint8_t* Extend(size_t n);
   /// LEB128 variable-length encoding (1-10 bytes).
   void PutVarint(uint64_t v);
   /// Appends `n` raw bytes.

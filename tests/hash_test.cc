@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace setrec {
@@ -85,6 +86,32 @@ TEST(HashFamilyTest, BytesHashAvalancheOnSample) {
     data[i / 8] = 0;
   }
   EXPECT_EQ(outputs.size(), 128u);
+}
+
+TEST(HashFamilyTest, BytesPairEqualsTwoHashes) {
+  // 516 = ChildBlobWidth(64), the direct child blob with a 4-byte tail;
+  // 328 and 2728 are child-IBLT blobs at d = 1 and d = 64.
+  const size_t kLengths[] = {0, 1, 7, 8, 9, 36, 328, 516, 2728};
+  const std::pair<HashFamily, HashFamily> kPairs[] = {
+      {HashFamily(21, 0x6275636b), HashFamily(21, 0x6368656b)},
+      {HashFamily(22, 23), HashFamily(24, 25)},
+      {HashFamily(26, 27), HashFamily(26, 27)},
+  };
+  Rng rng(28);
+  std::vector<uint8_t> data(2728 + 1);
+  for (uint8_t& byte : data) byte = static_cast<uint8_t>(rng.NextU64());
+  for (const auto& [a, b] : kPairs) {
+    for (size_t n : kLengths) {
+      // Hash from an odd offset too, so lanes are read unaligned.
+      for (size_t offset : {size_t{0}, size_t{1}}) {
+        const uint8_t* p = data.data() + offset;
+        const std::pair<uint64_t, uint64_t> want = {a.HashBytes(p, n),
+                                                    b.HashBytes(p, n)};
+        EXPECT_EQ(HashFamily::HashBytesPair(a, b, p, n), want)
+            << "n=" << n << " offset=" << offset;
+      }
+    }
+  }
 }
 
 TEST(SetFingerprintTest, OrderInvariant) {

@@ -21,7 +21,7 @@ std::vector<uint8_t> SerializedBytes(const Iblt& table) {
 }
 
 std::vector<std::vector<uint8_t>> Sorted(std::vector<std::vector<uint8_t>> v) {
-  std::sort(v.begin(), v.end());
+  std::sort(v.begin(), v.end(), KeyBytesLess{});
   return v;
 }
 

@@ -228,7 +228,7 @@ TEST_P(IbltDecodeSweep, DecodesAtSizedCapacity) {
                                   param.key_width);
     Iblt table(config);
     Rng rng(static_cast<uint64_t>(trial) * 31 + param.diff);
-    std::set<std::vector<uint8_t>> keys;
+    std::set<std::vector<uint8_t>, KeyBytesLess> keys;
     while (keys.size() < param.diff) {
       std::vector<uint8_t> key(param.key_width);
       for (auto& b : key) b = static_cast<uint8_t>(rng.NextU64());

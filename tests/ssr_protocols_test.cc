@@ -11,6 +11,7 @@
 #include "core/naive_protocol.h"
 #include "core/protocol.h"
 #include "core/workload.h"
+#include "service/sync_service.h"
 #include "setrec/multiset_codec.h"
 
 namespace setrec {
@@ -256,6 +257,66 @@ TEST(SsrProtocolsTest, MultisetParentThroughNormalization) {
     SetOfSets want = alice_multi;
     std::sort(want.begin(), want.end());
     EXPECT_EQ(got, want) << protocol->Name();
+  }
+}
+
+// --- Golden transcripts ---
+
+// One SSRU session per protocol over a fixed instance, with the sparse
+// codec. The constants were captured from the build before child blobs were
+// written in place and blob keys hashed in one pass. Those changes only
+// alter how the bytes are produced, so transcripts, byte counts and rounds
+// must not move. A deliberate change to a protocol's messages updates these
+// constants.
+TEST(SsrProtocolsTest, GoldenSparseSsruTranscripts) {
+  SsrWorkloadSpec spec;
+  spec.num_children = 32;
+  spec.child_size = 4;
+  spec.changes = 24;
+  spec.seed = 2018;
+  SsrWorkload w = MakeSsrWorkload(spec);
+  size_t h = 0;
+  for (const SetOfSets* side : {&w.alice, &w.bob}) {
+    for (const ChildSet& child : *side) h = std::max(h, child.size());
+  }
+
+  SsrParams params;
+  params.max_child_size = h;
+  params.max_children = spec.num_children;
+  params.seed = 2019;
+  params.wire_codec = WireCodec::kSparse;
+
+  struct Golden {
+    ProtocolKind kind;
+    uint64_t transcript_hash;
+    size_t bytes;
+    size_t rounds;
+  };
+  const Golden kGolden[] = {
+      {ProtocolKind::kNaive, 1684792592362673015ull, 12076, 3},
+      {ProtocolKind::kIblt2, 8201727918199464570ull, 52730, 10},
+      {ProtocolKind::kCascade, 10826149398732911594ull, 44228, 8},
+      {ProtocolKind::kMultiRound, 17879780650982821592ull, 19210, 5},
+  };
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(KindName(golden.kind));
+    std::unique_ptr<SetsOfSetsProtocol> protocol =
+        MakeProtocol(golden.kind, params);
+    Channel channel;
+    Result<SsrOutcome> outcome =
+        protocol->Reconcile(w.alice, w.bob, std::nullopt, &channel);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome.value().recovered, Canonicalize(w.alice));
+    if (golden.kind == ProtocolKind::kCascade) {
+      // SSRU cascade doubles d from 2; the direct table T* rides along once
+      // d >= h, which this shape reaches by the last attempt.
+      const size_t last_d = size_t{2}
+                            << (outcome.value().stats.attempts - 1);
+      EXPECT_GE(last_d, h);
+    }
+    EXPECT_EQ(HashTranscript(channel), golden.transcript_hash);
+    EXPECT_EQ(channel.total_bytes(), golden.bytes);
+    EXPECT_EQ(channel.rounds(), golden.rounds);
   }
 }
 

@@ -119,14 +119,12 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
     const ChildEncoding& enc = enc_r.value();
     bool paired = false;
     for (const auto& [partner_enc, partner_set] : partners) {
-      Iblt diff = enc.sketch;
-      if (!diff.Subtract(partner_enc.sketch).ok()) continue;
-      Result<IbltDecodeResult64> dd = diff.DecodeU64(&child_scratch);
+      Result<IbltDecodeView64> dd =
+          enc.sketch.DecodeDifferenceU64View(partner_enc.sketch,
+                                             &child_scratch);
       if (!dd.ok()) continue;
-      SetDifference sd;
-      sd.remote_only = std::move(dd.value().positive);
-      sd.local_only = std::move(dd.value().negative);
-      ChildSet candidate = ApplyDifference(*partner_set, sd);
+      ChildSet candidate = ApplyDifference(*partner_set, dd.value().positive,
+                                           dd.value().negative);
       if (ChildFingerprint(candidate, fp_family) == enc.fingerprint) {
         recovered_children.push_back(std::move(candidate));
         recovered_kinds.push_back(DocumentMatch::Kind::kNear);

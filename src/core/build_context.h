@@ -104,7 +104,10 @@ class ProtocolContext {
   // barrier completes) and lets the planner coalesce ops from many
   // sessions into one Iblt::ApplyOps pass. The key buffers must stay alive
   // until the barrier completes — protocol coroutine locals are, because
-  // the frame is suspended, not destroyed.
+  // the frame is suspended, not destroyed. The ops are the tables and
+  // estimators a protocol keeps or sends (outer, star and fingerprint
+  // tables); the child-IBLT blobs that become outer-table keys are packed
+  // inline by AppendChildIbltBlobs (core/encoding.h) and never queue.
 
   virtual void QueueInsertU64(Iblt* table, const uint64_t* keys, size_t n) {
     table->InsertBatch(keys, n);

@@ -102,23 +102,6 @@ CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed) {
   return plan;
 }
 
-/// Builds one side's child sketches for a level through the deferred
-/// planner pass: one tiny batch per child, coalesced across children (and,
-/// under the service, across sessions). `sketches` is emptied and refilled.
-Task<Status> BuildLevelSketches(const SetOfSets& children,
-                                const IbltConfig& child_config,
-                                ProtocolContext* ctx,
-                                std::vector<Iblt>* sketches) {
-  sketches->clear();
-  sketches->reserve(children.size());
-  for (const ChildSet& child : children) {
-    sketches->emplace_back(child_config);
-    ctx->QueueInsertU64(&sketches->back(), child.data(), child.size());
-  }
-  co_await ctx->FlushBuilds();
-  co_return Status::Ok();
-}
-
 }  // namespace
 
 Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
@@ -133,10 +116,10 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
   const CascadePlan plan = MakePlan(h, d, d_hat, seed);
 
   // Every child encoded into every level (and T*). One message, memoized
-  // across sessions sharing Alice's set; per-level child sketches and
-  // outer-table updates run through the deferred planner passes. The wire
-  // codec is part of the key (dense/sparse sessions must not replay each
-  // other's bytes).
+  // across sessions sharing Alice's set; each level's child blobs are
+  // packed from one reused sketch, and the outer-table updates run through
+  // the deferred planner passes. The wire codec is part of the key
+  // (dense/sparse sessions must not replay each other's bytes).
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
       {kAttemptTag, d, d_hat, seed, h,
@@ -148,16 +131,9 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
       fps[i] = ChildFingerprint(alice[i], fp_family);
     }
     AttemptTables built;  // This attempt's tables, kept only when sparse.
-    std::vector<Iblt> sketches;
     for (size_t level = 0; level < plan.t; ++level) {
-      Status s = co_await BuildLevelSketches(alice, plan.child_configs[level],
-                                             ctx, &sketches);
-      if (!s.ok()) co_return s;
       ByteWriter packed;
-      packed.Reserve(alice.size() * plan.outer_configs[level].key_width);
-      for (size_t i = 0; i < alice.size(); ++i) {
-        AppendChildIbltBlob(sketches[i], fps[i], &packed);
-      }
+      AppendChildIbltBlobs(alice, plan.child_configs[level], fps, &packed);
       Iblt outer(plan.outer_configs[level]);
       ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
       co_await ctx->FlushBuilds();
@@ -247,8 +223,9 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   }
 
   std::vector<bool> in_db(bob.size(), false);   // Bob's differing children.
-  SetOfSets da;                                  // Alice's recovered children.
-  std::unordered_set<uint64_t> recovered_fps;    // Their fingerprints.
+  SetOfSets da;                                  // Alice's recovered children,
+  std::vector<uint64_t> da_fps;                  // their fingerprints in order,
+  std::unordered_set<uint64_t> recovered_fps;    // and as a set.
   std::vector<uint64_t> bob_fps(bob.size());
   for (size_t j = 0; j < bob.size(); ++j) {
     bob_fps[j] = ChildFingerprint(bob[j], fp_family);
@@ -260,31 +237,16 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   // decode and the last view use; across levels the table is re-decoded.
   DecodeScratch* outer_scratch = ctx->Scratch(0);
   DecodeScratch* child_scratch = ctx->Scratch(1);
-  std::vector<Iblt> bob_sketches;
-  std::vector<Iblt> da_sketches;
 
   for (size_t level = 0; level < plan.t; ++level) {
     const IbltConfig& child_config = plan.child_configs[level];
     const size_t blob_width = plan.outer_configs[level].key_width;
     Iblt& outer = outer_tables[level];
 
-    // Bob's level-i encodings (all children, for the blob map) and the
-    // recovered-children encodings, built through deferred sketch passes.
-    if (Status s = co_await BuildLevelSketches(bob, child_config, ctx,
-                                               &bob_sketches);
-        !s.ok()) {
-      co_return s;
-    }
-    if (Status s = co_await BuildLevelSketches(da, child_config, ctx,
-                                               &da_sketches);
-        !s.ok()) {
-      co_return s;
-    }
+    // Bob's level-i encodings (all children, for the blob map and the
+    // partners below).
     ByteWriter bob_packed;
-    bob_packed.Reserve(bob.size() * blob_width);
-    for (size_t j = 0; j < bob.size(); ++j) {
-      AppendChildIbltBlob(bob_sketches[j], bob_fps[j], &bob_packed);
-    }
+    AppendChildIbltBlobs(bob, child_config, bob_fps, &bob_packed);
     // Delete Bob's children not yet known to differ (level 1: all of them),
     // and every already-recovered child of Alice's.
     const size_t erase_count =
@@ -298,10 +260,7 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
                               blob_width);
       }
     }
-    for (size_t i = 0; i < da.size(); ++i) {
-      AppendChildIbltBlob(da_sketches[i],
-                          ChildFingerprint(da[i], fp_family), &erase_packed);
-    }
+    AppendChildIbltBlobs(da, child_config, da_fps, &erase_packed);
     ctx->QueueEraseBytes(&outer, erase_packed.bytes().data(), erase_count);
     co_await ctx->FlushBuilds();
 
@@ -321,14 +280,19 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       // Unknown negatives are decode noise; later verification catches it.
     }
 
-    // Partner sketches for this level: Bob's differing children (+ empty).
-    std::vector<std::pair<const Iblt*, const ChildSet*>> partners;
+    // Partner sketches for this level: Bob's differing children (at most
+    // about d), parsed back from his packed blobs, then the empty set.
+    std::vector<std::pair<Iblt, const ChildSet*>> partners;
     for (size_t j = 0; j < bob.size(); ++j) {
-      if (in_db[j]) partners.emplace_back(&bob_sketches[j], &bob[j]);
+      if (!in_db[j]) continue;
+      Result<ChildEncoding> enc = ParseChildIbltBlob(
+          bob_packed.bytes().data() + j * blob_width, blob_width,
+          child_config);
+      if (!enc.ok()) co_return enc.status();
+      partners.emplace_back(std::move(enc).value().sketch, &bob[j]);
     }
     const ChildSet empty_set;
-    const Iblt empty_sketch(child_config);
-    partners.emplace_back(&empty_sketch, &empty_set);
+    partners.emplace_back(Iblt(child_config), &empty_set);
 
     for (const IbltKeyView& blob : decoded.entries.positive) {
       Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
@@ -336,9 +300,8 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       const ChildEncoding& enc = enc_r.value();
       if (recovered_fps.count(enc.fingerprint) > 0) continue;
       for (const auto& [partner_sketch, partner_set] : partners) {
-        Iblt diff = enc.sketch;
-        if (!diff.Subtract(*partner_sketch).ok()) continue;
-        Result<IbltDecodeView64> dd = diff.DecodeU64View(child_scratch);
+        Result<IbltDecodeView64> dd =
+            enc.sketch.DecodeDifferenceU64View(partner_sketch, child_scratch);
         if (!dd.ok()) continue;
         ChildSet candidate = ApplyDifference(*partner_set,
                                              dd.value().positive,
@@ -346,6 +309,7 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
         if (ChildFingerprint(candidate, fp_family) == enc.fingerprint) {
           recovered_fps.insert(enc.fingerprint);
           da.push_back(std::move(candidate));
+          da_fps.push_back(enc.fingerprint);
           break;
         }
       }
@@ -382,6 +346,7 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       if (recovered_fps.count(fp) > 0) continue;
       recovered_fps.insert(fp);
       da.push_back(std::move(child).value());
+      da_fps.push_back(fp);
     }
   }
 

@@ -1,5 +1,6 @@
 #include "core/encoding.h"
 
+#include <cassert>
 #include <cstring>
 
 #include "util/serialization.h"
@@ -62,6 +63,21 @@ void AppendChildIbltBlob(const Iblt& sketch, uint64_t fingerprint,
                          ByteWriter* out) {
   sketch.SerializeFixed(out);
   out->PutU64(fingerprint);
+}
+
+void AppendChildIbltBlobs(const SetOfSets& children,
+                          const IbltConfig& child_config,
+                          std::span<const uint64_t> fingerprints,
+                          ByteWriter* out) {
+  assert(fingerprints.size() == children.size());
+  if (children.empty()) return;
+  out->Reserve(children.size() * ChildIbltBlobWidth(child_config));
+  Iblt sketch(child_config);
+  for (size_t i = 0; i < children.size(); ++i) {
+    sketch.Clear();
+    sketch.InsertBatch(children[i]);
+    AppendChildIbltBlob(sketch, fingerprints[i], out);
+  }
 }
 
 Result<ChildEncoding> ParseChildIbltBlob(const uint8_t* data, size_t size,

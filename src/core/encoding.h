@@ -2,6 +2,7 @@
 #define SETREC_CORE_ENCODING_H_
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -58,15 +59,24 @@ std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
                                          uint64_t fingerprint);
 
 /// The split form: serializes an already-built child sketch plus its
-/// fingerprint, appending ChildIbltBlobWidth bytes to `out`. Protocols that
-/// defer child-sketch builds into coalesced planner passes build all
-/// sketches first, then pack the blobs contiguously for one outer-table
-/// batch update. Byte-identical to EncodeChildIbltBlob of the same child.
-/// Packers pre-size `out` with ByteWriter::Reserve(children × blob width),
-/// taking both factors from their own set and the (clamped) table config,
-/// so each blob is written in place into one allocation.
+/// fingerprint, appending ChildIbltBlobWidth bytes to `out` in place.
+/// Byte-identical to EncodeChildIbltBlob of the same child.
 void AppendChildIbltBlob(const Iblt& sketch, uint64_t fingerprint,
                          ByteWriter* out);
+
+/// Packs the (child IBLT, fingerprint) blobs of every child contiguously,
+/// the layout the outer tables take as one batch of keys; fingerprints[i]
+/// belongs to children[i]. Reserves children × ChildIbltBlobWidth bytes
+/// once, then, for each child, clears ONE reused sketch, inserts the
+/// child's elements with InsertBatch and appends the blob in place — no
+/// per-child table, and the child inserts never pass through a
+/// ProtocolContext (they are the blob's contents, not a table the protocol
+/// keeps). Byte-identical to concatenating EncodeChildIbltBlob over the
+/// children.
+void AppendChildIbltBlobs(const SetOfSets& children,
+                          const IbltConfig& child_config,
+                          std::span<const uint64_t> fingerprints,
+                          ByteWriter* out);
 
 /// Parses a blob produced by EncodeChildIbltBlob. The (data, size) form
 /// reads straight out of a decode-view arena.

@@ -37,16 +37,16 @@ AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed) {
 /// Tries to recover Alice's child set behind `alice_enc` by decoding her
 /// child IBLT against `partner_sketch` (one of Bob's differing children, or
 /// an empty sketch) and applying the difference to `partner_set`. The
-/// decode goes through the zero-allocation u64 view path; ApplyDifference
-/// sorts its own working copies, so the views are consumed as decoded.
+/// difference is peeled in place in the scratch (the zero-allocation fused
+/// u64 view path); ApplyDifference sorts its own working copies, so the
+/// views are consumed as decoded.
 Result<ChildSet> TryRecoverChild(const ChildEncoding& alice_enc,
                                  const Iblt& partner_sketch,
                                  const ChildSet& partner_set,
                                  const HashFamily& fp_family,
                                  DecodeScratch* scratch) {
-  Iblt diff = alice_enc.sketch;
-  if (Status s = diff.Subtract(partner_sketch); !s.ok()) return s;
-  Result<IbltDecodeView64> decoded = diff.DecodeU64View(scratch);
+  Result<IbltDecodeView64> decoded =
+      alice_enc.sketch.DecodeDifferenceU64View(partner_sketch, scratch);
   if (!decoded.ok()) return decoded.status();
   ChildSet candidate = ApplyDifference(partner_set, decoded.value().positive,
                                        decoded.value().negative);
@@ -66,29 +66,21 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
   HashFamily fp_family(seed, /*tag=*/0x66703262ull);
   const AttemptConfigs configs = MakeConfigs(d, d_hat, seed);
 
-  // Encode every child, insert encodings into the outer table. Child
-  // sketches are built through the deferred planner pass (one tiny batch
-  // per child, coalesced across children and sessions), then the packed
-  // blobs land in the outer table as one batch. The whole message is
-  // memoized across sessions sharing Alice's set.
+  // Encode every child, insert encodings into the outer table. The child
+  // blobs are packed from one reused sketch, then land in the outer table
+  // as one batch (deferred to the planner under the service). The whole
+  // message is memoized across sessions sharing Alice's set.
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
       {kAttemptTag, d, d_hat, seed,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    std::vector<Iblt> sketches;
-    sketches.reserve(alice.size());
-    for (const ChildSet& child : alice) {
-      sketches.emplace_back(configs.child);
-      ctx->QueueInsertU64(&sketches.back(), child.data(), child.size());
-    }
-    co_await ctx->FlushBuilds();
-    ByteWriter packed;
-    packed.Reserve(alice.size() * configs.outer.key_width);
+    std::vector<uint64_t> fps(alice.size());
     for (size_t i = 0; i < alice.size(); ++i) {
-      AppendChildIbltBlob(sketches[i],
-                          ChildFingerprint(alice[i], fp_family), &packed);
+      fps[i] = ChildFingerprint(alice[i], fp_family);
     }
+    ByteWriter packed;
+    AppendChildIbltBlobs(alice, configs.child, fps, &packed);
     Iblt outer(configs.outer);
     ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
     co_await ctx->FlushBuilds();
@@ -133,22 +125,15 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   if (!received.ok()) co_return received.status();
   Iblt remote = std::move(received).value();
 
-  // Bob's own encodings, built the same deferred way as Alice's, erased
-  // from the outer table as one batch.
+  // Bob's own encodings, packed the same way as Alice's, erased from the
+  // outer table as one batch.
   const size_t blob_width = outer_config.key_width;
-  std::vector<Iblt> bob_sketches;
-  bob_sketches.reserve(bob.size());
-  for (const ChildSet& child : bob) {
-    bob_sketches.emplace_back(child_config);
-    ctx->QueueInsertU64(&bob_sketches.back(), child.data(), child.size());
-  }
-  co_await ctx->FlushBuilds();
-  ByteWriter bob_packed;
-  bob_packed.Reserve(bob.size() * blob_width);
+  std::vector<uint64_t> bob_fps(bob.size());
   for (size_t i = 0; i < bob.size(); ++i) {
-    AppendChildIbltBlob(bob_sketches[i],
-                        ChildFingerprint(bob[i], fp_family), &bob_packed);
+    bob_fps[i] = ChildFingerprint(bob[i], fp_family);
   }
+  ByteWriter bob_packed;
+  AppendChildIbltBlobs(bob, child_config, bob_fps, &bob_packed);
   ctx->QueueEraseBytes(&remote, bob_packed.bytes().data(), bob.size());
   co_await ctx->FlushBuilds();
 

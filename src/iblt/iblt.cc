@@ -42,10 +42,11 @@ void XorKeyScalar(uint64_t* dst, const uint8_t* key, size_t width) {
 }
 // LINT(end)
 
-// Sizing constant: cells per expected difference key. Theorem 2.1 promises
-// decode w.h.p. with m = O(d); k=4 peeling succeeds asymptotically above
-// ~1.3 cells/key, but small tables need slack, so we use 1.9 plus an
-// additive floor. bench_iblt (experiment E3) calibrates this empirically.
+// Sizing constants: cells = max(kMinCells, kCellsPerKey * d + 2k) for a
+// difference of d keys under k hashes. Theorem 2.1 promises decode w.h.p.
+// with m = O(d); k=4 peeling succeeds asymptotically above ~1.3 cells/key,
+// but small tables need slack, hence 2.0 cells/key plus the additive 2k and
+// the 16-cell floor. bench_iblt (experiment E3) calibrates this empirically.
 constexpr double kCellsPerKey = 2.0;
 constexpr size_t kMinCells = 16;
 
@@ -55,6 +56,24 @@ uint64_t ZigZag(int64_t v) {
 }
 int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
+/// Gathers a byte-mode peel of 8-byte keys into the scratch's u64 side
+/// vectors and returns the view over them. Each peeled key is exactly one
+/// lane of the output arena, so gathering by offset costs O(d) moves and no
+/// allocations once the scratch is warm.
+IbltDecodeView64 GatherU64(DecodeScratch* scratch) {
+  scratch->pos_u64.clear();
+  scratch->neg_u64.clear();
+  for (size_t off : scratch->pos_offsets) {
+    scratch->pos_u64.push_back(scratch->out_lanes[off]);
+  }
+  for (size_t off : scratch->neg_offsets) {
+    scratch->neg_u64.push_back(scratch->out_lanes[off]);
+  }
+  return IbltDecodeView64{
+      std::span<uint64_t>(scratch->pos_u64.data(), scratch->pos_u64.size()),
+      std::span<uint64_t>(scratch->neg_u64.data(), scratch->neg_u64.size())};
 }
 
 }  // namespace
@@ -135,6 +154,11 @@ void Iblt::EraseBatch(const std::vector<uint64_t>& keys) {
 }
 void Iblt::EraseBatch(const uint8_t* keys, size_t n) {
   ApplyBatchBytes(keys, n, -1, batch_options_);
+}
+
+void Iblt::Clear() {
+  std::fill(meta_.begin(), meta_.end(), IbltCellMeta{});
+  std::fill(key_lanes_.begin(), key_lanes_.end(), uint64_t{0});
 }
 
 // LINT(alloc-free) — per-(key, hash) math on the peel path: pure mixing
@@ -388,15 +412,19 @@ bool Iblt::CellIsZero(size_t cell) const {
   return true;
 }
 
-bool Iblt::PeelInto(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
-  assert(out_u64 == nullptr || config_.key_width == 8);
-  const int k = config_.num_hashes;
-
-  // Copy the table into the scratch; assign() reuses capacity (as does the
-  // output arena below), so a warm scratch makes the whole decode — byte
-  // keys included — allocation-free.
+void Iblt::LoadInto(DecodeScratch* scratch) const {
+  // assign() reuses capacity (as does the peel's output arena), so a warm
+  // scratch makes the whole decode — byte keys included — allocation-free.
   scratch->meta.assign(meta_.begin(), meta_.end());
   scratch->key_lanes.assign(key_lanes_.begin(), key_lanes_.end());
+}
+
+bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
+  assert(out_u64 == nullptr || config_.key_width == 8);
+  assert(scratch->meta.size() == cells_ &&
+         scratch->key_lanes.size() == key_lanes_.size());
+  const int k = config_.num_hashes;
+
   scratch->queued.assign(cells_, 0);
   scratch->queue.clear();
   scratch->out_lanes.clear();
@@ -516,7 +544,8 @@ IbltDecodeResult IbltDecodeView::Materialize() const {
 
 IbltPartialDecodeView Iblt::DecodePartial(DecodeScratch* scratch) const {
   IbltPartialDecodeView out;
-  out.complete = PeelInto(scratch, nullptr);
+  LoadInto(scratch);
+  out.complete = Peel(scratch, nullptr);
   out.entries = BuildViews(scratch);
   return out;
 }
@@ -528,7 +557,8 @@ IbltPartialDecode Iblt::DecodePartial() const {
 }
 
 Result<IbltDecodeView> Iblt::Decode(DecodeScratch* scratch) const {
-  if (!PeelInto(scratch, nullptr)) {
+  LoadInto(scratch);
+  if (!Peel(scratch, nullptr)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return BuildViews(scratch);
@@ -544,7 +574,8 @@ Result<IbltDecodeResult> Iblt::Decode() const {
 Result<IbltDecodeResult64> Iblt::DecodeU64(DecodeScratch* scratch) const {
   assert(config_.key_width == 8);
   IbltDecodeResult64 out;
-  if (!PeelInto(scratch, &out)) {
+  LoadInto(scratch);
+  if (!Peel(scratch, &out)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return out;
@@ -557,24 +588,39 @@ Result<IbltDecodeResult64> Iblt::DecodeU64() const {
 
 Result<IbltDecodeView64> Iblt::DecodeU64View(DecodeScratch* scratch) const {
   assert(config_.key_width == 8);
-  // Byte-mode peel: keys land lane-aligned in the output arena with their
-  // offsets recorded — for 8-byte keys each entry is exactly one lane, so
-  // gathering by offset into the reusable side vectors costs O(d) moves and
-  // no allocations once the scratch is warm.
-  if (!PeelInto(scratch, nullptr)) {
+  LoadInto(scratch);
+  if (!Peel(scratch, nullptr)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
-  scratch->pos_u64.clear();
-  scratch->neg_u64.clear();
-  for (size_t off : scratch->pos_offsets) {
-    scratch->pos_u64.push_back(scratch->out_lanes[off]);
+  return GatherU64(scratch);
+}
+
+Result<IbltDecodeView64> Iblt::DecodeDifferenceU64View(
+    const Iblt& other, DecodeScratch* scratch) const {
+  if (!(config_ == other.config_)) {
+    return InvalidArgument("IBLT difference decode: mismatched configs");
   }
-  for (size_t off : scratch->neg_offsets) {
-    scratch->neg_u64.push_back(scratch->out_lanes[off]);
+  assert(config_.key_width == 8);
+  // Load this - other straight into the work arrays: the same cell
+  // arithmetic as Subtract(), without the intermediate table.
+  scratch->meta.resize(cells_);
+  scratch->key_lanes.resize(key_lanes_.size());
+  IbltCellMeta* meta = scratch->meta.data();
+  uint64_t* lanes = scratch->key_lanes.data();
+  // LINT(alloc-free) — runs for every (child, partner) pair the set-of-sets
+  // protocols try; a warm scratch keeps the whole call off the heap.
+  for (size_t i = 0; i < cells_; ++i) {
+    meta[i].count = meta_[i].count - other.meta_[i].count;
+    meta[i].check = meta_[i].check ^ other.meta_[i].check;
   }
-  return IbltDecodeView64{
-      std::span<uint64_t>(scratch->pos_u64.data(), scratch->pos_u64.size()),
-      std::span<uint64_t>(scratch->neg_u64.data(), scratch->neg_u64.size())};
+  for (size_t i = 0; i < key_lanes_.size(); ++i) {
+    lanes[i] = key_lanes_[i] ^ other.key_lanes_[i];
+  }
+  // LINT(end)
+  if (!Peel(scratch, nullptr)) {
+    return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
+  }
+  return GatherU64(scratch);
 }
 
 bool Iblt::IsZero() const {

@@ -227,14 +227,16 @@ struct IbltCellMeta {
 };
 
 /// Reusable peeling workspace. Decoding copies the table (counts, checksums,
-/// key lanes) into this scratch and peels the copy; after the first decode
-/// warms the vectors up, subsequent decodes through the same scratch are
-/// fully allocation-free (vector::assign and the output arena reuse
-/// capacity) — for byte keys as well as u64 keys. One scratch may be shared
-/// across tables of *different* configs — each decode resizes it — which is
-/// exactly what the cascading protocol's many child-IBLT decodes and the
-/// strata estimator's per-stratum decodes need. A scratch carries no table
-/// state between decodes; it must not be used by two decodes concurrently.
+/// key lanes) into this scratch — or, for Iblt::DecodeDifferenceU64View,
+/// the cell-wise difference of two tables — and peels the copy; after the
+/// first decode warms the vectors up, subsequent decodes through the same
+/// scratch are fully allocation-free (vector::assign/resize and the output
+/// arena reuse capacity) — for byte keys as well as u64 keys. One scratch
+/// may be shared across tables of *different* configs — each decode resizes
+/// it — which is exactly what the cascading protocol's many child-IBLT
+/// decodes and the strata estimator's per-stratum decodes need. A scratch
+/// carries no table state between decodes; it must not be used by two
+/// decodes concurrently.
 ///
 /// The scratch also OWNS the decoded keys of the view-returning overloads:
 /// peeled byte keys land lane-aligned in `out_lanes`, and the IbltKeyView
@@ -334,6 +336,13 @@ class Iblt {
   void EraseBatch(const std::vector<uint64_t>& keys);
   void EraseBatch(const uint8_t* keys, size_t n);
 
+  /// Zeroes every cell and keeps the storage and config, so one table can
+  /// sketch many key sets in turn: Clear() then inserts gives exactly the
+  /// cells a fresh Iblt(config()) would. The child-blob packer
+  /// (AppendChildIbltBlobs in core/encoding.h) reuses one sketch this way
+  /// for every child of a level.
+  void Clear();
+
   /// Cell-wise subtraction: this -= other. After Alice's table is
   /// subtracted by Bob's, only the symmetric difference remains.
   Status Subtract(const Iblt& other);
@@ -362,6 +371,17 @@ class Iblt {
   /// performs zero heap allocations — the u64 counterpart of the byte-key
   /// Decode(scratch) path. Requires key_width == 8.
   Result<IbltDecodeView64> DecodeU64View(DecodeScratch* scratch) const;
+  /// Fused difference decode: loads (*this - other) cell by cell straight
+  /// into the scratch and peels it, so the set-of-sets protocols can try a
+  /// child sketch against each partner without materializing the
+  /// difference table. Returns exactly what `Iblt d = *this;
+  /// d.Subtract(other); d.DecodeU64View(scratch)` returns — same status,
+  /// same keys in the same (deterministic peel) order — and
+  /// kInvalidArgument when the configs differ. Same view lifetime and
+  /// warm-scratch zero-allocation guarantee as DecodeU64View. Requires
+  /// key_width == 8.
+  Result<IbltDecodeView64> DecodeDifferenceU64View(
+      const Iblt& other, DecodeScratch* scratch) const;
 
   /// Peels as far as possible and reports completeness instead of failing.
   /// Same owning-vs-view split as Decode().
@@ -535,10 +555,16 @@ class Iblt {
                            const uint8_t* byte_keys, size_t n, int32_t delta,
                            int first_index, int index_step);
 
-  /// Shared peeling core. In u64 mode (out_u64 != nullptr) decoded keys go
-  /// to out_u64's vectors; in byte mode they are appended lane-aligned to
-  /// scratch->out_lanes with their offsets recorded in pos/neg_offsets.
-  bool PeelInto(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const;
+  /// Decoding is load + peel. LoadInto copies this table's cells into the
+  /// scratch work arrays (DecodeDifferenceU64View loads a difference
+  /// instead); Peel then runs the one shared peeling loop over the loaded
+  /// cells, which must have this table's config. In u64 mode
+  /// (out_u64 != nullptr) decoded keys go to out_u64's vectors; in byte
+  /// mode they are appended lane-aligned to scratch->out_lanes with their
+  /// offsets recorded in pos/neg_offsets. Returns true iff the work arrays
+  /// drained to all-zero cells.
+  void LoadInto(DecodeScratch* scratch) const;
+  bool Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const;
   /// Builds the IbltKeyView arrays over scratch->out_lanes after a byte-mode
   /// peel (deferred so arena growth during the peel cannot dangle views).
   IbltDecodeView BuildViews(DecodeScratch* scratch) const;

@@ -218,10 +218,12 @@ uint64_t HashTranscript(const Channel& channel);
 ///   3. resumes every runnable session until it parks at a round boundary
 ///      (SendAwaiter) or a sketch-build barrier (BuildBarrier) or finishes,
 ///   4. repeatedly FLUSHES the batch planner: all queued sketch-build ops —
-///      child-IBLT encodes, outer-table updates, estimator updates, from
-///      every parked session — are applied as one coalesced
-///      Iblt::ApplyOps pass, and the owning sessions are resumed with their
-///      sketches built (the scatter-back). The loop runs until every live
+///      outer- and star-table updates, multiround fingerprint tables,
+///      estimator updates, from every parked session — are applied as one
+///      coalesced Iblt::ApplyOps pass, and the owning sessions are resumed
+///      with their sketches built (the scatter-back). Child-IBLT blobs are
+///      not planner ops: a session packs them inline from one reused
+///      sketch (AppendChildIbltBlobs). The loop runs until every live
 ///      session is parked at a round boundary.
 ///
 /// THREAD MODEL: one SyncService is owned by exactly one driving thread

@@ -187,6 +187,120 @@ TEST(IbltViewTest, WarmU64ViewDecodeIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "warm u64 view decode must not hit the allocator";
 }
 
+/// Runs the fused a - b decode and the three-step copy + Subtract +
+/// DecodeU64View path, checks they agree in status code and element by
+/// element (the peel order is deterministic), and returns the fused status.
+Status ExpectDifferenceDecodeMatchesThreeStep(const Iblt& a, const Iblt& b) {
+  DecodeScratch fused_scratch;
+  Result<IbltDecodeView64> fused =
+      a.DecodeDifferenceU64View(b, &fused_scratch);
+
+  Iblt diff = a;
+  Status subtracted = diff.Subtract(b);
+  EXPECT_TRUE(subtracted.ok()) << subtracted.ToString();
+  DecodeScratch step_scratch;
+  Result<IbltDecodeView64> stepwise = diff.DecodeU64View(&step_scratch);
+
+  EXPECT_EQ(fused.status().code(), stepwise.status().code());
+  if (fused.ok() && stepwise.ok()) {
+    IbltDecodeResult64 f = fused.value().Materialize();
+    IbltDecodeResult64 s = stepwise.value().Materialize();
+    EXPECT_EQ(f.positive, s.positive);
+    EXPECT_EQ(f.negative, s.negative);
+  }
+  return fused.status();
+}
+
+TEST(IbltViewTest, DifferenceDecodeMatchesSubtractThenDecode) {
+  // A child-sized sketch, as the set-of-sets protocols build them.
+  const IbltConfig config = IbltConfig::ForDifference(8, 4242);
+  Rng rng(99);
+  std::vector<uint64_t> keys(40);
+  for (uint64_t& key : keys) key = rng.NextU64();
+
+  Iblt a(config);
+  a.InsertBatch(keys);
+
+  // Near partner: 3 of a's keys missing, 2 foreign keys — decodes.
+  Iblt near(config);
+  near.InsertBatch(keys.data() + 3, keys.size() - 3);
+  near.InsertU64(rng.NextU64());
+  near.InsertU64(rng.NextU64());
+  Status near_status = ExpectDifferenceDecodeMatchesThreeStep(a, near);
+  EXPECT_TRUE(near_status.ok()) << near_status.ToString();
+
+  // Unrelated partner: 80 keys of difference in a table sized for 8.
+  Iblt unrelated(config);
+  for (int i = 0; i < 40; ++i) unrelated.InsertU64(rng.NextU64());
+  EXPECT_EQ(ExpectDifferenceDecodeMatchesThreeStep(a, unrelated).code(),
+            StatusCode::kDecodeFailure);
+
+  // Empty partner: a small sketch decodes against it to its own keys.
+  Iblt small(config);
+  small.InsertBatch(keys.data(), 5);
+  const Iblt empty(config);
+  Status empty_status = ExpectDifferenceDecodeMatchesThreeStep(small, empty);
+  EXPECT_TRUE(empty_status.ok()) << empty_status.ToString();
+  DecodeScratch scratch;
+  Result<IbltDecodeView64> own = small.DecodeDifferenceU64View(empty, &scratch);
+  ASSERT_TRUE(own.ok());
+  EXPECT_EQ(own.value().positive.size(), 5u);
+  EXPECT_TRUE(own.value().negative.empty());
+
+  // Identical tables: the difference is empty.
+  const Iblt copy = a;
+  EXPECT_TRUE(ExpectDifferenceDecodeMatchesThreeStep(a, copy).ok());
+  Result<IbltDecodeView64> none = a.DecodeDifferenceU64View(copy, &scratch);
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none.value().positive.empty());
+  EXPECT_TRUE(none.value().negative.empty());
+
+  // Mismatched configs are rejected, not decoded.
+  IbltConfig other_seed = config;
+  other_seed.seed ^= 1;
+  EXPECT_EQ(a.DecodeDifferenceU64View(Iblt(other_seed), &scratch)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(a.DecodeDifferenceU64View(
+                 Iblt(IbltConfig::ForDifference(16, 4242)), &scratch)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(IbltViewTest, WarmDifferenceDecodeIsAllocationFree) {
+  IbltConfig config = IbltConfig::ForDifference(64, 321);
+  Rng rng(11);
+  Iblt a(config);
+  Iblt b(config);
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t shared = rng.NextU64();
+    a.InsertU64(shared);
+    b.InsertU64(shared);
+  }
+  for (int i = 0; i < 32; ++i) a.InsertU64(rng.NextU64());
+  for (int i = 0; i < 16; ++i) b.InsertU64(rng.NextU64());
+
+  DecodeScratch scratch;
+  Result<IbltDecodeView64> warmup = a.DecodeDifferenceU64View(b, &scratch);
+  ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
+  ASSERT_EQ(warmup.value().positive.size(), 32u);
+  ASSERT_EQ(warmup.value().negative.size(), 16u);
+
+  size_t allocs;
+  {
+    AllocationWindow window;
+    Result<IbltDecodeView64> decoded = a.DecodeDifferenceU64View(b, &scratch);
+    allocs = window.count();
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value().positive.size(), 32u);
+    EXPECT_EQ(decoded.value().negative.size(), 16u);
+  }
+  EXPECT_EQ(allocs, 0u)
+      << "warm fused difference decode must not hit the allocator";
+}
+
 TEST(IbltKeyViewTest, TransparentMapLookup) {
   std::map<std::vector<uint8_t>, int, KeyBytesLess> m;
   m[{1, 2, 3}] = 1;

@@ -4,6 +4,7 @@
 
 #include "core/encoding.h"
 #include "core/workload.h"
+#include "hashing/random.h"
 #include "setrec/multiset_codec.h"
 
 namespace setrec {
@@ -115,6 +116,36 @@ TEST(ChildIbltBlobTest, RoundTrip) {
   Result<IbltDecodeResult64> decoded = enc.value().sketch.DecodeU64();
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value().positive.size(), 3u);
+}
+
+TEST(ChildIbltBlobTest, PackedBlobsMatchPerChildEncoding) {
+  // A full child, then an empty one (residue from an incomplete Clear would
+  // show in the empty child's blob), a small one, and one of more than
+  // Iblt::kSmallBatchMaxKeys elements (the heap-hash batch path).
+  Rng rng(2024);
+  auto random_child = [&rng](size_t n) {
+    ChildSet child(n);
+    for (uint64_t& x : child) x = rng.NextU64() >> 4;
+    return child;
+  };
+  const SetOfSets children = {random_child(40), {}, random_child(3),
+                              random_child(Iblt::kSmallBatchMaxKeys + 72)};
+  ASSERT_GT(children.back().size(), Iblt::kSmallBatchMaxKeys);
+  const std::vector<uint64_t> fps = {0x1111, 0x2222, 0x3333, 0x4444};
+
+  for (const IbltConfig& config :
+       {IbltConfig::ForDifference(4, 99), IbltConfig::ForDifference(50, 7)}) {
+    std::vector<uint8_t> expected = {0xee};  // Packing appends.
+    for (size_t i = 0; i < children.size(); ++i) {
+      std::vector<uint8_t> blob =
+          EncodeChildIbltBlob(children[i], config, fps[i]);
+      expected.insert(expected.end(), blob.begin(), blob.end());
+    }
+    ByteWriter packed;
+    packed.PutU8(0xee);
+    AppendChildIbltBlobs(children, config, fps, &packed);
+    EXPECT_EQ(packed.bytes(), expected) << "cells=" << config.cells;
+  }
 }
 
 TEST(WorkloadTest, AppliesRequestedChanges) {

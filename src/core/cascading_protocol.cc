@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <unordered_set>
 
 #include "core/build_context.h"
@@ -230,6 +229,9 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   for (size_t j = 0; j < bob.size(); ++j) {
     bob_fps[j] = ChildFingerprint(bob[j], fp_family);
   }
+  // Every level's blob ends in the same child fingerprint, so one index
+  // maps each level's decoded negatives back to Bob's children.
+  const ChildFingerprintIndex bob_index(bob_fps);
   // Outer/star decode views live in the pooled slot-0 scratch and are
   // iterated while the nested per-child decodes churn slot 1; the split
   // keeps the views valid (one scratch would be invalidated by the first
@@ -243,7 +245,7 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     const size_t blob_width = plan.outer_configs[level].key_width;
     Iblt& outer = outer_tables[level];
 
-    // Bob's level-i encodings (all children, for the blob map and the
+    // Bob's level-i encodings (all children, for the index lookups and the
     // partners below).
     ByteWriter bob_packed;
     AppendChildIbltBlobs(bob, child_config, bob_fps, &bob_packed);
@@ -264,19 +266,13 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     ctx->QueueEraseBytes(&outer, erase_packed.bytes().data(), erase_count);
     co_await ctx->FlushBuilds();
 
-    std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
-    for (size_t j = 0; j < bob.size(); ++j) {
-      blob_to_child.emplace(
-          IbltKeyView{bob_packed.bytes().data() + j * blob_width, blob_width},
-          j);
-    }
-
     IbltPartialDecodeView decoded = outer.DecodePartial(outer_scratch);
 
     // Negative encodings expose Bob children that differ from Alice's.
     for (const IbltKeyView& blob : decoded.entries.negative) {
-      auto it = blob_to_child.find(blob);
-      if (it != blob_to_child.end()) in_db[it->second] = true;
+      std::optional<size_t> j =
+          bob_index.FindBlob(blob, bob_packed.bytes().data());
+      if (j) in_db[*j] = true;
       // Unknown negatives are decode noise; later verification catches it.
     }
 
@@ -328,17 +324,11 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     ctx->QueueEraseBytes(&star, star_packed.bytes().data(),
                          bob.size() + da.size());
     co_await ctx->FlushBuilds();
-    std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
-    for (size_t j = 0; j < bob.size(); ++j) {
-      blob_to_child.emplace(
-          IbltKeyView{star_packed.bytes().data() + j * blob_width, blob_width},
-          j);
-    }
     IbltPartialDecodeView decoded = star.DecodePartial(outer_scratch);
-    for (const IbltKeyView& blob : decoded.entries.negative) {
-      auto it = blob_to_child.find(blob);
-      if (it != blob_to_child.end()) in_db[it->second] = true;
-    }
+    // T* blobs carry no fingerprint: Bob's blobs are looked up among the
+    // sorted negatives instead.
+    MarkDecodedNegatives(decoded.entries.negative, star_packed.bytes().data(),
+                         blob_width, bob.size(), &in_db);
     for (const IbltKeyView& blob : decoded.entries.positive) {
       Result<ChildSet> child = DecodeChildBlob(blob, h);
       if (!child.ok()) continue;
@@ -350,17 +340,17 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     }
   }
 
-  SetOfSets recovered;
-  recovered.reserve(bob.size() + da.size());
-  for (size_t j = 0; j < bob.size(); ++j) {
-    if (!in_db[j]) recovered.push_back(bob[j]);
+  std::vector<RecoveredChild> recovered;
+  recovered.reserve(da.size());
+  for (size_t k = 0; k < da.size(); ++k) {
+    recovered.push_back({std::move(da[k]), da_fps[k]});
   }
-  for (ChildSet& child : da) recovered.push_back(std::move(child));
-  recovered = Canonicalize(std::move(recovered));
-  if (ParentFingerprint(recovered, fp_family) != alice_parent_fp) {
+  AssembledParent assembled =
+      AssembleParent(bob, bob_fps, in_db, std::move(recovered), fp_family);
+  if (assembled.fingerprint != alice_parent_fp) {
     co_return VerificationFailure("cascade: parent fingerprint mismatch");
   }
-  co_return recovered;
+  co_return std::move(assembled.parent);
 }
 
 Task<Status> CascadingProtocol::ReconcileAsyncAlice(

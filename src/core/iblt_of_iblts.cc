@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "core/build_context.h"
 #include "core/encoding.h"
@@ -127,7 +126,6 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
 
   // Bob's own encodings, packed the same way as Alice's, erased from the
   // outer table as one batch.
-  const size_t blob_width = outer_config.key_width;
   std::vector<uint64_t> bob_fps(bob.size());
   for (size_t i = 0; i < bob.size(); ++i) {
     bob_fps[i] = ChildFingerprint(bob[i], fp_family);
@@ -137,15 +135,9 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   ctx->QueueEraseBytes(&remote, bob_packed.bytes().data(), bob.size());
   co_await ctx->FlushBuilds();
 
-  // Bob's encodings keyed by blob so decoded negatives map back to his
-  // concrete child sets; probed with decode views via the transparent
-  // comparator.
-  std::map<IbltKeyView, size_t, KeyBytesLess> blob_to_child;
-  for (size_t i = 0; i < bob.size(); ++i) {
-    blob_to_child.emplace(
-        IbltKeyView{bob_packed.bytes().data() + i * blob_width, blob_width},
-        i);
-  }
+  // Decoded negatives map back to Bob's concrete children through the
+  // fingerprints every blob ends in, confirmed against Bob's packed blobs.
+  const ChildFingerprintIndex bob_index(bob_fps);
 
   // Two pooled scratches: slot 0 owns the outer-table decode views, which
   // must stay valid while the child decodes below churn slot 1 (one scratch
@@ -164,22 +156,22 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   std::vector<Partner> partners;
   std::vector<bool> in_db(bob.size(), false);
   for (const IbltKeyView& blob : decoded.value().negative) {
-    auto it = blob_to_child.find(blob);
-    if (it == blob_to_child.end()) {
-      co_return VerificationFailure("iblt2: unknown negative encoding");
-    }
+    std::optional<size_t> j =
+        bob_index.FindBlob(blob, bob_packed.bytes().data());
+    if (!j) co_return VerificationFailure("iblt2: unknown negative encoding");
     Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
     if (!enc.ok()) co_return enc.status();
-    in_db[it->second] = true;
-    partners.push_back(Partner{std::move(enc).value(), &bob[it->second]});
+    in_db[*j] = true;
+    partners.push_back(Partner{std::move(enc).value(), &bob[*j]});
   }
   // A fresh child of Alice's may have no close partner; pairing against the
   // empty set recovers it when it has at most ~d elements.
   const ChildSet empty_set;
   const Iblt empty_sketch(child_config);
 
-  // D_A: recover each of Alice's differing children.
-  SetOfSets recovered_children;
+  // D_A: recover each of Alice's differing children, keeping the
+  // fingerprint each one was verified against.
+  std::vector<RecoveredChild> recovered;
   for (const IbltKeyView& blob : decoded.value().positive) {
     Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
     if (!enc_r.ok()) co_return enc_r.status();
@@ -190,7 +182,7 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
           TryRecoverChild(enc, partner.encoding.sketch, *partner.set,
                           fp_family, child_scratch);
       if (child.ok()) {
-        recovered_children.push_back(std::move(child).value());
+        recovered.push_back({std::move(child).value(), enc.fingerprint});
         ok = true;
         break;
       }
@@ -199,7 +191,7 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
       Result<ChildSet> child = TryRecoverChild(enc, empty_sketch, empty_set,
                                                fp_family, child_scratch);
       if (child.ok()) {
-        recovered_children.push_back(std::move(child).value());
+        recovered.push_back({std::move(child).value(), enc.fingerprint});
         ok = true;
       }
     }
@@ -208,19 +200,12 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
     }
   }
 
-  SetOfSets recovered;
-  recovered.reserve(bob.size() + recovered_children.size());
-  for (size_t i = 0; i < bob.size(); ++i) {
-    if (!in_db[i]) recovered.push_back(bob[i]);
-  }
-  for (ChildSet& child : recovered_children) {
-    recovered.push_back(std::move(child));
-  }
-  recovered = Canonicalize(std::move(recovered));
-  if (ParentFingerprint(recovered, fp_family) != alice_parent_fp) {
+  AssembledParent assembled =
+      AssembleParent(bob, bob_fps, in_db, std::move(recovered), fp_family);
+  if (assembled.fingerprint != alice_parent_fp) {
     co_return VerificationFailure("iblt2: parent fingerprint mismatch");
   }
-  co_return recovered;
+  co_return std::move(assembled.parent);
 }
 
 Task<Status> IbltOfIbltsProtocol::ReconcileAsyncAlice(

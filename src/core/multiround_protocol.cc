@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 #include "charpoly/charpoly_reconciler.h"
 #include "core/build_context.h"
@@ -139,15 +138,12 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
     bob_estimators.push_back(std::move(est).value());
   }
 
-  std::unordered_map<uint64_t, size_t> alice_fp_to_child;
-  for (size_t i = 0; i < alice.size(); ++i) {
-    if (!alice_fp_to_child.emplace(alice_fps[i], i).second) {
-      // Retriable with fresh coins: tell Bob in the msg3 slot.
-      co_return co_await SendVerdict(
-          ctx, channel, Party::kAlice,
-          VerificationFailure("mr: duplicate child fingerprint (Alice)"),
-          next);
-    }
+  const ChildFingerprintIndex alice_index(alice_fps);
+  if (alice_index.HasDuplicate()) {
+    // Retriable with fresh coins: tell Bob in the msg3 slot.
+    co_return co_await SendVerdict(
+        ctx, channel, Party::kAlice,
+        VerificationFailure("mr: duplicate child fingerprint (Alice)"), next);
   }
 
   struct Plan {
@@ -165,15 +161,15 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
   alice_diff_children.reserve(alice_diff_fps_rx.size());
   mine_ests.reserve(alice_diff_fps_rx.size());
   for (uint64_t fp : alice_diff_fps_rx) {
-    auto it = alice_fp_to_child.find(fp);
-    if (it == alice_fp_to_child.end()) {
+    std::optional<size_t> i = alice_index.Find(fp);
+    if (!i) {
       co_return co_await SendVerdict(
           ctx, channel, Party::kAlice,
           VerificationFailure("mr: unknown Alice-side fingerprint"), next);
     }
-    alice_diff_children.push_back(it->second);
+    alice_diff_children.push_back(*i);
     mine_ests.emplace_back(est_params);
-    const ChildSet& child = alice[it->second];
+    const ChildSet& child = alice[*i];
     mine_ests.back().UpdateBatch(child.data(), child.size(), 1);
   }
 
@@ -332,16 +328,12 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
   // decodes here return owning vectors, so holding it across round yields
   // is safe — a scratch carries no state between decodes).
   DecodeScratch* scratch = ctx->Scratch(0);
-  std::unordered_map<uint64_t, size_t> bob_fp_to_child;
-  std::vector<uint64_t> bob_fps;
-  bob_fps.reserve(bob.size());
-  bool duplicate_bob_fp = false;
+  std::vector<uint64_t> bob_fps(bob.size());
   for (size_t j = 0; j < bob.size(); ++j) {
-    uint64_t fp = ChildFingerprint(bob[j], fp_family);
-    bob_fps.push_back(fp);
-    if (!bob_fp_to_child.emplace(fp, j).second) duplicate_bob_fp = true;
+    bob_fps[j] = ChildFingerprint(bob[j], fp_family);
   }
-  if (duplicate_bob_fp) {
+  const ChildFingerprintIndex bob_index(bob_fps);
+  if (bob_index.HasDuplicate()) {
     // Retriable with fresh coins: tell Alice in the msg2 slot.
     co_return co_await SendVerdict(
         ctx, channel, Party::kBob,
@@ -368,14 +360,14 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
   bob_diff_ests.reserve(bob_diff_fps.size());
   bool unknown_bob_fp = false;
   for (uint64_t fp : bob_diff_fps) {
-    auto it = bob_fp_to_child.find(fp);
-    if (it == bob_fp_to_child.end()) {
+    std::optional<size_t> j = bob_index.Find(fp);
+    if (!j) {
       unknown_bob_fp = true;
       break;
     }
-    bob_diff_children.push_back(it->second);
+    bob_diff_children.push_back(*j);
     bob_diff_ests.emplace_back(est_params);
-    const ChildSet& bob_child = bob[it->second];
+    const ChildSet& bob_child = bob[*j];
     bob_diff_ests.back().UpdateBatch(bob_child.data(), bob_child.size(), 2);
   }
   if (unknown_bob_fp) {
@@ -414,7 +406,7 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
   // Recovery; failures settle in the msg4 verdict slot (parse errors as
   // aborts — replaying the attempt cannot fix a malformed message).
   Status fail = Status::Ok();
-  SetOfSets da;
+  std::vector<RecoveredChild> da;
   {
     ByteReader r3(m3.payload);
     uint64_t num_entries = 0;
@@ -505,7 +497,7 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
         fail = VerificationFailure("mr: child fingerprint mismatch");
         break;
       }
-      da.push_back(std::move(candidate));
+      da.push_back({std::move(candidate), fp});
     }
   }
 
@@ -513,15 +505,12 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
   if (fail.ok()) {
     std::vector<bool> in_db(bob.size(), false);
     for (size_t j : bob_diff_children) in_db[j] = true;
-    recovered.reserve(bob.size() + da.size());
-    for (size_t j = 0; j < bob.size(); ++j) {
-      if (!in_db[j]) recovered.push_back(bob[j]);
-    }
-    for (ChildSet& child : da) recovered.push_back(std::move(child));
-    recovered = Canonicalize(std::move(recovered));
-    if (ParentFingerprint(recovered, fp_family) != alice_parent_fp) {
+    AssembledParent assembled =
+        AssembleParent(bob, bob_fps, in_db, std::move(da), fp_family);
+    if (assembled.fingerprint != alice_parent_fp) {
       fail = VerificationFailure("mr: parent fingerprint mismatch");
     }
+    recovered = std::move(assembled.parent);
   }
 
   if (!fail.ok() && fail.code() == StatusCode::kParseError) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 
 #include "core/build_context.h"
 #include "core/encoding.h"
@@ -120,33 +119,31 @@ Task<Result<SetOfSets>> NaiveProtocol::AttemptBob(
   Result<IbltDecodeView> decoded = remote.Decode(scratch);
   if (!decoded.ok()) co_return decoded.status();
 
-  // Positive blobs are Alice-only children; negatives are Bob-only. The
-  // multimap is keyed by views (no materialization) and probed with Bob's
-  // owned encodings via the transparent comparator.
-  std::map<IbltKeyView, int, KeyBytesLess> to_remove;
-  for (const IbltKeyView& blob : decoded.value().negative) to_remove[blob] += 1;
-
-  SetOfSets recovered;
-  recovered.reserve(bob.size() + decoded.value().positive.size());
+  // Positive blobs are Alice-only children; negatives are Bob-only. Direct
+  // blobs carry no fingerprint, so Bob's blobs are looked up among the
+  // sorted negative views (no materialization), each negative dropping one
+  // child.
+  std::vector<bool> dropped(bob.size(), false);
+  MarkDecodedNegatives(decoded.value().negative, bob_packed.data(), width,
+                       bob.size(), &dropped);
+  std::vector<uint64_t> bob_fps(bob.size());
   for (size_t i = 0; i < bob.size(); ++i) {
-    IbltKeyView blob{bob_packed.data() + i * width, width};
-    auto it = to_remove.find(blob);
-    if (it != to_remove.end() && it->second > 0) {
-      it->second -= 1;
-      continue;
-    }
-    recovered.push_back(bob[i]);
+    if (!dropped[i]) bob_fps[i] = ChildFingerprint(bob[i], fp_family);
   }
+  std::vector<RecoveredChild> recovered;
+  recovered.reserve(decoded.value().positive.size());
   for (const IbltKeyView& blob : decoded.value().positive) {
     Result<ChildSet> child = DecodeChildBlob(blob, h);
     if (!child.ok()) co_return child.status();
-    recovered.push_back(std::move(child).value());
+    const uint64_t fp = ChildFingerprint(child.value(), fp_family);
+    recovered.push_back({std::move(child).value(), fp});
   }
-  recovered = Canonicalize(std::move(recovered));
-  if (ParentFingerprint(recovered, fp_family) != alice_fp) {
+  AssembledParent assembled =
+      AssembleParent(bob, bob_fps, dropped, std::move(recovered), fp_family);
+  if (assembled.fingerprint != alice_fp) {
     co_return VerificationFailure("naive: recovered parent fingerprint mismatch");
   }
-  co_return recovered;
+  co_return std::move(assembled.parent);
 }
 
 Task<Status> NaiveProtocol::ReconcileAsyncAlice(const SetOfSets& alice,

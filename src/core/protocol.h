@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/task.h"
@@ -138,9 +140,11 @@ class SetsOfSetsProtocol {
 /// NormalizeParentMultiset for multiset parents.)
 SetOfSets Canonicalize(SetOfSets sets);
 
-/// Order-invariant fingerprint of a parent set (canonicalized internally):
-/// the sum-based SetFingerprint of the child fingerprints, so it is also
-/// multiplicity-sensitive.
+/// Order-invariant fingerprint of a parent set: the sum-based SetFingerprint
+/// of the child fingerprints, taken over the children exactly as given. It
+/// does NOT canonicalize: a repeated child counts twice and an unsorted
+/// child hashes as its raw elements, so callers fingerprint canonical sets
+/// (ValidateSetOfSets admits no repeated child).
 uint64_t ParentFingerprint(const SetOfSets& sets, const HashFamily& family);
 
 /// Per-child fingerprint (the paper's "O(log s)-bit pairwise independent
@@ -150,9 +154,82 @@ uint64_t ChildFingerprint(const ChildSet& child, const HashFamily& family);
 /// Total number of elements across all children (the paper's n).
 size_t TotalElements(const SetOfSets& sets);
 
-/// Checks elements are within the library's element space and children are
-/// sorted/unique and no larger than params.max_child_size (if set).
+/// Checks elements are within the library's element space, children are
+/// sorted/unique and no larger than params.max_child_size (if set), and no
+/// child appears twice (repeated children are not representable; see
+/// NormalizeParentMultiset). The parent itself may be in any order.
 Status ValidateSetOfSets(const SetOfSets& sets, const SsrParams& params);
+
+/// Bob's own children indexed by fingerprint: one flat vector of (child
+/// fingerprint, child index) pairs, sorted once per attempt. Decoded
+/// negatives map back to Bob's children through a binary search, and the
+/// index costs one allocation however many children Bob holds.
+class ChildFingerprintIndex {
+ public:
+  /// Indexes child i under fingerprints[i].
+  explicit ChildFingerprintIndex(std::span<const uint64_t> fingerprints);
+
+  /// True when two indexed children share a fingerprint.
+  bool HasDuplicate() const;
+
+  /// A child whose fingerprint is `fp` (the lowest index), or nullopt.
+  std::optional<size_t> Find(uint64_t fp) const;
+
+  /// The child whose packed blob equals `blob` byte for byte, or nullopt.
+  /// `packed` holds one blob.size-byte blob per indexed child, in child
+  /// order, each ending in that child's 8-byte fingerprint: the (child
+  /// IBLT, fingerprint) encodings of core/encoding.h. The blob's trailing
+  /// fingerprint picks the candidates and a whole-blob compare confirms
+  /// one; a fingerprint match alone never selects a child. Allocation-free.
+  std::optional<size_t> FindBlob(const IbltKeyView& blob,
+                                 const uint8_t* packed) const;
+
+ private:
+  std::vector<std::pair<uint64_t, size_t>> entries_;  // Sorted.
+};
+
+/// For blobs that carry no fingerprint (naive's direct child blobs,
+/// cascade's T* blobs): sorts the decoded `negatives` once and looks each
+/// of Bob's `count` packed blobs (`width` bytes apiece, child order) up
+/// among them, setting (*drop)[i] for a match. Bob's blobs are distinct
+/// (ValidateSetOfSets admits no repeated child, and a direct blob encodes
+/// its child exactly), so each negative drops at most one child.
+void MarkDecodedNegatives(std::span<const IbltKeyView> negatives,
+                          const uint8_t* packed, size_t width, size_t count,
+                          std::vector<bool>* drop);
+
+/// One of Alice's children as Bob recovered it, with the fingerprint Bob
+/// verified it against: ChildFingerprint(set) over the elements as
+/// received.
+struct RecoveredChild {
+  ChildSet set;
+  uint64_t fingerprint = 0;
+};
+
+/// Bob's recovered parent and the fingerprint to check against Alice's.
+struct AssembledParent {
+  SetOfSets parent;
+  uint64_t fingerprint = 0;
+};
+
+/// The last step of Bob's attempt in every protocol. Returns
+/// Canonicalize(kept + recovered), where kept is every bob[i] with
+/// !drop[i], together with that set's ParentFingerprint — built from the
+/// fingerprints in hand instead of re-hashing every child.
+///
+/// Preconditions: bob passes ValidateSetOfSets, and bob_fps[i] is
+/// ChildFingerprint(bob[i]) for every kept i (dropped entries are unread).
+///
+/// One merge: Bob's kept children in order (checked with one O(s) pass;
+/// an index sort when Bob's parent is unsorted) against the recovered
+/// children, sorted in place, dropping equal neighbours. A recovered child
+/// that is not strictly increasing is canonicalized and re-fingerprinted;
+/// every other fingerprint is reused.
+AssembledParent AssembleParent(const SetOfSets& bob,
+                               std::span<const uint64_t> bob_fps,
+                               const std::vector<bool>& drop,
+                               std::vector<RecoveredChild> recovered,
+                               const HashFamily& family);
 
 /// d-hat: the bound on differing child sets, min(d, s) per Section 3.1.
 size_t DHat(size_t d, const SsrParams& params);

@@ -162,9 +162,10 @@ inline bool operator==(const IbltKeyView& a, const std::vector<uint8_t>& b) {
 }
 
 /// Transparent lexicographic comparator over byte-string keys, accepting
-/// both owned blobs (std::vector<uint8_t>) and IbltKeyView. Protocol maps
-/// keyed by owned encodings can be probed with decode views directly — no
-/// per-lookup materialization:
+/// both owned blobs (std::vector<uint8_t>) and IbltKeyView, so decode views
+/// sort and search without per-key materialization. The protocols sort
+/// decoded negative views with it (core/protocol.h, MarkDecodedNegatives);
+/// containers keyed by owned blobs can be probed with views directly:
 ///   std::map<std::vector<uint8_t>, T, KeyBytesLess> m;
 ///   m.find(view);  // heterogeneous, allocation-free
 struct KeyBytesLess {

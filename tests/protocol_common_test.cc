@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+
 #include "core/encoding.h"
 #include "core/workload.h"
 #include "hashing/random.h"
@@ -67,6 +71,180 @@ TEST(ValidateSetOfSetsTest, AcceptsMarkers) {
   SsrParams params;
   EXPECT_TRUE(
       ValidateSetOfSets({{1, kDuplicateCountBase + 2}}, params).ok());
+}
+
+TEST(ValidateSetOfSetsTest, RejectsRepeatedChild) {
+  SsrParams params;
+  // Adjacent in a sorted parent, apart in an unsorted one, and empty.
+  for (const SetOfSets& sets :
+       {SetOfSets{{1, 2}, {1, 2}, {3}}, SetOfSets{{3}, {1, 2}, {3}},
+        SetOfSets{{}, {4}, {}}}) {
+    Status status = ValidateSetOfSets(sets, params);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  }
+  // Order alone is not a repeat.
+  EXPECT_TRUE(ValidateSetOfSets({{3}, {1, 2}, {}}, params).ok());
+}
+
+/// Packs one width-byte blob per fingerprint, each a fill byte then the
+/// fingerprint's 8 little-endian bytes (the tail FindBlob reads).
+std::vector<uint8_t> PackTailedBlobs(const std::vector<uint64_t>& fps,
+                                     const std::vector<uint8_t>& fills,
+                                     size_t width) {
+  ByteWriter packed;
+  for (size_t i = 0; i < fps.size(); ++i) {
+    uint8_t* blob = packed.Extend(width - 8);
+    std::fill(blob, blob + width - 8, fills[i]);
+    packed.PutU64(fps[i]);
+  }
+  return packed.Take();
+}
+
+TEST(ChildFingerprintIndexTest, FindsByFingerprint) {
+  const std::vector<uint64_t> fps = {30, 10, 20, 10};
+  ChildFingerprintIndex index(fps);
+  EXPECT_TRUE(index.HasDuplicate());
+  EXPECT_EQ(index.Find(10), std::optional<size_t>(1));  // Lowest index.
+  EXPECT_EQ(index.Find(30), std::optional<size_t>(0));
+  EXPECT_EQ(index.Find(15), std::nullopt);
+  EXPECT_FALSE(ChildFingerprintIndex(std::vector<uint64_t>{3, 1, 2})
+                   .HasDuplicate());
+  EXPECT_FALSE(ChildFingerprintIndex(std::vector<uint64_t>{}).HasDuplicate());
+}
+
+TEST(ChildFingerprintIndexTest, BlobMatchNeedsEveryByte) {
+  // Children 1 and 3 share a fingerprint but not their bodies.
+  const size_t width = 12;
+  const std::vector<uint64_t> fps = {7, 9, 8, 9};
+  const std::vector<uint8_t> packed =
+      PackTailedBlobs(fps, {0xa0, 0xa1, 0xa2, 0xa3}, width);
+  ChildFingerprintIndex index(fps);
+  auto blob_of = [&](size_t i) {
+    return IbltKeyView{packed.data() + i * width, width};
+  };
+  for (size_t i = 0; i < fps.size(); ++i) {
+    EXPECT_EQ(index.FindBlob(blob_of(i), packed.data()),
+              std::optional<size_t>(i));
+  }
+  // Known fingerprint, unknown body: no child.
+  const std::vector<uint8_t> stranger = PackTailedBlobs({9}, {0xff}, width);
+  EXPECT_EQ(index.FindBlob(IbltKeyView{stranger.data(), width}, packed.data()),
+            std::nullopt);
+  // Unknown fingerprint.
+  const std::vector<uint8_t> unknown = PackTailedBlobs({5}, {0xa0}, width);
+  EXPECT_EQ(index.FindBlob(IbltKeyView{unknown.data(), width}, packed.data()),
+            std::nullopt);
+}
+
+TEST(MarkDecodedNegativesTest, DropsEachMatchedChild) {
+  const size_t width = 4;
+  // Bob's blobs: A, B, C, E.
+  const std::vector<uint8_t> packed = {1, 1, 1, 1, 2, 2, 2, 2,
+                                       3, 3, 3, 3, 5, 5, 5, 5};
+  // Negatives, out of order: D (no child), C, A, and A again.
+  const std::vector<uint8_t> neg = {4, 4, 4, 4, 3, 3, 3, 3, 1, 1, 1, 1};
+  const std::vector<IbltKeyView> negatives = {{neg.data(), width},
+                                              {neg.data() + 4, width},
+                                              {neg.data() + 8, width},
+                                              {neg.data() + 8, width}};
+  std::vector<bool> drop(4, false);
+  MarkDecodedNegatives(negatives, packed.data(), width, 4, &drop);
+  EXPECT_EQ(drop, (std::vector<bool>{true, false, true, false}));
+  std::vector<bool> none(4, false);
+  MarkDecodedNegatives({}, packed.data(), width, 4, &none);
+  EXPECT_EQ(none, std::vector<bool>(4, false));
+}
+
+// AssembleParent must equal the tail it replaced: Canonicalize over the
+// kept and recovered children, and ParentFingerprint over the result.
+void ExpectAssemblesLikeCanonicalize(const SetOfSets& bob,
+                                     const std::vector<bool>& drop,
+                                     const SetOfSets& recovered,
+                                     const HashFamily& family,
+                                     const std::string& what) {
+  SetOfSets all;
+  std::vector<uint64_t> bob_fps(bob.size());
+  for (size_t i = 0; i < bob.size(); ++i) {
+    bob_fps[i] = ChildFingerprint(bob[i], family);
+    if (!drop[i]) all.push_back(bob[i]);
+  }
+  // The protocols verify a recovered child's fingerprint over its elements
+  // as received, canonical or not.
+  std::vector<RecoveredChild> received;
+  for (const ChildSet& child : recovered) {
+    received.push_back({child, ChildFingerprint(child, family)});
+    all.push_back(child);
+  }
+  const SetOfSets want = Canonicalize(all);
+  AssembledParent got =
+      AssembleParent(bob, bob_fps, drop, std::move(received), family);
+  EXPECT_EQ(got.parent, want) << what;
+  EXPECT_EQ(got.fingerprint, ParentFingerprint(want, family)) << what;
+}
+
+TEST(AssembleParentTest, EdgeCases) {
+  HashFamily family(41, 42);
+  const SetOfSets bob = {{}, {1, 2}, {3}, {5, 9}};
+  const std::vector<bool> keep_all(bob.size(), false);
+  const std::vector<bool> drop_all(bob.size(), true);
+  const std::vector<bool> drop_some = {false, true, false, true};
+  SetOfSets reversed(bob.rbegin(), bob.rend());
+  const std::vector<bool> drop_some_reversed = {true, false, true, false};
+
+  ExpectAssemblesLikeCanonicalize(bob, keep_all, {}, family, "no recovered");
+  ExpectAssemblesLikeCanonicalize(bob, drop_all, {{4}, {0}}, family,
+                                  "no kept");
+  ExpectAssemblesLikeCanonicalize({}, {}, {}, family, "nothing");
+  ExpectAssemblesLikeCanonicalize(bob, drop_some, {{0, 1}, {2}, {6}}, family,
+                                  "before, between and after");
+  ExpectAssemblesLikeCanonicalize(bob, drop_some, {{3}, {}}, family,
+                                  "equal to kept children");
+  ExpectAssemblesLikeCanonicalize(bob, drop_some, {{4, 4}, {8, 7}, {2, 1, 2}},
+                                  family, "repeated / out-of-order elements");
+  ExpectAssemblesLikeCanonicalize(bob, drop_some, {{3, 3}, {7}, {7}}, family,
+                                  "non-strict equal to kept; repeated");
+  ExpectAssemblesLikeCanonicalize(reversed, drop_some_reversed,
+                                  {{0, 1}, {3}, {}}, family,
+                                  "Bob's parent reversed");
+  ExpectAssemblesLikeCanonicalize(reversed, drop_all, {{9}}, family,
+                                  "reversed, no kept");
+}
+
+TEST(AssembleParentTest, RandomAgainstCanonicalize) {
+  // Tiny element and size ranges so equal children, empty children and
+  // non-strict recovered children all come up often.
+  Rng rng(0x61737365ull);
+  HashFamily family(43, 44);
+  auto random_child = [&rng](bool canonical) {
+    ChildSet child(rng.UniformU64(4));
+    for (uint64_t& x : child) x = rng.UniformU64(6);
+    if (canonical) {
+      std::sort(child.begin(), child.end());
+      child.erase(std::unique(child.begin(), child.end()), child.end());
+    }
+    return child;
+  };
+  for (int trial = 0; trial < 3000; ++trial) {
+    SetOfSets bob(rng.UniformU64(8));
+    for (ChildSet& child : bob) child = random_child(true);
+    bob = Canonicalize(std::move(bob));  // Valid: no repeated child.
+    if (rng.Bernoulli(0.5)) {
+      for (size_t i = bob.size(); i > 1; --i) {
+        std::swap(bob[i - 1], bob[rng.UniformU64(i)]);
+      }
+    }
+    std::vector<bool> drop(bob.size());
+    for (size_t i = 0; i < bob.size(); ++i) drop[i] = rng.Bernoulli(0.4);
+    SetOfSets recovered(rng.UniformU64(5));
+    for (ChildSet& child : recovered) {
+      child = !bob.empty() && rng.Bernoulli(0.2)
+                  ? bob[rng.UniformU64(bob.size())]
+                  : random_child(rng.Bernoulli(0.6));
+    }
+    ExpectAssemblesLikeCanonicalize(bob, drop, recovered, family,
+                                    "trial " + std::to_string(trial));
+    if (HasFailure()) break;
+  }
 }
 
 TEST(DHatTest, MinOfDAndS) {

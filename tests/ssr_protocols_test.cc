@@ -260,6 +260,84 @@ TEST(SsrProtocolsTest, MultisetParentThroughNormalization) {
   }
 }
 
+// --- Parents outside canonical form ---
+
+std::optional<size_t> KnownD(bool known, size_t d) {
+  return known ? std::optional<size_t>(d) : std::nullopt;
+}
+
+TEST(SsrProtocolsTest, RepeatedChildRejectedInFirstSlot) {
+  // A repeated child is not a set of sets (multisets go through
+  // NormalizeParentMultiset). Whichever party holds one aborts in its first
+  // slot, so the session ends within two messages in either mode.
+  SsrWorkloadSpec spec;
+  spec.num_children = 24;
+  spec.child_size = 6;
+  spec.changes = 3;
+  spec.seed = 5;
+  const SsrWorkload w = MakeSsrWorkload(spec);
+  SsrParams params;
+  params.max_child_size = 10;
+  params.seed = 77;
+  for (int kind = 0; kind < 4; ++kind) {
+    for (bool known : {true, false}) {
+      for (bool alice_repeats : {true, false}) {
+        SetOfSets alice = w.alice;
+        SetOfSets bob = w.bob;
+        SetOfSets& holder = alice_repeats ? alice : bob;
+        holder.push_back(holder[holder.size() / 2]);
+        auto protocol = MakeProtocol(static_cast<ProtocolKind>(kind), params);
+        const std::string what = protocol->Name() +
+                                 (known ? " SSRK" : " SSRU") +
+                                 (alice_repeats ? " Alice" : " Bob");
+        Channel channel;
+        Result<SsrOutcome> outcome = protocol->Reconcile(
+            alice, bob, KnownD(known, w.applied_changes), &channel);
+        EXPECT_FALSE(outcome.ok()) << what;
+        EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument)
+            << what << ": " << outcome.status().ToString();
+        EXPECT_LE(channel.transcript().size(), 2u) << what;
+      }
+    }
+  }
+}
+
+TEST(SsrProtocolsTest, BobParentInAnyOrder) {
+  // Bob's children reversed, then reversed with an extra empty child Alice
+  // lacks. Every workload hands Bob a sorted parent, so this is what covers
+  // the unsorted branch of Bob's assembly.
+  SsrWorkloadSpec spec;
+  spec.num_children = 24;
+  spec.child_size = 8;
+  spec.changes = 4;
+  spec.seed = 29;
+  const SsrWorkload w = MakeSsrWorkload(spec);
+  SsrParams params;
+  params.max_child_size = 14;
+  params.seed = 30;
+  for (bool extra_empty : {false, true}) {
+    SetOfSets bob(w.bob.rbegin(), w.bob.rend());
+    if (extra_empty) bob.push_back({});
+    ASSERT_FALSE(std::is_sorted(bob.begin(), bob.end()));
+    for (int kind = 0; kind < 4; ++kind) {
+      for (bool known : {true, false}) {
+        auto protocol = MakeProtocol(static_cast<ProtocolKind>(kind), params);
+        const std::string what = protocol->Name() +
+                                 (known ? " SSRK" : " SSRU") +
+                                 (extra_empty ? " +empty" : "");
+        Channel channel;
+        Result<SsrOutcome> outcome = protocol->Reconcile(
+            w.alice, bob,
+            KnownD(known, w.applied_changes + (extra_empty ? 1 : 0)),
+            &channel);
+        ASSERT_TRUE(outcome.ok())
+            << what << ": " << outcome.status().ToString();
+        EXPECT_EQ(outcome.value().recovered, Canonicalize(w.alice)) << what;
+      }
+    }
+  }
+}
+
 // --- Golden transcripts ---
 
 // One SSRU session per protocol over a fixed instance, with the sparse

@@ -66,7 +66,7 @@
 #include "obs/watchdog.h"
 #include "service/sharded_service.h"
 #include "service/sync_service.h"
-#include "transport/endpoint.h"
+#include "transport/channel.h"
 
 namespace {
 
@@ -441,7 +441,9 @@ int RunLoopbackDemo() {
   // --- 10k set-of-sets client sessions (mixed protocol families). ---
   const size_t kSetSessions = 10'000;
   Rng rng(7);
-  auto mirror_client = std::make_shared<Endpoint>();
+  // The first session's sends, framed as a remote client would read them.
+  ByteWriter stream;
+  size_t frames = 0;
   for (size_t i = 0; i < kSetSessions; ++i) {
     SetOfSets bob = *server_set;
     size_t victim = rng.NextU64() % bob.size();
@@ -455,11 +457,10 @@ int RunLoopbackDemo() {
     session.bob = std::make_shared<SetOfSets>(Canonicalize(std::move(bob)));
     session.known_d = 6;
     if (i == 0) {
-      // Mirror the first session onto a loopback endpoint pair: its
-      // protocol messages become wire frames a remote client would read.
-      auto [server_end, client_end] = Endpoint::LoopbackPair();
-      session.mirror = std::make_shared<Endpoint>(std::move(server_end));
-      *mirror_client = std::move(client_end);
+      session.on_send = [&stream, &frames](const Channel::Message& m) {
+        WriteMessageFrame(m, &stream);
+        ++frames;
+      };
     }
     service.Submit(std::move(session));
   }
@@ -541,15 +542,13 @@ int RunLoopbackDemo() {
   std::printf("alice-message cache: %zu hits / %zu lookups\n",
               stats.cache_hits, stats.cache_hits + stats.cache_misses);
 
-  // Drain the mirrored session through the framed stream codec.
-  ByteWriter stream;
-  size_t frames = mirror_client->DrainToStream(&stream);
+  // Decode the first session's frames back through the stream codec.
   FrameDecoder decoder;
   decoder.Feed(stream.bytes());
   size_t decoded = 0;
   Channel::Message m;
   while (decoder.Next(&m)) ++decoded;
-  std::printf("mirrored session: %zu frames, %zu bytes on the wire, "
+  std::printf("framed session: %zu frames, %zu bytes on the wire, "
               "%zu decoded back\n",
               frames, stream.bytes().size(), decoded);
 

@@ -143,7 +143,7 @@ bench_smoke() {
 run bench-smoke bench_smoke
 
 # Lane 2: ASan+UBSan over the lifetime-sensitive suites.
-lane asan asan -L 'fast|service'
+lane asan asan -L 'fast|service|net'
 
 # Lane 3: TSan over the threaded suites.
 lane tsan tsan -L 'mt|service|net'

@@ -174,7 +174,6 @@ class ProtocolContext {
     }
     return {};
   }
-  bool HasRecvWaiters() const { return !recv_waiters_.empty(); }
   /// True when a receive is parked on `channel` exactly at `index` — the
   /// local party is waiting for that transcript slot. The service gates
   /// remote-frame injection with this: it is the remote's turn iff the
@@ -280,8 +279,8 @@ class ProtocolContext {
   /// Only called when deferred(); the inline context never suspends.
   virtual void ParkOnFlush(std::coroutine_handle<> handle) { (void)handle; }
   virtual void ParkOnRound(std::coroutine_handle<> handle) { (void)handle; }
-  /// Hook on every ctx->Send: transports mirror the message (the service
-  /// forwards it as an endpoint frame) and parked receives are woken. The
+  /// Hook on every ctx->Send: transports forward the message (the service
+  /// hands it to SessionSpec::on_send) and parked receives are woken. The
   /// base behavior pumps synchronously — under the inline context that IS
   /// the loopback scheduler: Alice's send resumes Bob's parked receive
   /// nested (depth ≤ one party switch), Bob runs to his next park or send,

@@ -78,13 +78,6 @@ class CoroFramePool {
     const Tls& t = tls();
     return Stats{t.reuses, t.fresh, t.oversize};
   }
-  /// Returns every pooled frame on this thread to the allocator (tests).
-  static void TrimThreadCache() {
-    for (std::vector<void*>& bucket : tls().classes) {
-      for (void* p : bucket) ::operator delete(p);
-      bucket.clear();
-    }
-  }
 
  private:
   static constexpr size_t kClasses = kMaxPooledBytes / kAlign;

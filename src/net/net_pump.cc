@@ -27,10 +27,11 @@ namespace {
 constexpr size_t kMaxFramesPerStep = 4;
 
 /// Backpressure: once a connection's outgoing buffer holds this many
-/// unwritten bytes, the pump stops reading from that fd (so the session
-/// stops advancing) and stops draining the session's mirror endpoint
-/// (frames queue there, bounded by the protocol's one-in-flight-message
-/// ping-pong) until the client drains its socket.
+/// unwritten bytes, the pump stops reading from that fd, so the session
+/// stops advancing until the client drains its socket. Session sends are
+/// framed straight into the buffer, and a stalled strict-half-duplex
+/// session sends at most one more turn, so a buffer holds at most this cap
+/// plus one turn.
 constexpr size_t kMaxOutbufBytes = 1u << 20;
 
 /// Read granularity per readable wakeup.
@@ -53,9 +54,8 @@ Status SetNonBlocking(int fd) {
 
 }  // namespace
 
-/// Per-connection state: the fd, the inbound frame decoder, the session's
-/// mirror peer (outbound frames queue here until serialized), and the
-/// outgoing byte buffer.
+/// Per-connection state: the fd, the inbound frame decoder, and the
+/// outgoing byte buffer the session's sends are framed into.
 struct NetPump::Connection {
   int fd = -1;
   /// Poller registration token and key into NetPump::connections_.
@@ -63,8 +63,6 @@ struct NetPump::Connection {
   /// Interest mask currently registered with the poller.
   uint32_t interest = 0;
   FrameDecoder decoder;
-  /// The pump-held half of the session's mirror pair; null before hello.
-  std::shared_ptr<Endpoint> mirror_peer;
   uint64_t session_id = 0;
   bool session_done = false;
   bool closing = false;
@@ -114,6 +112,11 @@ NetPump::NetPump(SyncService* service, NetPumpOptions options)
 }
 
 NetPump::~NetPump() {
+  // A live session's on_send points at its connection: end the session
+  // before the connection goes.
+  for (const auto& [id, conn] : by_session_) {
+    service_->CancelSession(id, Unavailable("net pump shut down"));
+  }
   for (const auto& [token, conn] : connections_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
@@ -322,8 +325,8 @@ void NetPump::CollectResults() {
     auto it = by_session_.find(result.id);
     if (it != by_session_.end()) {
       it->second->session_done = true;
-      // The finish phase must see this connection even though no fd event
-      // woke it: its final frames sit in the mirror.
+      // The finish phase must see this connection even when no fd event
+      // woke it: it closes once its final frames are flushed.
       Touch(it->second);
       by_session_.erase(it);
     }
@@ -331,16 +334,20 @@ void NetPump::CollectResults() {
   }
 }
 
-void NetPump::SendAdminReply(Connection* conn, const char* label,
-                             const std::string& text) {
-  Channel::Message reply{Party::kAlice,
-                         std::vector<uint8_t>(text.begin(), text.end()),
-                         label};
+void NetPump::AppendFrame(Connection* conn, const Channel::Message& message) {
   ByteWriter writer;
-  WriteMessageFrame(reply, &writer);
+  WriteMessageFrame(message, &writer);
   const std::vector<uint8_t>& bytes = writer.bytes();
   conn->outbuf.insert(conn->outbuf.end(), bytes.begin(), bytes.end());
   ++stats_.frames_out;
+}
+
+void NetPump::SendAdminReply(Connection* conn, const char* label,
+                             const std::string& text) {
+  AppendFrame(conn, Channel::Message{
+                        Party::kAlice,
+                        std::vector<uint8_t>(text.begin(), text.end()),
+                        label});
 }
 
 void NetPump::HandleStatQuery(Connection* conn) {
@@ -406,7 +413,6 @@ void NetPump::HandleFrame(Connection* conn, Channel::Message message) {
       FailConnection(conn, /*protocol_error=*/true);
       return;
     }
-    auto [server_end, client_end] = Endpoint::LoopbackPair();
     SessionSpec spec;
     spec.label = "net:" + std::to_string(conn->fd);
     spec.role = SessionRole::kAliceHalf;
@@ -418,8 +424,16 @@ void NetPump::HandleFrame(Connection* conn, Channel::Message message) {
     // the client's id so both halves of the session merge into one
     // timeline.
     spec.trace_id = hello.value().trace_id;
-    spec.mirror = std::make_shared<Endpoint>(std::move(server_end));
-    conn->mirror_peer = std::make_shared<Endpoint>(std::move(client_end));
+    // Alice's sends go straight into this connection's outbuf. The
+    // connection outlives the session: it is freed only after the session
+    // finished or was cancelled (FailConnection, ~NetPump).
+    spec.on_send = [this, conn](const Channel::Message& sent) {
+      AppendFrame(conn, sent);
+      conn->last_send_ns = obs::NowNanos();
+      pump_metrics_.outbuf_high_watermark = std::max(
+          pump_metrics_.outbuf_high_watermark, conn->outbuf_pending());
+      Touch(conn);
+    };
     conn->session_id = service_->Submit(std::move(spec));
     by_session_.emplace(conn->session_id, conn);
     // Hello completed: the connection moves from the handshake list to the
@@ -479,29 +493,6 @@ void NetPump::HandleReadable(Connection* conn) {
     if (errno == EINTR) continue;
     FailConnection(conn, /*protocol_error=*/false);
     return;
-  }
-}
-
-void NetPump::DrainMirror(Connection* conn) {
-  if (conn->mirror_peer == nullptr) return;
-  // Respect the backpressure cap: leave frames queued in the endpoint once
-  // the write buffer is full (the ping-pong protocols have at most one
-  // message in flight, so the queue stays tiny).
-  Channel::Message message;
-  bool wrote = false;
-  while (conn->outbuf_pending() < kMaxOutbufBytes &&
-         conn->mirror_peer->Poll(&message)) {
-    ByteWriter writer;
-    WriteMessageFrame(message, &writer);
-    const std::vector<uint8_t>& bytes = writer.bytes();
-    conn->outbuf.insert(conn->outbuf.end(), bytes.begin(), bytes.end());
-    ++stats_.frames_out;
-    wrote = true;
-  }
-  if (wrote) {
-    conn->last_send_ns = obs::NowNanos();
-    pump_metrics_.outbuf_high_watermark =
-        std::max(pump_metrics_.outbuf_high_watermark, conn->outbuf_pending());
   }
 }
 
@@ -650,13 +641,12 @@ size_t NetPump::PumpOnce(int timeout_ms) {
   // Reap connections whose handshake or idle deadline has passed.
   ExpireDeadlines(obs::NowNanos());
 
-  // Advance the sessions fed above, then serialize their output.
+  // Advance the sessions fed above. Every send is framed into its
+  // connection's outbuf and touches it, whichever fd woke us (lease
+  // releases and cross-shard mailbox work wake sessions too), so per-pass
+  // cost is O(events + sessions that sent or finished + expired deadlines),
+  // independent of total connection count.
   StepService();
-  // Live sessions can produce output regardless of which fds woke us
-  // (lease releases, cross-shard mailbox work), so they always join the
-  // pass. Pre-hello idlers never do — per-pass cost is O(events + live
-  // sessions + expired deadlines), independent of total connection count.
-  for (const auto& [id, conn] : by_session_) Touch(conn);
 
   // Finish phase. Index loop: FailConnection/CollectResults may append
   // newly-affected connections mid-walk and they must finish too.
@@ -669,15 +659,12 @@ size_t NetPump::PumpOnce(int timeout_ms) {
         (conn->session_id == 0 || !conn->session_done)) {
       FailConnection(conn, /*protocol_error=*/false);
     }
-    if (!conn->closing) DrainMirror(conn);
     FlushWrites(conn);
-    const bool drained =
-        conn->outbuf_pending() == 0 &&
-        (conn->mirror_peer == nullptr || conn->mirror_peer->pending() == 0);
     // An EOF'd-but-done connection still flushes: the peer may have
     // half-closed (shutdown(SHUT_WR)) and be waiting to read the final
     // frames; a dead peer fails the write and closes via `closing`.
-    if (conn->closing || (conn->session_done && drained)) {
+    if (conn->closing ||
+        (conn->session_done && conn->outbuf_pending() == 0)) {
       CloseConnection(conn);
     } else {
       UpdateInterest(conn);

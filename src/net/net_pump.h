@@ -13,7 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
 #include "service/sync_service.h"
-#include "transport/endpoint.h"
+#include "transport/channel.h"
 #include "util/mpsc_queue.h"
 #include "util/status.h"
 
@@ -55,15 +55,16 @@ struct NetPumpStats {
 ///
 ///   socket bytes → FrameDecoder → hello: Submit(kAliceHalf session)
 ///                               → frames: DeliverRemote(session, message)
-///   session ctx->Send → mirror Endpoint → DrainToStream → socket bytes
+///   session ctx->Send → on_send → frame into outbuf → socket bytes
 ///
 /// Readiness comes through the Poller interface (epoll — cost O(ready
 /// fds), so 10k idle connections are free; poll(2) where epoll is
 /// unavailable). Per-pass work is proportional to touched connections (fd
-/// events + live sessions + expired deadlines), never to the total
-/// connection count. Each connection carries at most one deadline: the
-/// handshake timeout until its hello, the idle timeout after it. Two
-/// deadline-ordered lists reap handshake stragglers and idle sessions.
+/// events + sessions that sent or finished + expired deadlines), never to
+/// the total connection count. Each connection carries at most one
+/// deadline: the handshake timeout until its hello, the idle timeout after
+/// it. Two deadline-ordered lists reap handshake stragglers and idle
+/// sessions.
 ///
 /// One session per connection; the server side runs Alice's half of the
 /// chosen protocol against the registered shared set named by the client's
@@ -72,6 +73,9 @@ struct NetPumpStats {
 /// src/net/README.md for the loop, timeouts and backpressure.
 class NetPump {
  public:
+  /// `service` must outlive the pump: each session's on_send points at its
+  /// connection, so the destructor cancels every session still live on
+  /// one before it frees the connections.
   explicit NetPump(SyncService* service, NetPumpOptions options = {});
   ~NetPump();
 
@@ -161,11 +165,12 @@ class NetPump {
   void HandleFrame(Connection* conn, Channel::Message message);
   void HandleStatQuery(Connection* conn);
   void HandleTraceQuery(Connection* conn);
-  /// Serializes an admin reply frame into `conn`'s outbuf.
+  /// Frames `message` onto the end of `conn`'s outbuf.
+  void AppendFrame(Connection* conn, const Channel::Message& message);
+  /// Frames an admin reply into `conn`'s outbuf.
   void SendAdminReply(Connection* conn, const char* label,
                       const std::string& text);
   void MaybePublishPumpMetrics();
-  void DrainMirror(Connection* conn);
   void FlushWrites(Connection* conn);
   void FailConnection(Connection* conn, bool protocol_error);
   void CloseConnection(Connection* conn);
@@ -214,7 +219,8 @@ class NetPump {
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_token_;
   std::unordered_map<uint64_t, Connection*> by_session_;
-  /// This pass's work list (fd events, expired deadlines, live sessions).
+  /// This pass's work list (fd events, expired deadlines, sessions that
+  /// sent or finished).
   std::vector<Connection*> touched_;
   std::vector<PollerEvent> events_;
   std::vector<SessionResult> results_;

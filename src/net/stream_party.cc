@@ -17,7 +17,7 @@
 #include "obs/clock.h"
 #include "obs/export.h"
 #include "obs/trace_text.h"
-#include "transport/endpoint.h"
+#include "transport/channel.h"
 #include "util/serialization.h"
 
 namespace setrec {

@@ -57,9 +57,6 @@ Channel::Message MakeStatQueryMessage();
 inline bool IsStatQueryMessage(const Channel::Message& m) {
   return m.label == kStatQueryLabel;
 }
-inline bool IsStatReplyMessage(const Channel::Message& m) {
-  return m.label == kStatReplyLabel;
-}
 
 /// Second admin frame: "TRACE?" asks for the server's recently completed
 /// session traces (traced sessions and slow ones); the reply is a "TRACE"
@@ -73,9 +70,6 @@ Channel::Message MakeTraceQueryMessage();
 
 inline bool IsTraceQueryMessage(const Channel::Message& m) {
   return m.label == kTraceQueryLabel;
-}
-inline bool IsTraceReplyMessage(const Channel::Message& m) {
-  return m.label == kTraceReplyLabel;
 }
 
 }  // namespace setrec

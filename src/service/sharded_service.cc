@@ -10,7 +10,7 @@ namespace setrec {
 
 ShardedSyncService::ShardedSyncService(ShardedSyncServiceOptions options)
     : options_(std::move(options)),
-      cache_(std::make_shared<SharedServiceCache>(options_.cache)) {
+      cache_(std::make_shared<SharedServiceCache>()) {
   size_t n = options_.shards;
   if (n == 0) {
     n = std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -79,14 +79,6 @@ uint64_t ShardedSyncService::Submit(SessionSpec spec) {
   shards_[shard]->service->EnqueueSubmit(id, std::move(spec));
   NotifyShard(shard);
   return id;
-}
-
-bool ShardedSyncService::DeliverRemote(uint64_t id, Channel::Message message) {
-  if (id == 0) return false;
-  const size_t shard = ShardOf(id);
-  shards_[shard]->service->EnqueueRemote(id, std::move(message));
-  NotifyShard(shard);
-  return true;
 }
 
 bool ShardedSyncService::CancelSession(uint64_t id, Status reason) {

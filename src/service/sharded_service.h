@@ -21,8 +21,6 @@ struct ShardedSyncServiceOptions {
   size_t shards = 0;
   /// Per-shard scheduling/planner options (each shard gets a copy).
   SyncServiceOptions service;
-  /// Options for the one SharedServiceCache all shards memoize through.
-  SharedCacheOptions cache;
   /// true: the sharded service owns one driver thread per shard (Submit +
   /// RunToCompletion just work). false: EXTERNAL drivers own the shards —
   /// one pump thread per shard calls shard(i)->Step() itself (the
@@ -33,9 +31,9 @@ struct ShardedSyncServiceOptions {
 /// N independent SyncService shards behind one facade: each shard owns its
 /// planner, scheduler queues, decode scratch pool and coroutine frames, and
 /// is driven by exactly ONE thread; sessions hash to shards by session id.
-/// Cross-shard traffic — shard-routed submissions, remote frames, cancels,
-/// and build-lease wakes — travels through each shard's lock-free MPSC
-/// mailbox (util/mpsc_queue.h); the only shared mutable state is the
+/// Cross-shard traffic — shard-routed submissions, cancels, and build-lease
+/// wakes — travels through each shard's lock-free MPSC mailbox
+/// (util/mpsc_queue.h); the only shared mutable state is the
 /// striped-mutex SharedServiceCache, whose memo entries are immutable once
 /// stored.
 ///
@@ -89,11 +87,9 @@ class ShardedSyncService {
   /// its pump thread use the same per-shard allocator and never collide.
   uint64_t Submit(SessionSpec spec);
 
-  /// Routes a remote frame / cancel to the owning shard's mailbox. Any
-  /// thread; asynchronous — validation happens when the shard steps
-  /// (rejects are counted in that shard's ServiceStats::remote_rejected).
-  /// Returns false only for an id that cannot belong to any shard (0).
-  bool DeliverRemote(uint64_t id, Channel::Message message);
+  /// Routes a cancel to the owning shard's mailbox. Any thread;
+  /// asynchronous — the shard applies it when it next steps. Returns false
+  /// only for an id that cannot belong to any shard (0).
   bool CancelSession(uint64_t id, Status reason);
 
   /// Wakes shard i's driver: owned threads are signalled; external drivers

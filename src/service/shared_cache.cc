@@ -6,10 +6,6 @@
 
 namespace setrec {
 
-SharedServiceCache::SharedServiceCache(SharedCacheOptions options)
-    : options_(options) {}
-
-
 uint64_t SharedServiceCache::RegisterSharedSet(
     std::shared_ptr<const SetOfSets> set) {
   assert(set != nullptr);
@@ -49,8 +45,7 @@ void SharedServiceCache::Store(uint64_t key,
   // Global cap, counted atomically across stripes (refuse-at-cap, exactly
   // the pre-shard policy; the count may overshoot by at most one in-flight
   // insert per thread, which a back-stop cap tolerates).
-  if (message_count_.load(std::memory_order_relaxed) >=
-      options_.max_entries) {
+  if (message_count_.load(std::memory_order_relaxed) >= kMaxEntries) {
     return;
   }
   Stripe& stripe = StripeFor(key);
@@ -82,7 +77,7 @@ const SharedServiceCache::TableMemoEntry* SharedServiceCache::FindTableMemo(
 
 void SharedServiceCache::StoreTableMemo(uint64_t key, const Iblt& table,
                                         size_t consumed) {
-  if (table_count_.load(std::memory_order_relaxed) >= options_.max_entries) {
+  if (table_count_.load(std::memory_order_relaxed) >= kMaxEntries) {
     return;
   }
   Stripe& stripe = StripeFor(key);

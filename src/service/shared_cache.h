@@ -15,11 +15,6 @@
 
 namespace setrec {
 
-struct SharedCacheOptions {
-  /// Cap on memoized Alice messages (and, independently, parsed tables).
-  size_t max_entries = 4096;
-};
-
 /// The cross-session memo state that PR 3 kept inside one SyncService —
 /// registered shared sets, Alice-message bytes, validation verdicts,
 /// Bob-side parsed tables, and the anti-stampede build leases — hoisted out
@@ -41,7 +36,11 @@ struct SharedCacheOptions {
 ///    coroutines themselves never cross threads).
 class SharedServiceCache {
  public:
-  explicit SharedServiceCache(SharedCacheOptions options = {});
+  /// Cap on memoized Alice messages (and, independently, parsed tables):
+  /// a Store past it is refused.
+  static constexpr size_t kMaxEntries = 4096;
+
+  SharedServiceCache() = default;
 
   SharedServiceCache(const SharedServiceCache&) = delete;
   SharedServiceCache& operator=(const SharedServiceCache&) = delete;
@@ -91,8 +90,6 @@ class SharedServiceCache {
   /// (deduped; may include the releasing shard itself).
   std::vector<int> ReleaseLease(uint64_t key);
 
-  const SharedCacheOptions& options() const { return options_; }
-
  private:
   static constexpr size_t kStripes = 16;
 
@@ -111,9 +108,8 @@ class SharedServiceCache {
     return stripes_[Mix64(key) % kStripes];
   }
 
-  SharedCacheOptions options_;
   mutable Stripe stripes_[kStripes];
-  /// Global entry counts (the max_entries caps are whole-cache, not
+  /// Global entry counts (the kMaxEntries caps are whole-cache, not
   /// per-stripe); relaxed atomics — a back-stop, not an invariant.
   std::atomic<size_t> message_count_{0};
   std::atomic<size_t> table_count_{0};

@@ -67,10 +67,8 @@ void ServiceStats::Accumulate(const ServiceStats& other) {
   estimator_jobs += other.estimator_jobs;
   cache_hits += other.cache_hits;
   cache_misses += other.cache_misses;
-  mirror_drops += other.mirror_drops;
   remote_messages += other.remote_messages;
   sessions_cancelled += other.sessions_cancelled;
-  remote_rejected += other.remote_rejected;
   cross_shard_lease_wakes += other.cross_shard_lease_wakes;
 }
 
@@ -320,11 +318,7 @@ void SyncService::SessionContext::ParkOnRecv(const Channel* channel,
 }
 
 void SyncService::SessionContext::OnSend(Channel* channel, size_t index) {
-  if (session_->spec.mirror != nullptr) {
-    if (!session_->spec.mirror->Send(channel->Receive(index))) {
-      ++service_->stats_.mirror_drops;
-    }
-  }
+  if (session_->spec.on_send) session_->spec.on_send(channel->Receive(index));
   // A send may complete the peer half's pending receive (loopback
   // composition); schedule it instead of resuming nested so the Step loop
   // keeps its round-by-round shape.
@@ -383,10 +377,7 @@ SyncService::SyncService(SyncServiceOptions options,
     : options_(std::move(options)),
       cache_(std::move(cache)),
       shard_id_(shard_id) {
-  if (cache_ == nullptr) {
-    cache_ = std::make_shared<SharedServiceCache>(
-        SharedCacheOptions{options_.alice_cache_max_entries});
-  }
+  if (cache_ == nullptr) cache_ = std::make_shared<SharedServiceCache>();
   if (options_.trace_slow_ns > 0) {
     tracer_.Configure(options_.trace_ring_capacity, options_.trace_slow_ns);
   }
@@ -451,15 +442,6 @@ void SyncService::EnqueueSubmit(uint64_t id, SessionSpec spec) {
   mailbox_.Push(std::move(cmd));
 }
 
-void SyncService::EnqueueRemote(uint64_t id, Channel::Message message) {
-  Command cmd;
-  cmd.kind = Command::Kind::kRemote;
-  cmd.id = id;
-  cmd.message = std::move(message);
-  mailbox_depth_.fetch_add(1, std::memory_order_relaxed);
-  mailbox_.Push(std::move(cmd));
-}
-
 void SyncService::EnqueueCancel(uint64_t id, Status reason) {
   Command cmd;
   cmd.kind = Command::Kind::kCancel;
@@ -483,16 +465,6 @@ void SyncService::DrainMailbox() {
       case Command::Kind::kSubmit:
         SubmitPreassigned(cmd.id, std::move(cmd.spec));
         break;
-      case Command::Kind::kRemote:
-        // A remote frame may race ahead of the receive park (the peer
-        // replied before this shard stepped the session to its next
-        // receive); keep it and retry once the step settles. TryDeliver
-        // consumes the message only on success — no payload copy either
-        // way.
-        if (!TryDeliverRemote(cmd.id, &cmd.message)) {
-          deferred_remote_.emplace_back(cmd.id, std::move(cmd.message));
-        }
-        break;
       case Command::Kind::kCancel:
         CancelSession(cmd.id, std::move(cmd.status));
         break;
@@ -505,37 +477,6 @@ void SyncService::DrainMailbox() {
   if (drained > 0) {
     mailbox_depth_.fetch_sub(drained, std::memory_order_relaxed);
   }
-}
-
-bool SyncService::RetryDeferredRemote() {
-  if (deferred_remote_.empty()) return false;
-  bool delivered_any = false;
-  std::vector<std::pair<uint64_t, Channel::Message>> keep;
-  for (auto& [id, message] : deferred_remote_) {
-    // A session that finished or was cancelled while the frame waited is a
-    // rejection (the pump-side equivalent is a failed DeliverRemote).
-    if (active_by_id_.count(id) == 0 &&
-        pending_remote_.count(id) == 0) {
-      bool backlogged = false;
-      for (const PendingSession& pending : backlog_) {
-        if (pending.id == id) {
-          backlogged = true;
-          break;
-        }
-      }
-      if (!backlogged) {
-        ++stats_.remote_rejected;
-        continue;
-      }
-    }
-    if (TryDeliverRemote(id, &message)) {
-      delivered_any = true;
-    } else {
-      keep.emplace_back(id, std::move(message));
-    }
-  }
-  deferred_remote_ = std::move(keep);
-  return delivered_any;
 }
 
 namespace {
@@ -560,10 +501,6 @@ bool RemoteOpens(const SessionSpec& spec) {
 }  // namespace
 
 bool SyncService::DeliverRemote(uint64_t id, Channel::Message message) {
-  return TryDeliverRemote(id, &message);
-}
-
-bool SyncService::TryDeliverRemote(uint64_t id, Channel::Message* message) {
   ++stats_.remote_messages;
   auto it = active_by_id_.find(id);
   if (it == active_by_id_.end()) {
@@ -574,12 +511,12 @@ bool SyncService::TryDeliverRemote(uint64_t id, Channel::Message* message) {
     for (const PendingSession& pending : backlog_) {
       if (pending.id != id) continue;
       if (pending.spec.role == SessionRole::kBoth ||
-          message->from != RemotePartyOf(pending.spec.role)) {
+          message.from != RemotePartyOf(pending.spec.role)) {
         return false;
       }
       std::vector<Channel::Message>& buffered = pending_remote_[id];
       if (!buffered.empty() || !RemoteOpens(pending.spec)) return false;
-      buffered.push_back(std::move(*message));
+      buffered.push_back(std::move(message));
       return true;
     }
     return false;
@@ -592,13 +529,13 @@ bool SyncService::TryDeliverRemote(uint64_t id, Channel::Message* message) {
   // only that session.)
   Session* session = it->second;
   if (session->spec.role == SessionRole::kBoth ||
-      message->from != RemotePartyOf(session->spec.role) ||
+      message.from != RemotePartyOf(session->spec.role) ||
       !session->ctx.HasRecvWaiterAt(&session->channel,
                                     session->channel.rounds())) {
     return false;
   }
-  session->channel.Send(message->from, std::move(message->payload),
-                        std::move(message->label));
+  session->channel.Send(message.from, std::move(message.payload),
+                        std::move(message.label));
   CollectReadyReceives(session);
   return true;
 }
@@ -709,9 +646,9 @@ void SyncService::RunOpaqueSession(Session* session) {
   SsrOutcome outcome;
   outcome.stats = {session->channel.rounds(), session->channel.total_bytes(),
                    0};
-  if (session->spec.mirror != nullptr) {
+  if (session->spec.on_send) {
     for (const Channel::Message& m : session->channel.transcript()) {
-      if (!session->spec.mirror->Send(m)) ++stats_.mirror_drops;
+      session->spec.on_send(m);
     }
   }
   if (status.ok()) {
@@ -930,12 +867,6 @@ bool SyncService::Step() {
   DrainMailbox();
   Admit();
   if (active_.empty()) {
-    // Idle shard: any still-deferred remote frames can never deliver.
-    for (auto& deferred : deferred_remote_) {
-      (void)deferred;
-      ++stats_.remote_rejected;
-    }
-    deferred_remote_.clear();
     MaybePublishMetrics(/*idle=*/backlog_.empty());
     return !backlog_.empty();
   }
@@ -1007,12 +938,7 @@ bool SyncService::Step() {
       continue;
     }
     Admit();
-    if (ready_.empty() && recv_ready_.empty() && lease_ready_.empty()) {
-      // Settled: mailbox remote frames that raced ahead of a receive park
-      // may be deliverable now; a successful injection re-opens the loop.
-      if (RetryDeferredRemote()) continue;
-      break;
-    }
+    if (ready_.empty() && recv_ready_.empty() && lease_ready_.empty()) break;
   }
 
   MaybePublishMetrics(/*idle=*/active_.empty() && backlog_.empty());
@@ -1091,9 +1017,7 @@ void AppendServiceExposition(const obs::MetricRegistry& metrics,
   writer->Counter("setrec_estimator_jobs", "", stats.estimator_jobs);
   writer->Counter("setrec_cache_hits", "", stats.cache_hits);
   writer->Counter("setrec_cache_misses", "", stats.cache_misses);
-  writer->Counter("setrec_mirror_drops", "", stats.mirror_drops);
   writer->Counter("setrec_remote_messages", "", stats.remote_messages);
-  writer->Counter("setrec_remote_rejected", "", stats.remote_rejected);
   writer->Counter("setrec_cross_shard_lease_wakes", "",
                   stats.cross_shard_lease_wakes);
 }

@@ -26,7 +26,6 @@
 #include "obs/watchdog.h"
 #include "service/shared_cache.h"
 #include "transport/channel.h"
-#include "transport/endpoint.h"
 #include "util/mpsc_queue.h"
 
 namespace setrec {
@@ -46,9 +45,10 @@ std::unique_ptr<SetsOfSetsProtocol> MakeSsrProtocol(SsrProtocolKind kind,
 /// loopback shape (both halves composed over one channel). The half roles
 /// host exactly one party: the peer's messages arrive from outside through
 /// SyncService::DeliverRemote (the src/net/ pump decodes them off a
-/// socket), and the local party's sends are observed on the mirror
-/// endpoint. kAliceHalf is the server side of a remote session (Alice is
-/// the one-way source); kBobHalf hosts the recovering side.
+/// socket), and the local party's sends leave through SessionSpec::on_send
+/// (the pump frames them onto the socket). kAliceHalf is the server side
+/// of a remote session (Alice is the one-way source); kBobHalf hosts the
+/// recovering side.
 enum class SessionRole { kBoth, kAliceHalf, kBobHalf };
 
 /// One reconciliation job. Three shapes:
@@ -61,7 +61,7 @@ enum class SessionRole { kBoth, kAliceHalf, kBobHalf };
 ///  * Opaque session: any reconciliation expressible as a blocking run over
 ///    a Channel (graph, forest, shingle-collection workloads). It executes
 ///    in a single step; it shares the service's scheduling, stats and
-///    transport mirroring but not the batch planner.
+///    on_send but not the batch planner.
 struct SessionSpec {
   std::string label;
 
@@ -79,13 +79,13 @@ struct SessionSpec {
   // --- opaque session (set when alice/bob are null) ---
   std::function<Status(Channel*)> opaque;
 
-  /// Optional transport mirror: every locally-sent protocol message is
-  /// forwarded as a frame on this endpoint (the caller holds the peer
-  /// half). kBoth sessions mirror the full transcript; half sessions
-  /// mirror only the local party's messages — exactly the bytes a remote
-  /// peer must be shown. A mirror polled by ANOTHER shard's thread must be
-  /// an Endpoint::MailboxPair half (transport/endpoint.h).
-  std::shared_ptr<Endpoint> mirror;
+  /// Optional send hook, called on the shard's driving thread with every
+  /// locally sent protocol message, in transcript order. kBoth sessions
+  /// report the full transcript; half sessions only the local party's
+  /// messages — exactly the bytes a remote peer must be shown. An opaque
+  /// session reports its whole transcript when it completes. The net pump
+  /// frames each message straight into the session's connection.
+  std::function<void(const Channel::Message&)> on_send;
 
   /// Client-propagated trace context (from the hello; 0 = untraced). The
   /// shard tags every trace event of this session with it, so the server
@@ -139,16 +139,10 @@ struct ServiceStats {
   /// (one per acquired build lease).
   size_t cache_hits = 0;
   size_t cache_misses = 0;
-  /// Messages dropped by an unconnected session mirror endpoint (a
-  /// disconnect the caller can now observe).
-  size_t mirror_drops = 0;
-  /// Remote-peer messages injected via DeliverRemote, and sessions
+  /// Remote-peer messages offered via DeliverRemote, and sessions
   /// cancelled (peer disconnect) via CancelSession.
   size_t remote_messages = 0;
   size_t sessions_cancelled = 0;
-  /// Mailbox-delivered remote messages that could not be injected (wrong
-  /// turn / unknown session) even after the step settled.
-  size_t remote_rejected = 0;
   /// Lease wakes received from OTHER shards through the mailbox.
   size_t cross_shard_lease_wakes = 0;
 
@@ -171,9 +165,6 @@ struct SyncServiceOptions {
   size_t max_inflight = 8192;
   /// Keep recovered sets in SessionResult (benches turn this off).
   bool keep_recovered = true;
-  /// Cap on memoized Alice messages (applies to the service's PRIVATE
-  /// cache; a SharedServiceCache passed in carries its own cap).
-  size_t alice_cache_max_entries = 4096;
   /// Record SessionResult::transcript_hash (the shard-invariance witness;
   /// costs one pass over each finished transcript).
   bool hash_transcripts = false;
@@ -212,8 +203,8 @@ uint64_t HashTranscript(const Channel& channel);
 ///
 /// Scheduling model (single-threaded; only planner flushes fan out to
 /// worker threads): each Step() tick
-///   1. drains the cross-thread mailbox (shard-routed submissions, remote
-///      frames, cancels, lease wakes — see ShardedSyncService),
+///   1. drains the cross-thread mailbox (shard-routed submissions, cancels,
+///      lease wakes — see ShardedSyncService),
 ///   2. admits backlog sessions up to the in-flight window,
 ///   3. resumes every runnable session until it parks at a round boundary
 ///      (SendAwaiter) or a sketch-build barrier (BuildBarrier) or finishes,
@@ -297,7 +288,6 @@ class SyncService {
   // are unique across shards.
 
   void EnqueueSubmit(uint64_t id, SessionSpec spec);
-  void EnqueueRemote(uint64_t id, Channel::Message message);
   void EnqueueCancel(uint64_t id, Status reason);
   void EnqueueLeaseWake(uint64_t key);
   /// True when the mailbox has queued commands (racy hint for drivers).
@@ -388,19 +378,14 @@ class SyncService {
 
   /// One mailbox command (see Enqueue*).
   struct Command {
-    enum class Kind { kSubmit, kRemote, kCancel, kLeaseWake };
+    enum class Kind { kSubmit, kCancel, kLeaseWake };
     Kind kind;
     uint64_t id = 0;  // Session id, or the lease key for kLeaseWake.
     SessionSpec spec;
-    Channel::Message message;
     Status status;
   };
 
   void DrainMailbox();
-  /// DeliverRemote's core: consumes *message only on success, so callers
-  /// that must retain undeliverable frames (the mailbox retry path) avoid
-  /// copying payloads.
-  bool TryDeliverRemote(uint64_t id, Channel::Message* message);
   void SubmitPreassigned(uint64_t id, SessionSpec spec);
   void Admit();
   void StartSession(Session* session);
@@ -413,9 +398,6 @@ class SyncService {
   void RunOpaqueSession(Session* session);
   /// Moves local lease waiters for `key` onto the scheduler queue.
   void WakeLease(uint64_t key);
-  /// Retries mailbox remote messages that raced ahead of the receive park;
-  /// returns true when any was delivered (the step loop must settle again).
-  bool RetryDeferredRemote();
   std::shared_ptr<const SetsOfSetsProtocol> ProtocolFor(
       SsrProtocolKind kind, const SsrParams& params);
   /// Applies every queued planner op as one coalesced pass and resumes the
@@ -452,9 +434,6 @@ class SyncService {
   /// Cross-thread inbox (see Enqueue*). Single consumer: the driving
   /// thread, at the top of Step.
   MpscQueue<Command> mailbox_;
-  /// Mailbox remote messages not yet deliverable (the session has not
-  /// parked its receive at that slot yet); retried when the step settles.
-  std::vector<std::pair<uint64_t, Channel::Message>> deferred_remote_;
 #ifndef NDEBUG
   std::thread::id owner_thread_{};
 #endif

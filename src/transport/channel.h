@@ -25,9 +25,8 @@ inline const char* PartyName(Party p) {
 class Channel {
  public:
   struct Message {
-    /// Default-initialized so a Message staged inside a mailbox command is
-    /// never copied with an indeterminate sender (GCC -Wuninitialized
-    /// caught SyncService::Command doing exactly that).
+    /// Default-initialized so a default-constructed Message (a decode
+    /// target) never carries an indeterminate sender.
     Party from = Party::kAlice;
     std::vector<uint8_t> payload;
     /// Free-form label ("T1", "estimator", ...) for transcript inspection.
@@ -79,15 +78,54 @@ size_t ForwardAsSingleMessage(const Channel& sub, Party from, Channel* main,
 
 /// Appends one message frame — a sender byte, the length-prefixed label,
 /// and the length-prefixed payload. This is the shared wire unit: a packed
-/// transcript is a varint count followed by frames, and the endpoint
-/// stream codec (transport/endpoint.h) is a plain sequence of frames, so
-/// both read/write messages through the same two functions.
+/// transcript is a varint count followed by frames, and a socket stream
+/// (src/net/) is a plain sequence of frames read back by FrameDecoder, so
+/// both read/write messages through the same functions.
 void WriteMessageFrame(const Channel::Message& message, ByteWriter* writer);
 
 /// Parses one message frame at the reader's position. Returns false
 /// (consuming an unspecified prefix) on truncated or malformed input.
 [[nodiscard]] bool ReadMessageFrame(ByteReader* reader,
                                     Channel::Message* out);
+
+/// Incremental decoder for a stream of wire frames (the exact per-message
+/// format of PackTranscript, minus the leading count): feed arbitrary byte
+/// chunks, pop whole messages as they complete. A packed transcript body
+/// therefore parses with this decoder too.
+class FrameDecoder {
+ public:
+  /// Ceiling on a single frame's label or payload length. A hostile length
+  /// prefix above it latches failed() instead of parking the decoder in
+  /// "need more bytes" while the caller feeds (and buffers) forever.
+  static constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
+
+  explicit FrameDecoder(size_t max_frame_bytes = kDefaultMaxFrameBytes)
+      : max_frame_bytes_(max_frame_bytes) {}
+
+  /// Appends a chunk of stream bytes.
+  void Feed(const uint8_t* data, size_t n);
+  void Feed(const std::vector<uint8_t>& data) { Feed(data.data(), data.size()); }
+
+  /// Extracts the next complete frame. Returns false when the buffered
+  /// bytes do not (yet) contain a whole frame; feed more and retry. Once a
+  /// frame prefix proves malformed (bad sender byte, overlong varint, a
+  /// length above the frame-size bound) the decoder latches failed() and
+  /// returns false forever.
+  [[nodiscard]] bool Next(Channel::Message* out);
+
+  /// True after a malformed frame was encountered; the stream cannot be
+  /// resynchronized.
+  bool failed() const { return failed_; }
+
+  /// Bytes buffered but not yet consumed by complete frames.
+  size_t buffered() const { return buffer_.size() - consumed_; }
+
+ private:
+  size_t max_frame_bytes_;
+  std::vector<uint8_t> buffer_;
+  size_t consumed_ = 0;
+  bool failed_ = false;
+};
 
 /// Serializes a sub-transcript into a byte block: a varint message count,
 /// then one WriteMessageFrame per message — the full Channel::Message, so

@@ -28,7 +28,7 @@
 #include "obs/trace.h"
 #include "obs/trace_text.h"
 #include "service/sync_service.h"
-#include "transport/endpoint.h"
+#include "transport/channel.h"
 
 namespace setrec {
 namespace {

@@ -52,16 +52,34 @@ struct ClientResult {
   std::vector<Channel::Message> transcript;
 };
 
-/// What examples/sync_client.cpp does, inlined: hello, then Bob's half.
-ClientResult RunClient(int fd, SsrProtocolKind kind, uint64_t set_id,
-                       const Fixture& f) {
-  ClientResult result;
+/// Decodes the frames already readable on `fd`, without blocking.
+std::vector<Channel::Message> ReadAvailableFrames(int fd) {
+  FrameDecoder decoder;
+  uint8_t buf[4096];
+  ssize_t n;
+  while ((n = ::recv(fd, buf, sizeof buf, MSG_DONTWAIT)) > 0) {
+    decoder.Feed(buf, static_cast<size_t>(n));
+  }
+  std::vector<Channel::Message> frames;
+  Channel::Message m;
+  while (decoder.Next(&m)) frames.push_back(std::move(m));
+  return frames;
+}
+
+HelloSpec MakeHello(SsrProtocolKind kind, uint64_t set_id, const Fixture& f) {
   HelloSpec hello;
   hello.protocol = kind;
   hello.set_id = set_id;
   hello.params = f.params;
   hello.known_d = f.known_d;
-  if (Status s = SendHello(fd, hello); !s.ok()) {
+  return hello;
+}
+
+/// What examples/sync_client.cpp does, inlined: hello, then Bob's half.
+ClientResult RunClient(int fd, SsrProtocolKind kind, uint64_t set_id,
+                       const Fixture& f) {
+  ClientResult result;
+  if (Status s = SendHello(fd, MakeHello(kind, set_id, f)); !s.ok()) {
     result.outcome = s;
     return result;
   }
@@ -327,12 +345,8 @@ TEST(NetPumpFailures, MidSessionDisconnectCancelsTheSession) {
 
   // Hello only, then hang up: the server's Alice half sends her opener and
   // parks on the verdict that never comes.
-  HelloSpec hello;
-  hello.protocol = SsrProtocolKind::kNaive;
-  hello.set_id = set_id;
-  hello.params = f.params;
-  hello.known_d = f.known_d;
-  ASSERT_TRUE(SendHello(sv[1], hello).ok());
+  ASSERT_TRUE(
+      SendHello(sv[1], MakeHello(SsrProtocolKind::kNaive, set_id, f)).ok());
   // Give the pump a chance to admit the session and write the opener.
   for (int i = 0; i < 10; ++i) pump.PumpOnce(10);
   ::close(sv[1]);
@@ -345,6 +359,83 @@ TEST(NetPumpFailures, MidSessionDisconnectCancelsTheSession) {
   EXPECT_EQ(pump.stats().disconnects, 1u);
   EXPECT_EQ(service.stats().sessions_cancelled, 1u);
   EXPECT_EQ(pump.connection_count(), 0u);
+}
+
+// A pump destroyed while a session is live must end that session: its
+// on_send points at a connection the pump frees, and a service left holding
+// it would step it forever (RunToCompletion would never return).
+TEST(NetPumpFailures, DestroyedPumpCancelsLiveSession) {
+  const Fixture f = MakeFixture(SsrProtocolKind::kIblt2, true, 7);
+  SyncService service;
+  uint64_t set_id =
+      service.RegisterSharedSet(std::make_shared<SetOfSets>(f.alice));
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+  {
+    NetPump pump(&service);
+    ASSERT_TRUE(pump.AdoptConnection(sv[0]).ok());
+    ASSERT_TRUE(
+        SendHello(sv[1], MakeHello(SsrProtocolKind::kIblt2, set_id, f)).ok());
+    // Alice sends her opener and parks on Bob's verdict, which never comes.
+    for (int i = 0; i < 20; ++i) pump.PumpOnce(10);
+    ASSERT_EQ(pump.connection_count(), 1u);
+    ASSERT_TRUE(pump.TakeResults().empty());
+  }
+  std::vector<SessionResult> results = service.TakeResults();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(results[0].status.message(), "net pump shut down");
+  EXPECT_FALSE(service.Step());
+  ::close(sv[1]);
+}
+
+// A session admitted from the backlog has no event on its own fd that
+// pass; its first frame must still reach the socket.
+TEST(NetPumpOutput, BackloggedSessionFlushesWhenAdmitted) {
+  const Fixture f = MakeFixture(SsrProtocolKind::kIblt2, true, 8);
+  SyncServiceOptions options;
+  options.max_inflight = 1;
+  SyncService service(options);
+  uint64_t set_id =
+      service.RegisterSharedSet(std::make_shared<SetOfSets>(f.alice));
+  const HelloSpec hello = MakeHello(SsrProtocolKind::kIblt2, set_id, f);
+  NetPump pump(&service);
+  int a[2];
+  int b[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, a), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, b), 0);
+  ASSERT_TRUE(pump.AdoptConnection(a[0]).ok());
+  ASSERT_TRUE(pump.AdoptConnection(b[0]).ok());
+
+  // A holds the one in-flight slot: Alice's opener reaches A's client.
+  ASSERT_TRUE(SendHello(a[1], hello).ok());
+  for (int i = 0; i < 20 && pump.stats().frames_out == 0; ++i) {
+    pump.PumpOnce(10);
+  }
+  const std::vector<Channel::Message> a_frames = ReadAvailableFrames(a[1]);
+  ASSERT_EQ(a_frames.size(), 1u);
+
+  // B's session waits in the backlog and sends nothing.
+  ASSERT_TRUE(SendHello(b[1], hello).ok());
+  for (int i = 0; i < 5; ++i) pump.PumpOnce(10);
+  EXPECT_TRUE(ReadAvailableFrames(b[1]).empty());
+
+  // A's client hangs up: the pass that reads the EOF cancels A's session,
+  // and the next pass admits B, whose opener must reach B's client.
+  ::close(a[1]);
+  for (int i = 0; i < 20 && pump.connection_count() == 2; ++i) {
+    pump.PumpOnce(10);
+  }
+  ASSERT_EQ(pump.connection_count(), 1u);
+  pump.PumpOnce(10);
+  const std::vector<Channel::Message> b_frames = ReadAvailableFrames(b[1]);
+  ASSERT_EQ(b_frames.size(), 1u);
+  EXPECT_EQ(b_frames[0].from, Party::kAlice);
+  EXPECT_EQ(b_frames[0].label, a_frames[0].label);
+  EXPECT_EQ(b_frames[0].payload, a_frames[0].payload);
+
+  ::close(b[1]);
+  pump.DrainConnections();
 }
 
 // The first non-admin frame must be a valid hello naming a registered set;

@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/workload.h"
 #include "service/sync_service.h"
-#include "transport/endpoint.h"
 
 namespace setrec {
 namespace {
@@ -32,11 +32,10 @@ DirectRun RunDirect(SsrProtocolKind kind, const SsrParams& params,
   return run;
 }
 
-std::vector<Channel::Message> DrainMirror(Endpoint* peer) {
-  std::vector<Channel::Message> messages;
-  Channel::Message m;
-  while (peer->Poll(&m)) messages.push_back(std::move(m));
-  return messages;
+/// An on_send hook that records every message the session sends.
+std::function<void(const Channel::Message&)> RecordInto(
+    std::vector<Channel::Message>* sent) {
+  return [sent](const Channel::Message& m) { sent->push_back(m); };
 }
 
 void ExpectSameTranscript(const std::vector<Channel::Message>& direct,
@@ -82,7 +81,7 @@ TEST_P(ServiceEquivalence, TranscriptsAreBitIdentical) {
   ASSERT_TRUE(direct.outcome.ok()) << direct.outcome.status().ToString();
 
   SyncService service;
-  auto [server_end, client_end] = Endpoint::LoopbackPair();
+  std::vector<Channel::Message> sent;
   SessionSpec session;
   session.label = "equivalence";
   session.protocol = c.kind;
@@ -90,7 +89,7 @@ TEST_P(ServiceEquivalence, TranscriptsAreBitIdentical) {
   session.alice = std::make_shared<SetOfSets>(w.alice);
   session.bob = std::make_shared<SetOfSets>(w.bob);
   session.known_d = known_d;
-  session.mirror = std::make_shared<Endpoint>(std::move(server_end));
+  session.on_send = RecordInto(&sent);
   service.Submit(std::move(session));
   service.RunToCompletion();
 
@@ -105,8 +104,7 @@ TEST_P(ServiceEquivalence, TranscriptsAreBitIdentical) {
   EXPECT_EQ(results[0].recovered, direct.outcome.value().recovered);
   EXPECT_EQ(results[0].recovered, Canonicalize(w.alice));
 
-  ExpectSameTranscript(direct.transcript, DrainMirror(&client_end),
-                       SsrProtocolKindName(c.kind));
+  ExpectSameTranscript(direct.transcript, sent, SsrProtocolKindName(c.kind));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -160,7 +158,7 @@ TEST(ServiceCacheEquivalence, SharedAliceSessionsReplayIdenticalMessages) {
   service.RegisterSharedSet(server_set);
 
   constexpr int kClients = 8;
-  std::vector<Endpoint> client_ends;
+  std::vector<std::vector<Channel::Message>> sent(kClients);
   std::vector<SetOfSets> bobs;
   for (int i = 0; i < kClients; ++i) {
     // Each client drifts from the server set by one or two element edits.
@@ -175,8 +173,6 @@ TEST(ServiceCacheEquivalence, SharedAliceSessionsReplayIdenticalMessages) {
   }
 
   for (int i = 0; i < kClients; ++i) {
-    auto [server_end, client_end] = Endpoint::LoopbackPair();
-    client_ends.push_back(std::move(client_end));
     SessionSpec session;
     session.label = "client" + std::to_string(i);
     session.protocol = SsrProtocolKind::kIblt2;
@@ -184,7 +180,7 @@ TEST(ServiceCacheEquivalence, SharedAliceSessionsReplayIdenticalMessages) {
     session.alice = server_set;
     session.bob = std::make_shared<SetOfSets>(bobs[static_cast<size_t>(i)]);
     session.known_d = spec.changes + 4;
-    session.mirror = std::make_shared<Endpoint>(std::move(server_end));
+    session.on_send = RecordInto(&sent[static_cast<size_t>(i)]);
     service.Submit(std::move(session));
   }
   service.RunToCompletion();
@@ -208,7 +204,7 @@ TEST(ServiceCacheEquivalence, SharedAliceSessionsReplayIdenticalMessages) {
     ASSERT_TRUE(direct.outcome.ok());
     EXPECT_EQ(result.recovered, direct.outcome.value().recovered);
     EXPECT_EQ(result.stats.bytes, direct.outcome.value().stats.bytes);
-    ExpectSameTranscript(direct.transcript, DrainMirror(&client_ends[static_cast<size_t>(i)]),
+    ExpectSameTranscript(direct.transcript, sent[static_cast<size_t>(i)],
                          result.label.c_str());
   }
 }
@@ -239,7 +235,7 @@ TEST(ServiceCacheEquivalence, MixedCodecSessionsNeverCrossReplay) {
                               WireCodec::kDense, WireCodec::kSparse,
                               WireCodec::kSparse, WireCodec::kDense};
   constexpr int kClients = 6;
-  std::vector<Endpoint> client_ends;
+  std::vector<std::vector<Channel::Message>> sent(kClients);
   std::vector<SetOfSets> bobs;
   for (int i = 0; i < kClients; ++i) {
     SetOfSets bob = *server_set;
@@ -248,8 +244,6 @@ TEST(ServiceCacheEquivalence, MixedCodecSessionsNeverCrossReplay) {
     bobs.push_back(Canonicalize(std::move(bob)));
   }
   for (int i = 0; i < kClients; ++i) {
-    auto [server_end, client_end] = Endpoint::LoopbackPair();
-    client_ends.push_back(std::move(client_end));
     SessionSpec session;
     session.label = "mixed" + std::to_string(i);
     session.protocol = SsrProtocolKind::kIblt2;
@@ -258,7 +252,7 @@ TEST(ServiceCacheEquivalence, MixedCodecSessionsNeverCrossReplay) {
     session.alice = server_set;
     session.bob = std::make_shared<SetOfSets>(bobs[static_cast<size_t>(i)]);
     session.known_d = spec.changes + 2;
-    session.mirror = std::make_shared<Endpoint>(std::move(server_end));
+    session.on_send = RecordInto(&sent[static_cast<size_t>(i)]);
     service.Submit(std::move(session));
   }
   service.RunToCompletion();
@@ -277,7 +271,7 @@ TEST(ServiceCacheEquivalence, MixedCodecSessionsNeverCrossReplay) {
     ASSERT_TRUE(direct.outcome.ok());
     EXPECT_EQ(result.recovered, direct.outcome.value().recovered);
     EXPECT_EQ(result.stats.bytes, direct.outcome.value().stats.bytes);
-    ExpectSameTranscript(direct.transcript, DrainMirror(&client_ends[static_cast<size_t>(i)]),
+    ExpectSameTranscript(direct.transcript, sent[static_cast<size_t>(i)],
                          result.label.c_str());
   }
 }

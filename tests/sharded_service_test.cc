@@ -21,9 +21,10 @@
 
 #include "core/workload.h"
 #include "hashing/random.h"
+#include "iblt/iblt.h"
 #include "service/sharded_service.h"
+#include "service/shared_cache.h"
 #include "service/sync_service.h"
-#include "transport/endpoint.h"
 
 namespace setrec {
 namespace {
@@ -228,12 +229,8 @@ TEST(ShardedServiceTest, CrossShardDisconnectAndCancelRaces) {
   ShardedSyncService service(options);
   service.RegisterSharedSet(server_set);
 
-  // The mirror peers are polled from THIS thread while shard threads send:
-  // cross-shard mirrors must be MailboxPair endpoints.
-  std::vector<std::shared_ptr<Endpoint>> peers;
   std::vector<uint64_t> half_ids;
   for (int i = 0; i < kHalves; ++i) {
-    auto [server_end, client_end] = Endpoint::MailboxPair();
     SessionSpec session;
     session.label = "half" + std::to_string(i);
     session.role = SessionRole::kAliceHalf;
@@ -242,9 +239,7 @@ TEST(ShardedServiceTest, CrossShardDisconnectAndCancelRaces) {
     session.params.max_children = 16;
     session.params.seed = 808;
     session.alice = server_set;
-    session.known_d = 4;  // Alice opens; her message lands on the mirror.
-    session.mirror = std::make_shared<Endpoint>(std::move(server_end));
-    peers.push_back(std::make_shared<Endpoint>(std::move(client_end)));
+    session.known_d = 4;  // Alice opens; no peer ever answers.
     half_ids.push_back(service.Submit(std::move(session)));
   }
   Rng rng(321);
@@ -294,6 +289,23 @@ TEST(ShardedServiceTest, CrossShardDisconnectAndCancelRaces) {
   EXPECT_EQ(halves_failed, static_cast<size_t>(kHalves));
   const ServiceStats stats = service.AggregateStats();
   EXPECT_EQ(stats.sessions_cancelled, static_cast<size_t>(kHalves));
+}
+
+// The memo cache never evicts: past SharedServiceCache::kMaxEntries it
+// refuses new messages and parsed tables, and keeps what it has.
+TEST(SharedServiceCacheTest, StoresPastTheCapAreRefused) {
+  SharedServiceCache cache;
+  const std::vector<uint8_t> bytes = {1, 2, 3};
+  const Iblt table(IbltConfig{});
+  constexpr uint64_t kLast = SharedServiceCache::kMaxEntries + 1;
+  for (uint64_t key = 1; key <= kLast; ++key) {
+    cache.Store(key, bytes);
+    cache.StoreTableMemo(key, table, bytes.size());
+  }
+  EXPECT_NE(cache.Lookup(kLast - 1), nullptr);
+  EXPECT_EQ(cache.Lookup(kLast), nullptr);
+  EXPECT_NE(cache.FindTableMemo(kLast - 1), nullptr);
+  EXPECT_EQ(cache.FindTableMemo(kLast), nullptr);
 }
 
 // AggregateStats builds its sum into a fresh zeroed struct each call, so

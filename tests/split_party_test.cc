@@ -16,7 +16,6 @@
 #include "core/split_party.h"
 #include "core/workload.h"
 #include "service/sync_service.h"
-#include "transport/endpoint.h"
 
 namespace setrec {
 namespace {
@@ -106,11 +105,13 @@ TEST_P(SplitParty, ExplicitHalvesMatchComposedReconcile) {
                        split_channel.transcript(), "explicit halves");
 }
 
-// Pumps frames between a service-hosted half session (via mirror endpoint +
+// Pumps frames between a service-hosted half session (via on_send +
 // DeliverRemote) and a locally driven peer half until the peer completes.
+// `from_service` is the vector the session's on_send appends to.
 template <typename PeerTask>
 void PumpServiceAgainstLocalPeer(SyncService* service, uint64_t session_id,
-                                 Endpoint* from_service, Channel* peer_channel,
+                                 std::vector<Channel::Message>* from_service,
+                                 Channel* peer_channel,
                                  InlineContext* peer_ctx, PeerTask* peer_task,
                                  Party local_party) {
   // Forwards the local party's next unforwarded sends. DeliverRemote
@@ -134,12 +135,11 @@ void PumpServiceAgainstLocalPeer(SyncService* service, uint64_t session_id,
     forward();
     service->Step();
     // Service-side sends travel back into the local transcript.
-    Channel::Message m;
-    bool delivered = false;
-    while (from_service->Poll(&m)) {
+    const bool delivered = !from_service->empty();
+    for (Channel::Message& m : *from_service) {
       peer_channel->Send(m.from, std::move(m.payload), std::move(m.label));
-      delivered = true;
     }
+    from_service->clear();
     if (delivered) peer_ctx->PumpReceives();
   }
   ASSERT_TRUE(peer_task->Done()) << "local peer half never finished";
@@ -159,11 +159,11 @@ TEST_P(SplitParty, ServiceAliceHalfMatchesDirectTranscript) {
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   // Server side: the service hosts only Alice's half against a registered
-  // shared set; its sends surface on the mirror endpoint.
+  // shared set; its sends surface through on_send.
   SyncService service;
   auto server_set = std::make_shared<SetOfSets>(f.alice);
   service.RegisterSharedSet(server_set);
-  auto [server_end, client_end] = Endpoint::LoopbackPair();
+  std::vector<Channel::Message> from_service;
   SessionSpec spec;
   spec.label = "alice-half";
   spec.role = SessionRole::kAliceHalf;
@@ -171,7 +171,9 @@ TEST_P(SplitParty, ServiceAliceHalfMatchesDirectTranscript) {
   spec.params = f.params;
   spec.alice = server_set;
   spec.known_d = f.known_d;
-  spec.mirror = std::make_shared<Endpoint>(std::move(server_end));
+  spec.on_send = [&from_service](const Channel::Message& m) {
+    from_service.push_back(m);
+  };
   uint64_t id = service.Submit(std::move(spec));
 
   // Client side: Bob's half driven locally.
@@ -180,7 +182,7 @@ TEST_P(SplitParty, ServiceAliceHalfMatchesDirectTranscript) {
   Task<Result<SsrOutcome>> bob_half =
       protocol->ReconcileAsyncBob(f.bob, f.known_d, &bob_channel, &bob_ctx);
   bob_half.Start();
-  PumpServiceAgainstLocalPeer(&service, id, &client_end, &bob_channel,
+  PumpServiceAgainstLocalPeer(&service, id, &from_service, &bob_channel,
                               &bob_ctx, &bob_half, Party::kBob);
 
   Result<SsrOutcome> outcome = bob_half.TakeResult();
@@ -209,7 +211,7 @@ TEST_P(SplitParty, ServiceBobHalfMatchesDirectTranscript) {
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   SyncService service;
-  auto [server_end, client_end] = Endpoint::LoopbackPair();
+  std::vector<Channel::Message> from_service;
   SessionSpec spec;
   spec.label = "bob-half";
   spec.role = SessionRole::kBobHalf;
@@ -217,7 +219,9 @@ TEST_P(SplitParty, ServiceBobHalfMatchesDirectTranscript) {
   spec.params = f.params;
   spec.bob = std::make_shared<SetOfSets>(f.bob);
   spec.known_d = f.known_d;
-  spec.mirror = std::make_shared<Endpoint>(std::move(server_end));
+  spec.on_send = [&from_service](const Channel::Message& m) {
+    from_service.push_back(m);
+  };
   uint64_t id = service.Submit(std::move(spec));
 
   Channel alice_channel;
@@ -225,7 +229,7 @@ TEST_P(SplitParty, ServiceBobHalfMatchesDirectTranscript) {
   Task<Status> alice_half = protocol->ReconcileAsyncAlice(
       f.alice, f.known_d, &alice_channel, &alice_ctx);
   alice_half.Start();
-  PumpServiceAgainstLocalPeer(&service, id, &client_end, &alice_channel,
+  PumpServiceAgainstLocalPeer(&service, id, &from_service, &alice_channel,
                               &alice_ctx, &alice_half, Party::kAlice);
   EXPECT_TRUE(alice_half.TakeResult().ok());
 

@@ -96,6 +96,8 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
   Result<IbltDecodeView> decoded = remote.Decode(&outer_scratch);
   if (!decoded.ok()) return decoded.status();
 
+  // Bob's changed documents, in the order of their blobs (the decoded
+  // negatives).
   std::vector<std::pair<ChildEncoding, const ChildSet*>> partners;
   std::vector<bool> in_db(bob.size(), false);
   for (const IbltKeyView& blob : decoded.value().negative) {
@@ -113,12 +115,16 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
   SetOfSets recovered_children;
   std::vector<DocumentMatch::Kind> recovered_kinds;
   std::vector<uint64_t> fresh_fps;
+  std::vector<IbltFixedRank> order;  // Partner ranking, reused per document.
   for (const IbltKeyView& blob : decoded.value().positive) {
     Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
     if (!enc_r.ok()) return enc_r.status();
     const ChildEncoding& enc = enc_r.value();
     bool paired = false;
-    for (const auto& [partner_enc, partner_set] : partners) {
+    // Closest partners first (Iblt::RankFixed); every partner is tried.
+    Iblt::RankFixed(child_config, blob, decoded.value().negative, &order);
+    for (const IbltFixedRank& rank : order) {
+      const auto& [partner_enc, partner_set] = partners[rank.index];
       Result<IbltDecodeView64> dd =
           enc.sketch.DecodeDifferenceU64View(partner_enc.sketch,
                                              &child_scratch);

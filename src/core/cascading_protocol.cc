@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 #include "core/build_context.h"
 #include "core/encoding.h"
 #include "core/split_party.h"
 #include "hashing/random.h"
 #include "iblt/iblt.h"
-#include "setrec/set_reconciler.h"
 #include "util/serialization.h"
 
 namespace setrec {
@@ -116,9 +114,9 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
 
   // Every child encoded into every level (and T*). One message, memoized
   // across sessions sharing Alice's set; each level's child blobs are
-  // packed from one reused sketch, and the outer-table updates run through
-  // the deferred planner passes. The wire codec is part of the key
-  // (dense/sparse sessions must not replay each other's bytes).
+  // written straight into one packed buffer, and the outer-table updates
+  // run through the deferred planner passes. The wire codec is part of the
+  // key (dense/sparse sessions must not replay each other's bytes).
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
       {kAttemptTag, d, d_hat, seed, h,
@@ -222,9 +220,11 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   }
 
   std::vector<bool> in_db(bob.size(), false);   // Bob's differing children.
-  SetOfSets da;                                  // Alice's recovered children,
-  std::vector<uint64_t> da_fps;                  // their fingerprints in order,
-  std::unordered_set<uint64_t> recovered_fps;    // and as a set.
+  SetOfSets da;                                  // Alice's recovered children
+  std::vector<uint64_t> da_fps;                  // and their fingerprints.
+  auto recovered_before = [&da_fps](uint64_t fp) {
+    return std::find(da_fps.begin(), da_fps.end(), fp) != da_fps.end();
+  };
   std::vector<uint64_t> bob_fps(bob.size());
   for (size_t j = 0; j < bob.size(); ++j) {
     bob_fps[j] = ChildFingerprint(bob[j], fp_family);
@@ -240,6 +240,13 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   DecodeScratch* outer_scratch = ctx->Scratch(0);
   DecodeScratch* child_scratch = ctx->Scratch(1);
 
+  // Partners for each level's child sketches: Bob's differing children (at
+  // most about d) parsed back from his packed blobs, and views of those
+  // blobs for the ranking. Reused by every level.
+  std::vector<ChildPartner> partners;
+  std::vector<IbltKeyView> partner_blobs;
+  std::vector<IbltFixedRank> order;
+
   for (size_t level = 0; level < plan.t; ++level) {
     const IbltConfig& child_config = plan.child_configs[level];
     const size_t blob_width = plan.outer_configs[level].key_width;
@@ -249,68 +256,60 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     // partners below).
     ByteWriter bob_packed;
     AppendChildIbltBlobs(bob, child_config, bob_fps, &bob_packed);
-    // Delete Bob's children not yet known to differ (level 1: all of them),
-    // and every already-recovered child of Alice's.
-    const size_t erase_count =
-        static_cast<size_t>(std::count(in_db.begin(), in_db.end(), false)) +
-        da.size();
-    ByteWriter erase_packed;
-    erase_packed.Reserve(erase_count * blob_width);
-    for (size_t j = 0; j < bob.size(); ++j) {
-      if (!in_db[j]) {
-        erase_packed.PutBytes(bob_packed.bytes().data() + j * blob_width,
-                              blob_width);
+    const uint8_t* bob_blobs = bob_packed.bytes().data();
+    // Delete Bob's children not yet known to differ (level 1: all of them)
+    // straight from his packed blobs, one batch per run of adjacent ones,
+    // then every already-recovered child of Alice's. Erasures commute, so
+    // the table is the same as after one combined batch.
+    for (size_t j = 0; j < bob.size();) {
+      if (in_db[j]) {
+        ++j;
+        continue;
       }
+      size_t end = j + 1;
+      while (end < bob.size() && !in_db[end]) ++end;
+      ctx->QueueEraseBytes(&outer, bob_blobs + j * blob_width, end - j);
+      j = end;
     }
-    AppendChildIbltBlobs(da, child_config, da_fps, &erase_packed);
-    ctx->QueueEraseBytes(&outer, erase_packed.bytes().data(), erase_count);
+    ByteWriter da_packed;
+    AppendChildIbltBlobs(da, child_config, da_fps, &da_packed);
+    if (!da.empty()) {
+      ctx->QueueEraseBytes(&outer, da_packed.bytes().data(), da.size());
+    }
     co_await ctx->FlushBuilds();
 
     IbltPartialDecodeView decoded = outer.DecodePartial(outer_scratch);
 
     // Negative encodings expose Bob children that differ from Alice's.
     for (const IbltKeyView& blob : decoded.entries.negative) {
-      std::optional<size_t> j =
-          bob_index.FindBlob(blob, bob_packed.bytes().data());
+      std::optional<size_t> j = bob_index.FindBlob(blob, bob_blobs);
       if (j) in_db[*j] = true;
       // Unknown negatives are decode noise; later verification catches it.
     }
 
-    // Partner sketches for this level: Bob's differing children (at most
-    // about d), parsed back from his packed blobs, then the empty set.
-    std::vector<std::pair<Iblt, const ChildSet*>> partners;
+    partners.clear();
+    partner_blobs.clear();
     for (size_t j = 0; j < bob.size(); ++j) {
       if (!in_db[j]) continue;
-      Result<ChildEncoding> enc = ParseChildIbltBlob(
-          bob_packed.bytes().data() + j * blob_width, blob_width,
-          child_config);
+      const IbltKeyView blob{bob_blobs + j * blob_width, blob_width};
+      Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
       if (!enc.ok()) co_return enc.status();
-      partners.emplace_back(std::move(enc).value().sketch, &bob[j]);
+      partners.push_back(ChildPartner{std::move(enc).value().sketch, &bob[j]});
+      partner_blobs.push_back(blob);
     }
-    const ChildSet empty_set;
-    partners.emplace_back(Iblt(child_config), &empty_set);
 
     for (const IbltKeyView& blob : decoded.entries.positive) {
-      Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
-      if (!enc_r.ok()) continue;  // Noise; later levels retry.
-      const ChildEncoding& enc = enc_r.value();
-      if (recovered_fps.count(enc.fingerprint) > 0) continue;
-      for (const auto& [partner_sketch, partner_set] : partners) {
-        Result<IbltDecodeView64> dd =
-            enc.sketch.DecodeDifferenceU64View(partner_sketch, child_scratch);
-        if (!dd.ok()) continue;
-        ChildSet candidate = ApplyDifference(*partner_set,
-                                             dd.value().positive,
-                                             dd.value().negative);
-        if (ChildFingerprint(candidate, fp_family) == enc.fingerprint) {
-          recovered_fps.insert(enc.fingerprint);
-          da.push_back(std::move(candidate));
-          da_fps.push_back(enc.fingerprint);
-          break;
-        }
-      }
+      Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
+      if (!enc.ok()) continue;  // Noise; later levels retry.
+      if (recovered_before(enc.value().fingerprint)) continue;
+      Result<ChildSet> child =
+          RecoverChild(blob, enc.value(), partners, partner_blobs, fp_family,
+                       &order, child_scratch);
       // A miss here is fine: the child resurfaces at the next level with a
       // larger sketch (that is the cascade's whole point).
+      if (!child.ok()) continue;
+      da.push_back(std::move(child).value());
+      da_fps.push_back(enc.value().fingerprint);
     }
   }
 
@@ -333,8 +332,7 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       Result<ChildSet> child = DecodeChildBlob(blob, h);
       if (!child.ok()) continue;
       uint64_t fp = ChildFingerprint(child.value(), fp_family);
-      if (recovered_fps.count(fp) > 0) continue;
-      recovered_fps.insert(fp);
+      if (recovered_before(fp)) continue;
       da.push_back(std::move(child).value());
       da_fps.push_back(fp);
     }

@@ -13,7 +13,12 @@ namespace setrec {
 /// O(d / 2^i)-cell outer IBLT, plus a direct-encoding table T* when h <= d.
 /// Bob walks the levels, recovering cheap children early and deleting them
 /// from later (per-child more expensive, but sparser) tables; children
-/// missed at one level are caught at the next.
+/// missed at one level are caught at the next. Within a level, each of
+/// Alice's decoded child sketches is paired with Bob's differing children
+/// closest first — ranked by how many partition-0 records their fixed-form
+/// sketches differ in (Iblt::RankFixed) — then with the empty set, as in
+/// Algorithm 1; every partner is still tried, so the ranking changes only
+/// how soon a child is recovered.
 ///
 ///   SSRK: 1 round, O(d log min(d,h) log u + d log s) bits,
 ///         O(n log min(d,h) + d-hat d log d-hat) time, success >= 2/3

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "setrec/set_reconciler.h"
 #include "util/serialization.h"
 
 namespace setrec {
@@ -48,21 +49,28 @@ size_t ChildIbltBlobWidth(const IbltConfig& child_config) {
   return child_config.FixedSerializedSize() + 8;
 }
 
+namespace {
+
+/// Writes one child's (fixed-form sketch, fingerprint) blob into its
+/// zero-filled ChildIbltBlobWidth slot.
+void WriteChildIbltBlob(const ChildSet& child,
+                        const IbltCellDerivation& derivation,
+                        size_t sketch_bytes, uint64_t fingerprint,
+                        uint8_t* slot) {
+  derivation.WriteFixedU64(child.data(), child.size(), slot);
+  std::memcpy(slot + sketch_bytes, &fingerprint, 8);
+}
+
+}  // namespace
+
 std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
                                          const IbltConfig& child_config,
                                          uint64_t fingerprint) {
-  Iblt sketch(child_config);
-  sketch.InsertBatch(child);
-  ByteWriter writer;
-  writer.Reserve(ChildIbltBlobWidth(child_config));
-  AppendChildIbltBlob(sketch, fingerprint, &writer);
-  return writer.Take();
-}
-
-void AppendChildIbltBlob(const Iblt& sketch, uint64_t fingerprint,
-                         ByteWriter* out) {
-  sketch.SerializeFixed(out);
-  out->PutU64(fingerprint);
+  std::vector<uint8_t> blob(ChildIbltBlobWidth(child_config), 0);
+  WriteChildIbltBlob(child, IbltCellDerivation(child_config),
+                     child_config.FixedSerializedSize(), fingerprint,
+                     blob.data());
+  return blob;
 }
 
 void AppendChildIbltBlobs(const SetOfSets& children,
@@ -71,12 +79,13 @@ void AppendChildIbltBlobs(const SetOfSets& children,
                           ByteWriter* out) {
   assert(fingerprints.size() == children.size());
   if (children.empty()) return;
-  out->Reserve(children.size() * ChildIbltBlobWidth(child_config));
-  Iblt sketch(child_config);
-  for (size_t i = 0; i < children.size(); ++i) {
-    sketch.Clear();
-    sketch.InsertBatch(children[i]);
-    AppendChildIbltBlob(sketch, fingerprints[i], out);
+  const IbltCellDerivation derivation(child_config);
+  const size_t sketch_bytes = child_config.FixedSerializedSize();
+  const size_t width = ChildIbltBlobWidth(child_config);
+  uint8_t* slot = out->Extend(children.size() * width);
+  for (size_t i = 0; i < children.size(); ++i, slot += width) {
+    WriteChildIbltBlob(children[i], derivation, sketch_bytes, fingerprints[i],
+                       slot);
   }
 }
 
@@ -93,6 +102,39 @@ Result<ChildEncoding> ParseChildIbltBlob(const uint8_t* data, size_t size,
     return ParseError("child IBLT blob truncated (fingerprint)");
   }
   return ChildEncoding{std::move(sketch).value(), fingerprint};
+}
+
+Result<ChildSet> RecoverChild(IbltKeyView blob, const ChildEncoding& alice,
+                              std::span<const ChildPartner> partners,
+                              std::span<const IbltKeyView> partner_blobs,
+                              const HashFamily& fp_family,
+                              std::vector<IbltFixedRank>* order,
+                              DecodeScratch* scratch) {
+  assert(partner_blobs.size() == partners.size());
+  Iblt::RankFixed(alice.sketch.config(), blob, partner_blobs, order);
+  for (const IbltFixedRank& rank : *order) {
+    const ChildPartner& partner = partners[rank.index];
+    Result<IbltDecodeView64> decoded =
+        alice.sketch.DecodeDifferenceU64View(partner.sketch, scratch);
+    if (!decoded.ok()) continue;
+    ChildSet candidate = ApplyDifference(
+        *partner.set, decoded.value().positive, decoded.value().negative);
+    if (ChildFingerprint(candidate, fp_family) == alice.fingerprint) {
+      return candidate;
+    }
+  }
+  // A fresh child of Alice's may have no close partner; decoding her sketch
+  // alone (the difference against the empty set) recovers it when it has
+  // at most ~d elements.
+  Result<IbltDecodeView64> decoded = alice.sketch.DecodeU64View(scratch);
+  if (decoded.ok()) {
+    ChildSet candidate = ApplyDifference(ChildSet(), decoded.value().positive,
+                                         decoded.value().negative);
+    if (ChildFingerprint(candidate, fp_family) == alice.fingerprint) {
+      return candidate;
+    }
+  }
+  return DecodeFailure("child sketch decoded with no partner");
 }
 
 }  // namespace setrec

@@ -53,26 +53,21 @@ struct ChildEncoding {
 
 /// Builds the (child IBLT, hash) encoding of Algorithms 1 and 2: the child's
 /// elements inserted into an IBLT with `child_config`, serialized fixed-
-/// width, followed by the child fingerprint.
+/// width, followed by the child fingerprint. Written by the same fixed-form
+/// writer as AppendChildIbltBlobs.
 std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
                                          const IbltConfig& child_config,
                                          uint64_t fingerprint);
 
-/// The split form: serializes an already-built child sketch plus its
-/// fingerprint, appending ChildIbltBlobWidth bytes to `out` in place.
-/// Byte-identical to EncodeChildIbltBlob of the same child.
-void AppendChildIbltBlob(const Iblt& sketch, uint64_t fingerprint,
-                         ByteWriter* out);
-
 /// Packs the (child IBLT, fingerprint) blobs of every child contiguously,
 /// the layout the outer tables take as one batch of keys; fingerprints[i]
-/// belongs to children[i]. Reserves children × ChildIbltBlobWidth bytes
-/// once, then, for each child, clears ONE reused sketch, inserts the
-/// child's elements with InsertBatch and appends the blob in place — no
-/// per-child table, and the child inserts never pass through a
-/// ProtocolContext (they are the blob's contents, not a table the protocol
-/// keeps). Byte-identical to concatenating EncodeChildIbltBlob over the
-/// children.
+/// belongs to children[i]. Extends `out` once by children ×
+/// ChildIbltBlobWidth zero bytes, then writes each child's fixed-form
+/// sketch straight into its slot (IbltCellDerivation::WriteFixedU64)
+/// followed by its fingerprint — no table, no allocation past the one
+/// extend, and the child inserts never pass through a ProtocolContext (they
+/// are the blob's contents, not a table the protocol keeps). Byte-identical
+/// to concatenating EncodeChildIbltBlob over the children.
 void AppendChildIbltBlobs(const SetOfSets& children,
                           const IbltConfig& child_config,
                           std::span<const uint64_t> fingerprints,
@@ -90,6 +85,30 @@ inline Result<ChildEncoding> ParseChildIbltBlob(
     const IbltKeyView& blob, const IbltConfig& child_config) {
   return ParseChildIbltBlob(blob.data, blob.size, child_config);
 }
+
+/// One of Bob's differing children as a partner for Alice's child
+/// sketches: its parsed child sketch and the child itself.
+struct ChildPartner {
+  Iblt sketch;
+  const ChildSet* set;
+};
+
+/// Recovers the child behind one of Alice's child-IBLT blobs (`blob`,
+/// parsed as `alice`): decodes her sketch against each partner's sketch in
+/// Iblt::RankFixed order of the partners' blobs (partner_blobs[i] is
+/// partners[i]'s), then against the empty set, and returns the first
+/// ApplyDifference candidate whose fingerprint is alice.fingerprint, or
+/// kDecodeFailure. Every partner is tried before the empty set and a
+/// verified candidate is Alice's child, so the ranking changes only how
+/// soon the match is found, never what is recovered. `order` is the
+/// caller's ranking buffer, reused across calls; the decodes churn
+/// `scratch`.
+Result<ChildSet> RecoverChild(IbltKeyView blob, const ChildEncoding& alice,
+                              std::span<const ChildPartner> partners,
+                              std::span<const IbltKeyView> partner_blobs,
+                              const HashFamily& fp_family,
+                              std::vector<IbltFixedRank>* order,
+                              DecodeScratch* scratch);
 
 }  // namespace setrec
 

@@ -8,7 +8,6 @@
 #include "core/split_party.h"
 #include "hashing/random.h"
 #include "iblt/iblt.h"
-#include "setrec/set_reconciler.h"
 #include "util/serialization.h"
 
 namespace setrec {
@@ -33,28 +32,6 @@ AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed) {
   return configs;
 }
 
-/// Tries to recover Alice's child set behind `alice_enc` by decoding her
-/// child IBLT against `partner_sketch` (one of Bob's differing children, or
-/// an empty sketch) and applying the difference to `partner_set`. The
-/// difference is peeled in place in the scratch (the zero-allocation fused
-/// u64 view path); ApplyDifference sorts its own working copies, so the
-/// views are consumed as decoded.
-Result<ChildSet> TryRecoverChild(const ChildEncoding& alice_enc,
-                                 const Iblt& partner_sketch,
-                                 const ChildSet& partner_set,
-                                 const HashFamily& fp_family,
-                                 DecodeScratch* scratch) {
-  Result<IbltDecodeView64> decoded =
-      alice_enc.sketch.DecodeDifferenceU64View(partner_sketch, scratch);
-  if (!decoded.ok()) return decoded.status();
-  ChildSet candidate = ApplyDifference(partner_set, decoded.value().positive,
-                                       decoded.value().negative);
-  if (ChildFingerprint(candidate, fp_family) != alice_enc.fingerprint) {
-    return VerificationFailure("child fingerprint mismatch");
-  }
-  return candidate;
-}
-
 }  // namespace
 
 Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
@@ -66,9 +43,9 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
   const AttemptConfigs configs = MakeConfigs(d, d_hat, seed);
 
   // Encode every child, insert encodings into the outer table. The child
-  // blobs are packed from one reused sketch, then land in the outer table
-  // as one batch (deferred to the planner under the service). The whole
-  // message is memoized across sessions sharing Alice's set.
+  // blobs are written straight into one packed buffer, then land in the
+  // outer table as one batch (deferred to the planner under the service).
+  // The whole message is memoized across sessions sharing Alice's set.
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
       {kAttemptTag, d, d_hat, seed,
@@ -148,12 +125,9 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   Result<IbltDecodeView> decoded = remote.Decode(outer_scratch);
   if (!decoded.ok()) co_return decoded.status();
 
-  // D_B: Bob's children whose encodings differ from all of Alice's.
-  struct Partner {
-    ChildEncoding encoding;
-    const ChildSet* set;
-  };
-  std::vector<Partner> partners;
+  // D_B: Bob's children whose encodings differ from all of Alice's. Their
+  // blobs, in the same order, are the decoded negatives themselves.
+  std::vector<ChildPartner> partners;
   std::vector<bool> in_db(bob.size(), false);
   for (const IbltKeyView& blob : decoded.value().negative) {
     std::optional<size_t> j =
@@ -162,42 +136,23 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
     Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
     if (!enc.ok()) co_return enc.status();
     in_db[*j] = true;
-    partners.push_back(Partner{std::move(enc).value(), &bob[*j]});
+    partners.push_back(ChildPartner{std::move(enc).value().sketch, &bob[*j]});
   }
-  // A fresh child of Alice's may have no close partner; pairing against the
-  // empty set recovers it when it has at most ~d elements.
-  const ChildSet empty_set;
-  const Iblt empty_sketch(child_config);
 
   // D_A: recover each of Alice's differing children, keeping the
   // fingerprint each one was verified against.
   std::vector<RecoveredChild> recovered;
+  std::vector<IbltFixedRank> order;  // Partner ranking, reused per child.
   for (const IbltKeyView& blob : decoded.value().positive) {
-    Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
-    if (!enc_r.ok()) co_return enc_r.status();
-    const ChildEncoding& enc = enc_r.value();
-    bool ok = false;
-    for (const Partner& partner : partners) {
-      Result<ChildSet> child =
-          TryRecoverChild(enc, partner.encoding.sketch, *partner.set,
-                          fp_family, child_scratch);
-      if (child.ok()) {
-        recovered.push_back({std::move(child).value(), enc.fingerprint});
-        ok = true;
-        break;
-      }
-    }
-    if (!ok) {
-      Result<ChildSet> child = TryRecoverChild(enc, empty_sketch, empty_set,
-                                               fp_family, child_scratch);
-      if (child.ok()) {
-        recovered.push_back({std::move(child).value(), enc.fingerprint});
-        ok = true;
-      }
-    }
-    if (!ok) {
+    Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
+    if (!enc.ok()) co_return enc.status();
+    Result<ChildSet> child =
+        RecoverChild(blob, enc.value(), partners, decoded.value().negative,
+                     fp_family, &order, child_scratch);
+    if (!child.ok()) {
       co_return DecodeFailure("iblt2: a child IBLT decoded with no partner");
     }
+    recovered.push_back({std::move(child).value(), enc.value().fingerprint});
   }
 
   AssembledParent assembled =

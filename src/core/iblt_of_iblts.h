@@ -9,9 +9,15 @@ namespace setrec {
 /// 3.6). Each child set is encoded as an O(d)-cell child IBLT plus a child
 /// fingerprint; the encodings are reconciled through an O(d-hat)-cell outer
 /// IBLT. Bob decodes the outer table, then recovers each of Alice's
-/// differing children by pairing her child IBLT with each of his own
-/// differing children's IBLTs until one decodes and fingerprint-verifies
-/// (O(d-hat^2) pairings of O(d) work each).
+/// differing children by pairing her child IBLT with his own differing
+/// children's IBLTs until one decodes and fingerprint-verifies. He tries
+/// them closest first: ranking a partner costs one pass over the m/k
+/// partition-0 records of the two fixed-form sketches (Iblt::RankFixed),
+/// and a true partner differs in at most as many of them as the two
+/// children differ in elements, while an unrelated child differs in nearly
+/// all, so the first decode usually succeeds. Every partner is still tried
+/// before the empty set, so the worst case stays O(d-hat^2) pairings of
+/// O(d) work each.
 ///
 ///   SSRK: 1 round,       O(d-hat * d log u + d-hat log s) bits,
 ///                        O(n + d-hat^2 d) time.

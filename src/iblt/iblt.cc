@@ -50,6 +50,10 @@ void XorKeyScalar(uint64_t* dst, const uint8_t* key, size_t width) {
 constexpr double kCellsPerKey = 2.0;
 constexpr size_t kMinCells = 16;
 
+// The fixed-form record of one cell (SerializeFixed): 4-byte count, 8-byte
+// checksum, key_width key bytes.
+constexpr size_t FixedRecordWidth(size_t key_width) { return 12 + key_width; }
+
 // Zigzag encoding for signed counts in the compact serialization.
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -99,23 +103,67 @@ size_t IbltConfig::PaddedCells() const {
 }
 
 size_t IbltConfig::FixedSerializedSize() const {
-  // Per cell: 4-byte count, 8-byte checksum, key_width key bytes.
-  return PaddedCells() * (4 + 8 + key_width);
+  return PaddedCells() * FixedRecordWidth(key_width);
+}
+
+IbltCellDerivation::IbltCellDerivation(const IbltConfig& config)
+    : bucket_(config.seed, /*tag=*/0x6275636bull),  // "buck"
+      check_(config.seed, /*tag=*/0x6368656bull),   // "chek"
+      key_width_(config.key_width),
+      cells_per_hash_(config.PaddedCells() /
+                      static_cast<size_t>(config.num_hashes)),
+      mod_magic_(cells_per_hash_ > 1
+                     ? ~0ull / cells_per_hash_ +
+                           (~0ull % cells_per_hash_ == cells_per_hash_ - 1)
+                     : 0),
+      num_hashes_(config.num_hashes) {}
+
+void IbltCellDerivation::WriteFixedU64(const uint64_t* keys, size_t n,
+                                       uint8_t* out) const {
+  assert(key_width_ == 8);
+  // Every store below is a raw byte store, which may alias any object: the
+  // derivation is read from a local copy, whose address never escapes.
+  const IbltCellDerivation derivation = *this;
+  const int k = derivation.num_hashes();
+  constexpr size_t kRecord = FixedRecordWidth(8);
+  KeyHashes hashes[Iblt::kSmallBatchMaxKeys];
+  // LINT(alloc-free) — writes every child sketch the set-of-sets protocols
+  // pack, on both parties, at every attempt and level.
+  for (size_t first = 0; first < n; first += Iblt::kSmallBatchMaxKeys) {
+    const size_t block = std::min(n - first, Iblt::kSmallBatchMaxKeys);
+    const uint64_t* block_keys = keys + first;
+    for (size_t j = 0; j < block; ++j) {
+      hashes[j] = derivation.HashU64(block_keys[j]);
+    }
+    // Partition by partition, as ApplyPartitionRange does.
+    for (int i = 0; i < k; ++i) {
+      for (size_t j = 0; j < block; ++j) {
+        uint8_t* record = out + derivation.Cell(hashes[j].bucket, i) * kRecord;
+        uint32_t count;
+        uint64_t check;
+        uint64_t lane;
+        std::memcpy(&count, record, 4);
+        std::memcpy(&check, record + 4, 8);
+        std::memcpy(&lane, record + 12, 8);
+        count += 1;
+        check ^= hashes[j].check;
+        lane ^= block_keys[j];
+        std::memcpy(record, &count, 4);
+        std::memcpy(record + 4, &check, 8);
+        std::memcpy(record + 12, &lane, 8);
+      }
+    }
+  }
+  // LINT(end)
 }
 
 Iblt::Iblt(const IbltConfig& config)
     : config_(config),
       cells_(config.PaddedCells()),
-      cells_per_hash_(cells_ / static_cast<size_t>(config.num_hashes)),
       lanes_per_key_((config.key_width + 7) / 8),
-      mod_magic_(cells_per_hash_ > 1
-                     ? ~0ull / cells_per_hash_ +
-                           (~0ull % cells_per_hash_ == cells_per_hash_ - 1)
-                     : 0),
+      derivation_(config),
       meta_(cells_),
-      key_lanes_(cells_ * lanes_per_key_, 0),
-      bucket_family_(config.seed, /*tag=*/0x6275636bull),   // "buck"
-      check_family_(config.seed, /*tag=*/0x6368656bull) {}  // "chek"
+      key_lanes_(cells_ * lanes_per_key_, 0) {}
 
 void Iblt::Insert(const uint8_t* key) { Update(key, +1); }
 void Iblt::Insert(const std::vector<uint8_t>& key) {
@@ -156,57 +204,21 @@ void Iblt::EraseBatch(const uint8_t* keys, size_t n) {
   ApplyBatchBytes(keys, n, -1, batch_options_);
 }
 
-void Iblt::Clear() {
-  std::fill(meta_.begin(), meta_.end(), IbltCellMeta{});
-  std::fill(key_lanes_.begin(), key_lanes_.end(), uint64_t{0});
-}
-
-// LINT(alloc-free) — per-(key, hash) math on the peel path: pure mixing
-// and a reciprocal modulo, no heap traffic allowed.
-Iblt::KeyHashes Iblt::HashKeyU64(uint64_t key) const {
-  // The seed-independent lane mix is shared between the two families.
-  uint64_t mixed = HashFamily::MixLane8(key);
-  return {bucket_family_.HashWord8Premixed(mixed),
-          check_family_.HashWord8Premixed(mixed)};
-}
-
-Iblt::KeyHashes Iblt::HashKey(const uint8_t* key) const {
-  if (config_.key_width == 8) {
-    uint64_t lane;
-    std::memcpy(&lane, key, 8);
-    return HashKeyU64(lane);
-  }
-  // Blob keys: both families in one pass over the key bytes.
-  const auto [bucket, check] = HashFamily::HashBytesPair(
-      bucket_family_, check_family_, key, config_.key_width);
-  return {bucket, check};
-}
-
-size_t Iblt::CellForIndex(uint64_t bucket_hash, int index) const {
-  uint64_t sub = Mix64(bucket_hash ^
-                       (uint64_t{0x9e3779b97f4a7c15} * static_cast<uint64_t>(index + 1)));
-  // Exact `sub % cells_per_hash_` via the precomputed reciprocal: with
-  // M = floor(2^64 / d), q = mulhi(sub, M) is floor(sub/d) or one less, so
-  // one conditional subtract fixes the remainder. Replaces a hardware
-  // division on the hot path; bit-identical to the plain modulo.
-  uint64_t r = 0;
-  if (cells_per_hash_ > 1) {
-    uint64_t q = static_cast<uint64_t>(
-        (static_cast<__uint128_t>(sub) * mod_magic_) >> 64);
-    r = sub - q * cells_per_hash_;
-    if (r >= cells_per_hash_) r -= cells_per_hash_;
-  }
-  return static_cast<size_t>(index) * cells_per_hash_ + r;
-}
-// LINT(end)
-
+// The cell updates below read the derivation, the key width and the arena
+// pointers from locals: a store into the cells may alias a member read
+// through `this` (see IbltCellDerivation).
 void Iblt::Update(const uint8_t* key, int32_t delta) {
-  KeyHashes h = HashKey(key);
-  for (int i = 0; i < config_.num_hashes; ++i) {
-    size_t cell = CellForIndex(h.bucket, i);
-    meta_[cell].count += delta;
-    meta_[cell].check ^= h.check;
-    XorKeyScalar(CellLanes(cell), key, config_.key_width);
+  const IbltCellDerivation derivation = derivation_;
+  const size_t w = config_.key_width;
+  const size_t lanes_per_key = lanes_per_key_;
+  IbltCellMeta* meta = meta_.data();
+  uint64_t* lanes = key_lanes_.data();
+  const KeyHashes h = derivation.Hash(key);
+  for (int i = 0; i < derivation.num_hashes(); ++i) {
+    const size_t cell = derivation.Cell(h.bucket, i);
+    meta[cell].count += delta;
+    meta[cell].check ^= h.check;
+    XorKeyScalar(lanes + cell * lanes_per_key, key, w);
   }
 }
 
@@ -215,21 +227,25 @@ void Iblt::ApplyPartitionRange(const KeyHashes* hashes,
                                const uint8_t* byte_keys, size_t n,
                                int32_t delta, int first_index,
                                int index_step) {
+  const IbltCellDerivation derivation = derivation_;
   const size_t w = config_.key_width;
-  for (int i = first_index; i < config_.num_hashes; i += index_step) {
+  const size_t lanes_per_key = lanes_per_key_;
+  IbltCellMeta* meta = meta_.data();
+  uint64_t* lanes = key_lanes_.data();
+  for (int i = first_index; i < derivation.num_hashes(); i += index_step) {
     if (u64_keys != nullptr) {
       for (size_t j = 0; j < n; ++j) {
-        size_t cell = CellForIndex(hashes[j].bucket, i);
-        meta_[cell].count += delta;
-        meta_[cell].check ^= hashes[j].check;
-        key_lanes_[cell] ^= u64_keys[j];
+        const size_t cell = derivation.Cell(hashes[j].bucket, i);
+        meta[cell].count += delta;
+        meta[cell].check ^= hashes[j].check;
+        lanes[cell] ^= u64_keys[j];
       }
     } else {
       for (size_t j = 0; j < n; ++j) {
-        size_t cell = CellForIndex(hashes[j].bucket, i);
-        meta_[cell].count += delta;
-        meta_[cell].check ^= hashes[j].check;
-        XorKeyScalar(CellLanes(cell), byte_keys + j * w, w);
+        const size_t cell = derivation.Cell(hashes[j].bucket, i);
+        meta[cell].count += delta;
+        meta[cell].check ^= hashes[j].check;
+        XorKeyScalar(lanes + cell * lanes_per_key, byte_keys + j * w, w);
       }
     }
   }
@@ -321,14 +337,15 @@ void Iblt::ApplyOps(const ApplyOp* ops, size_t count,
   for (size_t i = 0; i < count; ++i) {
     const ApplyOp& op = ops[i];
     KeyHashes* out = scratch->hashes.data() + scratch->offsets[i];
+    const IbltCellDerivation derivation = op.table->derivation_;
     if (op.u64_keys != nullptr) {
       for (size_t j = 0; j < op.n; ++j) {
-        out[j] = op.table->HashKeyU64(op.u64_keys[j]);
+        out[j] = derivation.HashU64(op.u64_keys[j]);
       }
     } else {
       const size_t w = op.table->config_.key_width;
       for (size_t j = 0; j < op.n; ++j) {
-        out[j] = op.table->HashKey(op.byte_keys + j * w);
+        out[j] = derivation.Hash(op.byte_keys + j * w);
       }
     }
   }
@@ -360,7 +377,7 @@ void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
   std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
   KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes
                                               : heap_hashes.data();
-  for (size_t j = 0; j < n; ++j) hashes[j] = HashKeyU64(keys[j]);
+  for (size_t j = 0; j < n; ++j) hashes[j] = derivation_.HashU64(keys[j]);
   ApplyHashedBatch(hashes, keys, nullptr, n, delta, options);
 }
 
@@ -371,9 +388,8 @@ void Iblt::ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta,
   std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
   KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes
                                               : heap_hashes.data();
-  for (size_t j = 0; j < n; ++j) {
-    hashes[j] = HashKey(keys + j * config_.key_width);
-  }
+  const size_t w = config_.key_width;
+  for (size_t j = 0; j < n; ++j) hashes[j] = derivation_.Hash(keys + j * w);
   ApplyHashedBatch(hashes, nullptr, keys, n, delta, options);
 }
 
@@ -423,7 +439,9 @@ bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
   assert(out_u64 == nullptr || config_.key_width == 8);
   assert(scratch->meta.size() == cells_ &&
          scratch->key_lanes.size() == key_lanes_.size());
-  const int k = config_.num_hashes;
+  const IbltCellDerivation derivation = derivation_;
+  const int k = derivation.num_hashes();
+  const size_t lanes_per_key = lanes_per_key_;
 
   scratch->queued.assign(cells_, 0);
   scratch->queue.clear();
@@ -455,8 +473,8 @@ bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
     const int64_t count = meta[cell].count;
     if (count != 1 && count != -1) continue;  // Stale queue entry.
     const uint8_t* cell_key =
-        reinterpret_cast<const uint8_t*>(lanes + cell * lanes_per_key_);
-    const KeyHashes h = HashKey(cell_key);
+        reinterpret_cast<const uint8_t*>(lanes + cell * lanes_per_key);
+    const KeyHashes h = derivation.Hash(cell_key);
     if (meta[cell].check != h.check) continue;  // Count ±1 but not pure.
     const int64_t sign = count;
 
@@ -465,7 +483,7 @@ bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
       const uint64_t key64 = lanes[cell];
       (sign > 0 ? out_u64->positive : out_u64->negative).push_back(key64);
       for (int i = 0; i < k; ++i) {
-        const size_t t = CellForIndex(h.bucket, i);
+        const size_t t = derivation.Cell(h.bucket, i);
         meta[t].count -= sign;
         meta[t].check ^= h.check;
         lanes[t] ^= key64;
@@ -486,18 +504,18 @@ bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
     // peel is done (BuildViews).
     const size_t off = scratch->out_lanes.size();
     scratch->out_lanes.insert(scratch->out_lanes.end(),
-                              lanes + cell * lanes_per_key_,
-                              lanes + (cell + 1) * lanes_per_key_);
+                              lanes + cell * lanes_per_key,
+                              lanes + (cell + 1) * lanes_per_key);
     (sign > 0 ? scratch->pos_offsets : scratch->neg_offsets).push_back(off);
     const uint64_t* staged = scratch->out_lanes.data() + off;
 
     // Remove the key from all of its cells (including this one), queueing
     // any cell the removal leaves as a fresh pure candidate.
     for (int i = 0; i < k; ++i) {
-      const size_t t = CellForIndex(h.bucket, i);
+      const size_t t = derivation.Cell(h.bucket, i);
       meta[t].count -= sign;
       meta[t].check ^= h.check;
-      XorLanesScalar(lanes + t * lanes_per_key_, staged, lanes_per_key_);
+      XorLanesScalar(lanes + t * lanes_per_key, staged, lanes_per_key);
       if ((meta[t].count == 1 || meta[t].count == -1) && !scratch->queued[t]) {
         scratch->queue.push_back(static_cast<uint32_t>(t));
         scratch->queued[t] = 1;
@@ -660,16 +678,51 @@ void Iblt::SerializeFixed(ByteWriter* writer) const {
   // (little-endian, as everywhere in the wire format).
   const size_t w = config_.key_width;
   uint8_t* out = writer->Extend(config_.FixedSerializedSize());
-  // LINT(alloc-free) — per-cell copy of every child sketch the set-of-sets
-  // protocols pack, on both parties, at every attempt and level.
+  // LINT(alloc-free) — per-cell copy of a whole table (the strata
+  // estimator's frames, and the reference the fixed-form writer is tested
+  // against).
   for (size_t i = 0; i < cells_; ++i) {
     const uint32_t count = static_cast<uint32_t>(meta_[i].count);
     std::memcpy(out, &count, 4);
     std::memcpy(out + 4, &meta_[i].check, 8);
     std::memcpy(out + 12, CellKeyBytes(i), w);
-    out += 12 + w;
+    out += FixedRecordWidth(w);
   }
   // LINT(end)
+}
+
+void Iblt::RankFixed(const IbltConfig& config, IbltKeyView target,
+                     std::span<const IbltKeyView> candidates,
+                     std::vector<IbltFixedRank>* order) {
+  const size_t record = FixedRecordWidth(config.key_width);
+  const size_t records =
+      config.PaddedCells() / static_cast<size_t>(config.num_hashes);
+  assert(target.size >= records * record);
+  order->clear();
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    assert(candidates[c].size >= records * record);
+    const uint8_t* a = target.data;
+    const uint8_t* b = candidates[c].data;
+    size_t distance = 0;
+    // LINT(alloc-free) — runs for every (positive, partner) pair Bob
+    // ranks, at every attempt and level.
+    for (size_t r = 0; r < records; ++r, a += record, b += record) {
+      uint64_t diff = 0;
+      size_t i = 0;
+      for (; i + 8 <= record; i += 8) {
+        uint64_t x;
+        uint64_t y;
+        std::memcpy(&x, a + i, 8);
+        std::memcpy(&y, b + i, 8);
+        diff |= x ^ y;
+      }
+      for (; i < record; ++i) diff |= static_cast<uint64_t>(a[i] ^ b[i]);
+      distance += diff != 0;
+    }
+    // LINT(end)
+    order->push_back({distance, c});
+  }
+  std::sort(order->begin(), order->end());
 }
 
 Result<Iblt> Iblt::DeserializeFixed(ByteReader* reader,

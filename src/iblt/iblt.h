@@ -1,6 +1,7 @@
 #ifndef SETREC_IBLT_IBLT_H_
 #define SETREC_IBLT_IBLT_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -219,6 +220,109 @@ struct IbltPartialDecodeView {
   bool complete = false;
 };
 
+/// The key -> cells derivation of one table config: the bucket and check
+/// hash families, the partition width m/k and its reciprocal. Each key is
+/// hashed ONCE per family — h = bucket.HashBytes(key) and
+/// c = check.HashBytes(key) — and its k cells come from the single 64-bit h
+/// as
+///   cell_i = i * (m/k) + Mix64(h ^ (GOLDEN * (i+1))) % (m/k),
+/// i.e. one strong hash plus k cheap mixes, instead of k full key hashes.
+/// Both families share their seed-independent lane mixes, so a key's bytes
+/// are read once: 8-byte keys through HashWord8Premixed, blob keys (the
+/// child encodings of the set-of-sets protocols) through
+/// HashFamily::HashBytesPair, which equals the two HashBytes calls exactly.
+/// The derivation is identical to the seed implementation's per-index
+/// Bucket(), so tables, wire bytes, and decode results are bit-identical
+/// for fixed seeds.
+///
+/// A small value type on purpose: every update loop copies it into a local.
+/// A store into a table's cells (int64 counts, uint64 checksums and key
+/// lanes, or raw bytes) may alias a member read through `this`, which would
+/// reload the partition width and the reciprocal after every store; a local
+/// whose address never escapes stays in registers.
+class IbltCellDerivation {
+ public:
+  struct KeyHashes {
+    uint64_t bucket;
+    uint64_t check;
+  };
+
+  explicit IbltCellDerivation(const IbltConfig& config);
+
+  // LINT(alloc-free) — per-(key, hash) math on the build and peel paths:
+  // pure mixing and a reciprocal modulo, no heap traffic allowed.
+  KeyHashes HashU64(uint64_t key) const {
+    // The seed-independent lane mix is shared between the two families.
+    const uint64_t mixed = HashFamily::MixLane8(key);
+    return {bucket_.HashWord8Premixed(mixed), check_.HashWord8Premixed(mixed)};
+  }
+
+  /// Both hashes of the key_width bytes at `key`.
+  KeyHashes Hash(const uint8_t* key) const {
+    if (key_width_ == 8) {
+      uint64_t lane;
+      std::memcpy(&lane, key, 8);
+      return HashU64(lane);
+    }
+    // Blob keys: both families in one pass over the key bytes.
+    const auto [bucket, check] =
+        HashFamily::HashBytesPair(bucket_, check_, key, key_width_);
+    return {bucket, check};
+  }
+
+  /// The cell of a key with bucket hash `bucket` under hash function
+  /// `index`.
+  size_t Cell(uint64_t bucket, int index) const {
+    const uint64_t sub =
+        Mix64(bucket ^ (uint64_t{0x9e3779b97f4a7c15} *
+                        static_cast<uint64_t>(index + 1)));
+    // Exact `sub % cells_per_hash_` via the precomputed reciprocal: with
+    // M = floor(2^64 / d), q = mulhi(sub, M) is floor(sub/d) or one less,
+    // so one conditional subtract fixes the remainder. Replaces a hardware
+    // division on the hot path; bit-identical to the plain modulo.
+    uint64_t r = 0;
+    if (cells_per_hash_ > 1) {
+      const uint64_t q = static_cast<uint64_t>(
+          (static_cast<__uint128_t>(sub) * mod_magic_) >> 64);
+      r = sub - q * cells_per_hash_;
+      if (r >= cells_per_hash_) r -= cells_per_hash_;
+    }
+    return static_cast<size_t>(index) * cells_per_hash_ + r;
+  }
+  // LINT(end)
+
+  /// Writes the fixed-form serialization (Iblt::SerializeFixed's layout) of
+  /// the table of this config that holds exactly the `n` 8-byte keys, into
+  /// `out`, which must be config.FixedSerializedSize() ZERO bytes: each key
+  /// adds one to the count, its checksum and its value into its k records
+  /// in place. Byte-identical to building Iblt(config), InsertBatch(keys,
+  /// n) and SerializeFixed, with no table: keys are hashed in stack blocks
+  /// of Iblt::kSmallBatchMaxKeys, so the writer never allocates. This is
+  /// how the set-of-sets protocols pack child sketches
+  /// (AppendChildIbltBlobs in core/encoding.h). Requires key_width == 8.
+  void WriteFixedU64(const uint64_t* keys, size_t n, uint8_t* out) const;
+
+  int num_hashes() const { return num_hashes_; }
+
+ private:
+  HashFamily bucket_;
+  HashFamily check_;
+  size_t key_width_;
+  size_t cells_per_hash_;  // Partition width m/k.
+  uint64_t mod_magic_;     // floor(2^64 / cells_per_hash_), for Cell().
+  int num_hashes_;
+};
+
+/// One candidate's place in Iblt::RankFixed's order: how many partition-0
+/// records it differs from the target in, then its position in the
+/// candidate list. Compares lexicographically in that order.
+struct IbltFixedRank {
+  size_t distance = 0;
+  size_t index = 0;
+
+  auto operator<=>(const IbltFixedRank&) const = default;
+};
+
 /// One cell's count + checksum, kept adjacent so a random cell touch costs
 /// one cache line for the header and one for the key lanes (16-byte record,
 /// never straddles a 64-byte line).
@@ -280,18 +384,9 @@ struct DecodeScratch {
 /// by address (little-endian layout assumed, as everywhere in the wire
 /// format).
 ///
-/// One-hash cell derivation: each key is hashed ONCE per family —
-/// h = bucket_family.HashBytes(key) and c = check_family.HashBytes(key) —
-/// and the k cells are derived from the single 64-bit h as
-///   cell_i = i * (m/k) + Mix64(h ^ (GOLDEN * (i+1))) % (m/k),
-/// i.e. one strong hash plus k cheap mixes, instead of k full key hashes.
-/// Both families share their seed-independent lane mixes, so a key's bytes
-/// are read once: 8-byte keys through HashWord8Premixed, blob keys (the
-/// child encodings of the set-of-sets protocols) through
-/// HashFamily::HashBytesPair, which equals the two HashBytes calls exactly.
-/// The derivation is identical to the seed implementation's per-index
-/// Bucket(), so tables, wire bytes, and decode results are bit-identical
-/// for fixed seeds.
+/// Cells are derived from a key by the table's IbltCellDerivation (one
+/// bucket hash and one checksum hash per key, k cheap mixes of the bucket
+/// hash for the cells); see there.
 ///
 /// The *_U64 convenience methods treat 64-bit integers as 8-byte
 /// little-endian keys and require key_width == 8.
@@ -300,10 +395,7 @@ class Iblt {
   /// Both per-key hashes, each computed exactly once per key. Public so
   /// multi-table batch passes (ApplyOps) can stage hashes in caller-owned
   /// scratch buffers.
-  struct KeyHashes {
-    uint64_t bucket;
-    uint64_t check;
-  };
+  using KeyHashes = IbltCellDerivation::KeyHashes;
 
   explicit Iblt(const IbltConfig& config);
 
@@ -336,13 +428,6 @@ class Iblt {
   void EraseBatch(const uint64_t* keys, size_t n);
   void EraseBatch(const std::vector<uint64_t>& keys);
   void EraseBatch(const uint8_t* keys, size_t n);
-
-  /// Zeroes every cell and keeps the storage and config, so one table can
-  /// sketch many key sets in turn: Clear() then inserts gives exactly the
-  /// cells a fresh Iblt(config()) would. The child-blob packer
-  /// (AppendChildIbltBlobs in core/encoding.h) reuses one sketch this way
-  /// for every child of a level.
-  void Clear();
 
   /// Cell-wise subtraction: this -= other. After Alice's table is
   /// subtracted by Bob's, only the symmetric difference remains.
@@ -447,10 +532,28 @@ class Iblt {
   /// the same number of bytes, so serialized tables can themselves be used
   /// as (XOR-able) IBLT keys, as in the IBLT-of-IBLTs constructions. Writes
   /// all config().FixedSerializedSize() bytes in place with one
-  /// ByteWriter::Extend.
+  /// ByteWriter::Extend: per cell, in cell order, the count as 4
+  /// little-endian bytes (two's complement, truncated), the 8-byte checksum,
+  /// then the key_width key bytes. IbltCellDerivation::WriteFixedU64 writes
+  /// the same layout without a table.
   void SerializeFixed(ByteWriter* writer) const;
   [[nodiscard]] static Result<Iblt> DeserializeFixed(ByteReader* reader,
                                        const IbltConfig& config);
+
+  /// Orders fixed-form tables of `config` (SerializeFixed's layout; bytes
+  /// past it, such as a child blob's fingerprint, are ignored) by how many
+  /// partition-0 records — the first m/k cells — differ from `target`'s,
+  /// ties by position: `order` is cleared and refilled with one entry per
+  /// candidate, sorted. Every key touches exactly one partition-0 cell, so
+  /// two tables whose key sets differ in e keys differ in at most e of
+  /// those records, while the ~2h keys of two unrelated h-key sets leave
+  /// almost none of them equal (balls into bins). The set-of-sets protocols
+  /// try Bob's partner sketches for one of Alice's child sketches in this
+  /// order, so the true partner is usually the first decode. Allocation-
+  /// free once `order` has the capacity.
+  static void RankFixed(const IbltConfig& config, IbltKeyView target,
+                        std::span<const IbltKeyView> candidates,
+                        std::vector<IbltFixedRank>* order);
 
   /// One deferred batch op of a multi-table pass: insert (delta=+1) or
   /// erase (delta=-1) `n` keys into `table`. Exactly one of u64_keys /
@@ -498,8 +601,9 @@ class Iblt {
   static constexpr size_t kShardedBatchMinKeys = kShardedBatchMinKeysDefault;
 
   /// Batches up to this size hash into a stack buffer (16 bytes per key)
-  /// instead of a heap vector, keeping small batched updates — the
-  /// per-child sketches of the set-of-sets protocols — allocation-free.
+  /// instead of a heap vector, keeping small batched updates
+  /// allocation-free; IbltCellDerivation::WriteFixedU64 hashes in stack
+  /// blocks of this size.
   static constexpr size_t kSmallBatchMaxKeys = 128;
 
   /// Test hook: when > 0, large batches use exactly this many workers
@@ -509,11 +613,6 @@ class Iblt {
 
  private:
   void Update(const uint8_t* key, int32_t delta);
-  KeyHashes HashKey(const uint8_t* key) const;
-  KeyHashes HashKeyU64(uint64_t key) const;
-  /// The cell index for a key with bucket hash `bucket_hash` under hash
-  /// function `index` (the one-hash derivation described above).
-  size_t CellForIndex(uint64_t bucket_hash, int index) const;
   bool CellIsZero(size_t cell) const;
 
   /// Shared sparse-codec sections (counts + checks + masked keys for a
@@ -574,9 +673,8 @@ class Iblt {
 
   IbltConfig config_;
   size_t cells_;           // Padded cell count.
-  size_t cells_per_hash_;  // Partition width.
   size_t lanes_per_key_;   // ceil(key_width / 8) uint64 words per cell.
-  uint64_t mod_magic_;     // floor(2^64 / cells_per_hash_), for CellForIndex.
+  IbltCellDerivation derivation_;
   std::vector<IbltCellMeta> meta_;   // Per-cell count + checksum.
   /// cells_ * lanes_per_key_ words. Deliberately a PLAIN vector: tables
   /// are allocated per session in the hot path and over-aligned operator
@@ -586,8 +684,6 @@ class Iblt {
   /// cache-line-aligned arenas live in DecodeScratch, whose vectors are
   /// allocated once and reused.
   std::vector<uint64_t> key_lanes_;
-  HashFamily bucket_family_;
-  HashFamily check_family_;
 };
 
 inline bool TableLineage::CoversConfig(const IbltConfig& config) const {

@@ -213,9 +213,9 @@ uint64_t HashTranscript(const Channel& channel);
 ///      estimator updates, from every parked session — are applied as one
 ///      coalesced Iblt::ApplyOps pass, and the owning sessions are resumed
 ///      with their sketches built (the scatter-back). Child-IBLT blobs are
-///      not planner ops: a session packs them inline from one reused
-///      sketch (AppendChildIbltBlobs). The loop runs until every live
-///      session is parked at a round boundary.
+///      not planner ops: a session writes them inline, straight into
+///      its packed blobs (AppendChildIbltBlobs). The loop runs until
+///      every live session is parked at a round boundary.
 ///
 /// THREAD MODEL: one SyncService is owned by exactly one driving thread
 /// (the thread that calls Step — asserted in debug builds). Everything a

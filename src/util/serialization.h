@@ -16,9 +16,10 @@ namespace setrec {
 /// would send.
 ///
 /// Bulk writers (the child-blob packers, Iblt::SerializeFixed) that know
-/// their output size up front call Reserve() once with the total, then fill
-/// fixed-width records in place through Extend(), so a multi-megabyte
-/// buffer is allocated once instead of regrown as it fills.
+/// their output size up front fill fixed-width records in place through
+/// Extend() — one call with the total, or one Reserve() with the total
+/// first — so a multi-megabyte buffer is allocated once instead of regrown
+/// as it fills.
 class ByteWriter {
  public:
   ByteWriter() = default;

@@ -6,9 +6,12 @@
 // covers Submit, every Step and TakeResults, so a budget counts everything
 // a session costs the allocator.
 //
-// Each budget is the count measured when Bob's children were first looked
-// up through a flat fingerprint index and his parent assembled in one
-// merge. A later change may lower a budget; it must never raise one.
+// Each budget is the count measured when it was last lowered: naive's and
+// multiround's when Bob's children were first looked up through a flat
+// fingerprint index and his parent assembled in one merge; iblt2's and
+// cascade's when child sketches were first written straight into their
+// blobs, with no table per packing call and no empty partner table. A later
+// change may lower a budget; it must never raise one.
 
 #include <gtest/gtest.h>
 
@@ -128,8 +131,8 @@ TEST_P(AllocationBudgetTest, WarmSessionWithinBudget) {
 INSTANTIATE_TEST_SUITE_P(
     Protocols, AllocationBudgetTest,
     ::testing::Values(Budget{SsrProtocolKind::kNaive, "naive", 81},
-                      Budget{SsrProtocolKind::kIblt2, "iblt2", 101},
-                      Budget{SsrProtocolKind::kCascade, "cascade", 141},
+                      Budget{SsrProtocolKind::kIblt2, "iblt2", 97},
+                      Budget{SsrProtocolKind::kCascade, "cascade", 126},
                       Budget{SsrProtocolKind::kMultiRound, "multiround",
                              197}),
     [](const ::testing::TestParamInfo<Budget>& param_info) {

@@ -184,6 +184,95 @@ TEST(IbltTest, FixedSerializationHasExactSize) {
   EXPECT_EQ(decoded.value().positive, (std::vector<uint64_t>{1}));
 }
 
+// Fixed-form bytes of a table holding `keys`, plus an 8-byte trailer the
+// way a child blob ends in its fingerprint.
+std::vector<uint8_t> FixedBytes(const IbltConfig& config,
+                                const std::vector<uint64_t>& keys,
+                                uint64_t trailer) {
+  Iblt table(config);
+  table.InsertBatch(keys);
+  ByteWriter writer;
+  table.SerializeFixed(&writer);
+  writer.PutU64(trailer);
+  return writer.Take();
+}
+
+std::vector<uint64_t> RandomKeys(Rng* rng, size_t n) {
+  std::vector<uint64_t> keys(n);
+  for (uint64_t& key : keys) key = rng->NextU64();
+  return keys;
+}
+
+TEST(IbltRankFixedTest, CloseTableRanksFirstFromLastPlace) {
+  // Five unrelated 24-key tables, then the target's keys with three
+  // swapped for fresh ones (six keys of difference), last.
+  Rng rng(61);
+  const IbltConfig config = IbltConfig::ForDifference(8, 62);
+  const std::vector<uint64_t> target_keys = RandomKeys(&rng, 24);
+  const std::vector<uint8_t> target = FixedBytes(config, target_keys, 1);
+  std::vector<std::vector<uint8_t>> tables;
+  for (int i = 0; i < 5; ++i) {
+    tables.push_back(FixedBytes(config, RandomKeys(&rng, 24), 2));
+  }
+  std::vector<uint64_t> close = target_keys;
+  for (size_t i = 0; i < 3; ++i) close[i] = rng.NextU64();
+  tables.push_back(FixedBytes(config, close, 3));
+  std::vector<IbltKeyView> views;
+  for (const std::vector<uint8_t>& t : tables) {
+    views.push_back(IbltKeyView{t.data(), t.size()});
+  }
+
+  std::vector<IbltFixedRank> order = {{7, 7}};  // Cleared, then refilled.
+  Iblt::RankFixed(config, IbltKeyView{target.data(), target.size()}, views,
+                  &order);
+  ASSERT_EQ(order.size(), views.size());
+  EXPECT_EQ(order.front().index, views.size() - 1);
+  EXPECT_LE(order.front().distance, 6u);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  std::set<size_t> indices;
+  for (const IbltFixedRank& rank : order) indices.insert(rank.index);
+  EXPECT_EQ(indices.size(), views.size());  // Every candidate, once.
+  const size_t partition = config.PaddedCells() / 4;
+  for (const IbltFixedRank& rank : order) {
+    EXPECT_LE(rank.distance, partition);
+  }
+  // 48 keys over the partition's cells leave almost none of them equal.
+  EXPECT_GE(order.back().distance, partition - 2);
+}
+
+TEST(IbltRankFixedTest, TiesKeepCandidateOrderAndTrailersAreIgnored) {
+  // Equal tables with different trailers are at distance 0 in list order;
+  // the empty table differs in exactly the target's nonzero partition-0
+  // records.
+  Rng rng(71);
+  const IbltConfig config = IbltConfig::ForDifference(4, 72, 8, 3);
+  const std::vector<uint64_t> keys = RandomKeys(&rng, 5);
+  const std::vector<uint8_t> target = FixedBytes(config, keys, 9);
+  const std::vector<uint8_t> empty = FixedBytes(config, {}, 0);
+  const std::vector<uint8_t> same_a = FixedBytes(config, keys, 10);
+  const std::vector<uint8_t> same_b = FixedBytes(config, keys, 11);
+  const std::vector<IbltKeyView> views = {
+      {empty.data(), empty.size()},
+      {same_a.data(), same_a.size()},
+      {same_b.data(), same_b.size()}};
+  std::vector<IbltFixedRank> order;
+  Iblt::RankFixed(config, IbltKeyView{target.data(), target.size()}, views,
+                  &order);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], (IbltFixedRank{0, 1}));
+  EXPECT_EQ(order[1], (IbltFixedRank{0, 2}));
+  const size_t partition = config.PaddedCells() / 3;
+  const size_t record = 12 + config.key_width;  // Count, checksum, key.
+  size_t nonzero = 0;
+  for (size_t r = 0; r < partition; ++r) {
+    const uint8_t* rec = target.data() + r * record;
+    nonzero +=
+        std::any_of(rec, rec + record, [](uint8_t b) { return b != 0; });
+  }
+  EXPECT_GT(nonzero, 0u);
+  EXPECT_EQ(order[2], (IbltFixedRank{nonzero, 0}));
+}
+
 TEST(IbltTest, DeserializeTruncatedRejected) {
   IbltConfig config = IbltConfig::ForDifference(7, 23);
   std::vector<uint8_t> junk = {1, 2, 3};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -296,34 +297,207 @@ TEST(ChildIbltBlobTest, RoundTrip) {
   EXPECT_EQ(decoded.value().positive.size(), 3u);
 }
 
-TEST(ChildIbltBlobTest, PackedBlobsMatchPerChildEncoding) {
-  // A full child, then an empty one (residue from an incomplete Clear would
-  // show in the empty child's blob), a small one, and one of more than
-  // Iblt::kSmallBatchMaxKeys elements (the heap-hash batch path).
+// The reference the blob writer must match byte for byte: a table of the
+// child's config with the child inserted, serialized fixed-width, then the
+// fingerprint.
+std::vector<uint8_t> TablePathBlob(const ChildSet& child,
+                                   const IbltConfig& config,
+                                   uint64_t fingerprint) {
+  Iblt table(config);
+  table.InsertBatch(child);
+  ByteWriter writer;
+  table.SerializeFixed(&writer);
+  writer.PutU64(fingerprint);
+  return writer.Take();
+}
+
+// `n` keys that all land in the same partition-0 cell of `config`, so that
+// cell's count, checksum and key lane each take several keys.
+ChildSet CollidingChild(const IbltConfig& config, size_t n) {
+  const IbltCellDerivation derivation(config);
+  const auto cell = [&derivation](uint64_t key) {
+    return derivation.Cell(derivation.HashU64(key).bucket, 0);
+  };
+  ChildSet child = {1};
+  for (uint64_t key = 2; child.size() < n; ++key) {
+    if (cell(key) == cell(1)) child.push_back(key);
+  }
+  return child;
+}
+
+TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
+  // A full child, then an empty one right after it (residue from the full
+  // child would show in its slot), a small one, one of more than
+  // Iblt::kSmallBatchMaxKeys elements (two hash blocks), and keys that
+  // collide in one cell.
   Rng rng(2024);
   auto random_child = [&rng](size_t n) {
     ChildSet child(n);
     for (uint64_t& x : child) x = rng.NextU64() >> 4;
+    std::sort(child.begin(), child.end());
     return child;
   };
-  const SetOfSets children = {random_child(40), {}, random_child(3),
-                              random_child(Iblt::kSmallBatchMaxKeys + 72)};
-  ASSERT_GT(children.back().size(), Iblt::kSmallBatchMaxKeys);
-  const std::vector<uint64_t> fps = {0x1111, 0x2222, 0x3333, 0x4444};
-
-  for (const IbltConfig& config :
-       {IbltConfig::ForDifference(4, 99), IbltConfig::ForDifference(50, 7)}) {
-    std::vector<uint8_t> expected = {0xee};  // Packing appends.
-    for (size_t i = 0; i < children.size(); ++i) {
-      std::vector<uint8_t> blob =
-          EncodeChildIbltBlob(children[i], config, fps[i]);
-      expected.insert(expected.end(), blob.begin(), blob.end());
+  for (int k : {3, 4, 5}) {
+    for (size_t cells : {size_t{8}, size_t{24}, size_t{136}, size_t{300}}) {
+      IbltConfig config;
+      config.cells = cells;
+      config.num_hashes = k;
+      config.seed = 99 + cells;
+      const SetOfSets children = {random_child(40), {}, random_child(3),
+                                  random_child(Iblt::kSmallBatchMaxKeys + 72),
+                                  CollidingChild(config, 4)};
+      const std::vector<uint64_t> fps = {0x1111, 0x2222, 0x3333, 0x4444,
+                                         0x5555};
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " cells=" + std::to_string(cells));
+      std::vector<uint8_t> expected = {0xee};  // Packing appends.
+      for (size_t i = 0; i < children.size(); ++i) {
+        const std::vector<uint8_t> blob =
+            TablePathBlob(children[i], config, fps[i]);
+        EXPECT_EQ(EncodeChildIbltBlob(children[i], config, fps[i]), blob)
+            << "child " << i;
+        expected.insert(expected.end(), blob.begin(), blob.end());
+      }
+      ByteWriter packed;
+      packed.PutU8(0xee);
+      AppendChildIbltBlobs(children, config, fps, &packed);
+      EXPECT_EQ(packed.bytes(), expected);
     }
-    ByteWriter packed;
-    packed.PutU8(0xee);
-    AppendChildIbltBlobs(children, config, fps, &packed);
-    EXPECT_EQ(packed.bytes(), expected) << "cells=" << config.cells;
   }
+}
+
+// Partners for RecoverChild, built the way Bob builds them: each child's
+// blob, and the sketch parsed back from it.
+struct PartnerSet {
+  std::vector<std::vector<uint8_t>> blobs;
+  std::vector<ChildPartner> partners;
+  std::vector<IbltKeyView> views;
+
+  PartnerSet(const SetOfSets& children, const IbltConfig& config,
+             const HashFamily& fp_family) {
+    for (const ChildSet& child : children) {
+      blobs.push_back(EncodeChildIbltBlob(
+          child, config, ChildFingerprint(child, fp_family)));
+    }
+    for (size_t i = 0; i < children.size(); ++i) {
+      Result<ChildEncoding> enc = ParseChildIbltBlob(blobs[i], config);
+      EXPECT_TRUE(enc.ok());
+      partners.push_back(ChildPartner{std::move(enc).value().sketch,
+                                      &children[i]});
+      views.push_back(IbltKeyView{blobs[i].data(), blobs[i].size()});
+    }
+  }
+};
+
+// Recovers `alice` against `bob_partners` through RecoverChild.
+Result<ChildSet> RecoverAgainst(const ChildSet& alice,
+                                const SetOfSets& bob_partners,
+                                const IbltConfig& config,
+                                const HashFamily& fp_family) {
+  const std::vector<uint8_t> blob =
+      EncodeChildIbltBlob(alice, config, ChildFingerprint(alice, fp_family));
+  Result<ChildEncoding> enc = ParseChildIbltBlob(blob, config);
+  EXPECT_TRUE(enc.ok());
+  const PartnerSet partners(bob_partners, config, fp_family);
+  std::vector<IbltFixedRank> order;
+  DecodeScratch scratch;
+  return RecoverChild(IbltKeyView{blob.data(), blob.size()}, enc.value(),
+                      partners.partners, partners.views, fp_family, &order,
+                      &scratch);
+}
+
+ChildSet RandomChild(Rng* rng, size_t n) {
+  ChildSet child(n);
+  for (uint64_t& x : child) x = rng->NextU64() >> 8;
+  std::sort(child.begin(), child.end());
+  return child;
+}
+
+// `child` with its first `removed` elements dropped and `added` fresh ones.
+ChildSet Edited(ChildSet child, size_t removed, size_t added, Rng* rng) {
+  child.erase(child.begin(),
+              child.begin() + static_cast<std::ptrdiff_t>(removed));
+  for (size_t i = 0; i < added; ++i) child.push_back(rng->NextU64() >> 8);
+  std::sort(child.begin(), child.end());
+  return child;
+}
+
+TEST(RecoverChildTest, TruePartnerLastInBobsOrder) {
+  // Alice's child is far too large for the child table to decode alone,
+  // so only its true partner, last of Bob's differing children, recovers
+  // it.
+  Rng rng(31);
+  const IbltConfig config = IbltConfig::ForDifference(6, 32);
+  const HashFamily fp_family(33, 34);
+  SetOfSets bob;
+  for (int i = 0; i < 5; ++i) bob.push_back(RandomChild(&rng, 60));
+  const ChildSet alice = Edited(bob.back(), 2, 3, &rng);
+  Result<ChildSet> recovered = RecoverAgainst(alice, bob, config, fp_family);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(recovered.value(), alice);
+}
+
+TEST(RecoverChildTest, DifferenceNearDecodeLimitStillRecovers) {
+  // A true partner 16 elements away from Alice's child, with a table sized
+  // for 16: its difference can touch every partition-0 cell, tying it with
+  // Bob's unrelated children, and as the last of them it then ranks last.
+  // It must still be tried. Instances are drawn until one ranks the
+  // partner last and its difference peels.
+  Rng rng(41);
+  const IbltConfig config = IbltConfig::ForDifference(16, 42);
+  const HashFamily fp_family(43, 44);
+  bool found = false;
+  for (int trial = 0; trial < 400 && !found; ++trial) {
+    SetOfSets bob;
+    for (int i = 0; i < 4; ++i) bob.push_back(RandomChild(&rng, 12));
+    bob.push_back(RandomChild(&rng, 48));
+    const ChildSet alice = Edited(bob.back(), 8, 8, &rng);
+    const std::vector<uint8_t> blob = EncodeChildIbltBlob(
+        alice, config, ChildFingerprint(alice, fp_family));
+    const IbltKeyView view{blob.data(), blob.size()};
+    const PartnerSet partners(bob, config, fp_family);
+    std::vector<IbltFixedRank> order;
+    Iblt::RankFixed(config, view, partners.views, &order);
+    if (order.empty() || order.back().index != bob.size() - 1) continue;
+    Result<ChildEncoding> enc = ParseChildIbltBlob(blob, config);
+    ASSERT_TRUE(enc.ok());
+    DecodeScratch scratch;
+    if (!enc.value()
+             .sketch.DecodeDifferenceU64View(partners.partners.back().sketch,
+                                             &scratch)
+             .ok()) {
+      continue;
+    }
+    found = true;
+    Result<ChildSet> recovered = RecoverChild(
+        view, enc.value(), partners.partners, partners.views, fp_family,
+        &order, &scratch);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered.value(), alice);
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(RecoverChildTest, EmptyPartnerTriedAfterEveryPartner) {
+  // A fresh child of Alice's matches none of Bob's differing children; the
+  // empty set, tried after them, recovers it.
+  Rng rng(51);
+  const IbltConfig config = IbltConfig::ForDifference(8, 52);
+  const HashFamily fp_family(53, 54);
+  SetOfSets bob;
+  for (int i = 0; i < 4; ++i) bob.push_back(RandomChild(&rng, 30));
+  const ChildSet fresh = RandomChild(&rng, 5);
+  for (const SetOfSets& partners : {bob, SetOfSets{}}) {
+    Result<ChildSet> recovered =
+        RecoverAgainst(fresh, partners, config, fp_family);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ(recovered.value(), fresh);
+  }
+  // Too large to decode alone, and no partner: a detectable failure.
+  Result<ChildSet> failed =
+      RecoverAgainst(RandomChild(&rng, 60), bob, config, fp_family);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kDecodeFailure);
 }
 
 TEST(WorkloadTest, AppliesRequestedChanges) {

@@ -338,6 +338,47 @@ TEST(SsrProtocolsTest, BobParentInAnyOrder) {
   }
 }
 
+TEST(SsrProtocolsTest, PartnerRankingRecoversReversedDifferingChildren) {
+  // Bob holds his children, and so his differing children, in reverse
+  // order, so a true partner sits late in his order; the child sketches
+  // rank it first. Children are large next to the child tables, so the
+  // empty partner recovers none of them: with one differing child, that
+  // child's partner is the only way back.
+  struct Shape {
+    size_t children;
+    size_t child_size;
+    size_t changes;
+    size_t touched;
+  };
+  for (const Shape& shape : {Shape{24, 32, 8, 4}, Shape{16, 48, 2, 1}}) {
+    SsrWorkloadSpec spec;
+    spec.num_children = shape.children;
+    spec.child_size = shape.child_size;
+    spec.changes = shape.changes;
+    spec.touched_children = shape.touched;
+    spec.seed = 81 + shape.changes;
+    const SsrWorkload w = MakeSsrWorkload(spec);
+    const SetOfSets bob(w.bob.rbegin(), w.bob.rend());
+    SsrParams params;
+    params.max_child_size = shape.child_size + shape.changes;
+    params.seed = 82 + shape.changes;
+    for (ProtocolKind kind : {ProtocolKind::kIblt2, ProtocolKind::kCascade}) {
+      for (bool known : {true, false}) {
+        auto protocol = MakeProtocol(kind, params);
+        const std::string what = protocol->Name() +
+                                 (known ? " SSRK" : " SSRU") + " d=" +
+                                 std::to_string(shape.changes);
+        Channel channel;
+        Result<SsrOutcome> outcome = protocol->Reconcile(
+            w.alice, bob, KnownD(known, w.applied_changes), &channel);
+        ASSERT_TRUE(outcome.ok())
+            << what << ": " << outcome.status().ToString();
+        EXPECT_EQ(outcome.value().recovered, Canonicalize(w.alice)) << what;
+      }
+    }
+  }
+}
+
 // --- Golden transcripts ---
 
 // One SSRU session per protocol over a fixed instance, with the sparse

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "core/encoding.h"
@@ -82,13 +83,16 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
   Result<Iblt> received = Iblt::Deserialize(&ra, outer_config);
   if (!received.ok()) return received.status();
   Iblt remote = std::move(received).value();
-  std::map<std::vector<uint8_t>, size_t, KeyBytesLess> blob_to_doc;
+  // Bob's blobs, packed once, erased as one batch, and indexed by the
+  // fingerprint each ends in.
+  std::vector<uint64_t> bob_fps(bob.size());
   for (size_t j = 0; j < bob.size(); ++j) {
-    std::vector<uint8_t> blob = EncodeChildIbltBlob(
-        bob[j], child_config, ChildFingerprint(bob[j], fp_family));
-    remote.Erase(blob);
-    blob_to_doc.emplace(std::move(blob), j);
+    bob_fps[j] = ChildFingerprint(bob[j], fp_family);
   }
+  ByteWriter bob_packed;
+  AppendChildIbltBlobs(bob, child_config, bob_fps, &bob_packed);
+  remote.EraseBatch(bob_packed.bytes().data(), bob.size());
+  const ChildFingerprintIndex bob_index(bob_fps);
   // Outer decode views (held across the pairing loop) and the nested
   // per-document decodes need separate scratches; see DecodeScratch.
   DecodeScratch outer_scratch;
@@ -97,18 +101,15 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
   if (!decoded.ok()) return decoded.status();
 
   // Bob's changed documents, in the order of their blobs (the decoded
-  // negatives).
-  std::vector<std::pair<ChildEncoding, const ChildSet*>> partners;
+  // negatives, which are the partner sketches below as they are).
+  std::vector<const ChildSet*> partners;
   std::vector<bool> in_db(bob.size(), false);
   for (const IbltKeyView& blob : decoded.value().negative) {
-    auto it = blob_to_doc.find(blob);
-    if (it == blob_to_doc.end()) {
-      return VerificationFailure("shingles: unknown negative encoding");
-    }
-    Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
-    if (!enc.ok()) return enc.status();
-    in_db[it->second] = true;
-    partners.emplace_back(std::move(enc).value(), &bob[it->second]);
+    std::optional<size_t> j =
+        bob_index.FindBlob(blob, bob_packed.bytes().data());
+    if (!j) return VerificationFailure("shingles: unknown negative encoding");
+    in_db[*j] = true;
+    partners.push_back(&bob[*j]);
   }
 
   AttemptResult result;
@@ -117,28 +118,26 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
   std::vector<uint64_t> fresh_fps;
   std::vector<IbltFixedRank> order;  // Partner ranking, reused per document.
   for (const IbltKeyView& blob : decoded.value().positive) {
-    Result<ChildEncoding> enc_r = ParseChildIbltBlob(blob, child_config);
-    if (!enc_r.ok()) return enc_r.status();
-    const ChildEncoding& enc = enc_r.value();
+    const uint64_t fingerprint = ChildIbltBlobFingerprint(blob);
     bool paired = false;
-    // Closest partners first (Iblt::RankFixed); every partner is tried.
+    // Closest partners first (Iblt::RankFixed); every partner is tried,
+    // each decoded against straight from the blob bytes.
     Iblt::RankFixed(child_config, blob, decoded.value().negative, &order);
     for (const IbltFixedRank& rank : order) {
-      const auto& [partner_enc, partner_set] = partners[rank.index];
-      Result<IbltDecodeView64> dd =
-          enc.sketch.DecodeDifferenceU64View(partner_enc.sketch,
-                                             &child_scratch);
+      Result<IbltDecodeView64> dd = Iblt::DecodeFixedDifferenceU64View(
+          child_config, blob, decoded.value().negative[rank.index],
+          &child_scratch);
       if (!dd.ok()) continue;
-      ChildSet candidate = ApplyDifference(*partner_set, dd.value().positive,
-                                           dd.value().negative);
-      if (ChildFingerprint(candidate, fp_family) == enc.fingerprint) {
+      ChildSet candidate = ApplyDifference(
+          *partners[rank.index], dd.value().positive, dd.value().negative);
+      if (ChildFingerprint(candidate, fp_family) == fingerprint) {
         recovered_children.push_back(std::move(candidate));
         recovered_kinds.push_back(DocumentMatch::Kind::kNear);
         paired = true;
         break;
       }
     }
-    if (!paired) fresh_fps.push_back(enc.fingerprint);
+    if (!paired) fresh_fps.push_back(fingerprint);
   }
 
   // Round B (Bob -> Alice): fingerprints of undecodable (fresh) documents.

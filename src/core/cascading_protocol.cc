@@ -241,9 +241,9 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   DecodeScratch* child_scratch = ctx->Scratch(1);
 
   // Partners for each level's child sketches: Bob's differing children (at
-  // most about d) parsed back from his packed blobs, and views of those
-  // blobs for the ranking. Reused by every level.
-  std::vector<ChildPartner> partners;
+  // most about d) and views of their packed blobs, which are ranked and
+  // decoded against in place. Reused by every level.
+  std::vector<const ChildSet*> partners;
   std::vector<IbltKeyView> partner_blobs;
   std::vector<IbltFixedRank> order;
 
@@ -291,25 +291,21 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     partner_blobs.clear();
     for (size_t j = 0; j < bob.size(); ++j) {
       if (!in_db[j]) continue;
-      const IbltKeyView blob{bob_blobs + j * blob_width, blob_width};
-      Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
-      if (!enc.ok()) co_return enc.status();
-      partners.push_back(ChildPartner{std::move(enc).value().sketch, &bob[j]});
-      partner_blobs.push_back(blob);
+      partners.push_back(&bob[j]);
+      partner_blobs.push_back({bob_blobs + j * blob_width, blob_width});
     }
 
     for (const IbltKeyView& blob : decoded.entries.positive) {
-      Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
-      if (!enc.ok()) continue;  // Noise; later levels retry.
-      if (recovered_before(enc.value().fingerprint)) continue;
+      const uint64_t fingerprint = ChildIbltBlobFingerprint(blob);
+      if (recovered_before(fingerprint)) continue;
       Result<ChildSet> child =
-          RecoverChild(blob, enc.value(), partners, partner_blobs, fp_family,
-                       &order, child_scratch);
+          RecoverChild(blob, fingerprint, child_config, partner_blobs,
+                       partners, fp_family, &order, child_scratch);
       // A miss here is fine: the child resurfaces at the next level with a
       // larger sketch (that is the cascade's whole point).
       if (!child.ok()) continue;
       da.push_back(std::move(child).value());
-      da_fps.push_back(enc.value().fingerprint);
+      da_fps.push_back(fingerprint);
     }
   }
 

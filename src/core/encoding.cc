@@ -1,7 +1,9 @@
 #include "core/encoding.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 
 #include "setrec/set_reconciler.h"
 #include "util/serialization.h"
@@ -89,50 +91,58 @@ void AppendChildIbltBlobs(const SetOfSets& children,
   }
 }
 
-Result<ChildEncoding> ParseChildIbltBlob(const uint8_t* data, size_t size,
-                                         const IbltConfig& child_config) {
-  if (size != ChildIbltBlobWidth(child_config)) {
-    return ParseError("child IBLT blob has unexpected width");
+namespace {
+
+/// The candidate `decoded` makes of `base`, when its fingerprint is
+/// `fingerprint`. The decoded sides are sorted in place (they belong to the
+/// scratch), so ApplyDifference merges them with the sorted base as they
+/// are.
+std::optional<ChildSet> VerifiedCandidate(const ChildSet& base,
+                                          const IbltDecodeView64& decoded,
+                                          uint64_t fingerprint,
+                                          const HashFamily& fp_family) {
+  std::sort(decoded.positive.begin(), decoded.positive.end());
+  std::sort(decoded.negative.begin(), decoded.negative.end());
+  ChildSet candidate =
+      ApplyDifference(base, decoded.positive, decoded.negative);
+  if (ChildFingerprint(candidate, fp_family) != fingerprint) {
+    return std::nullopt;
   }
-  ByteReader reader(data, size);
-  Result<Iblt> sketch = Iblt::DeserializeFixed(&reader, child_config);
-  if (!sketch.ok()) return sketch.status();
-  uint64_t fingerprint = 0;
-  if (!reader.GetU64(&fingerprint)) {
-    return ParseError("child IBLT blob truncated (fingerprint)");
-  }
-  return ChildEncoding{std::move(sketch).value(), fingerprint};
+  return candidate;
 }
 
-Result<ChildSet> RecoverChild(IbltKeyView blob, const ChildEncoding& alice,
-                              std::span<const ChildPartner> partners,
+}  // namespace
+
+Result<ChildSet> RecoverChild(IbltKeyView blob, uint64_t fingerprint,
+                              const IbltConfig& child_config,
                               std::span<const IbltKeyView> partner_blobs,
+                              std::span<const ChildSet* const> partner_sets,
                               const HashFamily& fp_family,
                               std::vector<IbltFixedRank>* order,
                               DecodeScratch* scratch) {
-  assert(partner_blobs.size() == partners.size());
-  Iblt::RankFixed(alice.sketch.config(), blob, partner_blobs, order);
+  assert(partner_blobs.size() == partner_sets.size());
+  if (blob.size != ChildIbltBlobWidth(child_config)) {
+    return ParseError("child IBLT blob has unexpected width");
+  }
+  Iblt::RankFixed(child_config, blob, partner_blobs, order);
   for (const IbltFixedRank& rank : *order) {
-    const ChildPartner& partner = partners[rank.index];
-    Result<IbltDecodeView64> decoded =
-        alice.sketch.DecodeDifferenceU64View(partner.sketch, scratch);
+    Result<IbltDecodeView64> decoded = Iblt::DecodeFixedDifferenceU64View(
+        child_config, blob, partner_blobs[rank.index], scratch);
     if (!decoded.ok()) continue;
-    ChildSet candidate = ApplyDifference(
-        *partner.set, decoded.value().positive, decoded.value().negative);
-    if (ChildFingerprint(candidate, fp_family) == alice.fingerprint) {
-      return candidate;
-    }
+    std::optional<ChildSet> child =
+        VerifiedCandidate(*partner_sets[rank.index], decoded.value(),
+                          fingerprint, fp_family);
+    if (child) return std::move(*child);
   }
   // A fresh child of Alice's may have no close partner; decoding her sketch
   // alone (the difference against the empty set) recovers it when it has
   // at most ~d elements.
-  Result<IbltDecodeView64> decoded = alice.sketch.DecodeU64View(scratch);
+  Result<IbltDecodeView64> decoded = Iblt::DecodeFixedDifferenceU64View(
+      child_config, blob, IbltKeyView{}, scratch);
   if (decoded.ok()) {
-    ChildSet candidate = ApplyDifference(ChildSet(), decoded.value().positive,
-                                         decoded.value().negative);
-    if (ChildFingerprint(candidate, fp_family) == alice.fingerprint) {
-      return candidate;
-    }
+    std::optional<ChildSet> child =
+        VerifiedCandidate(ChildSet(), decoded.value(), fingerprint, fp_family);
+    if (child) return std::move(*child);
   }
   return DecodeFailure("child sketch decoded with no partner");
 }

@@ -42,14 +42,11 @@ inline Result<ChildSet> DecodeChildBlob(const IbltKeyView& blob, size_t h) {
 }
 
 /// Width of an (IBLT, fingerprint) encoding blob for the given child IBLT
-/// config: the fixed IBLT serialization plus 8 fingerprint bytes.
+/// config: the fixed IBLT serialization plus 8 fingerprint bytes. Bob never
+/// parses these blobs back into tables: he ranks and difference-decodes
+/// them in place (Iblt::RankFixed, Iblt::DecodeFixedDifferenceU64View) and
+/// reads their trailing fingerprints.
 size_t ChildIbltBlobWidth(const IbltConfig& child_config);
-
-/// A parsed child encoding: the child's IBLT sketch plus its fingerprint.
-struct ChildEncoding {
-  Iblt sketch;
-  uint64_t fingerprint;
-};
 
 /// Builds the (child IBLT, hash) encoding of Algorithms 1 and 2: the child's
 /// elements inserted into an IBLT with `child_config`, serialized fixed-
@@ -73,39 +70,23 @@ void AppendChildIbltBlobs(const SetOfSets& children,
                           std::span<const uint64_t> fingerprints,
                           ByteWriter* out);
 
-/// Parses a blob produced by EncodeChildIbltBlob. The (data, size) form
-/// reads straight out of a decode-view arena.
-Result<ChildEncoding> ParseChildIbltBlob(const uint8_t* data, size_t size,
-                                         const IbltConfig& child_config);
-inline Result<ChildEncoding> ParseChildIbltBlob(
-    const std::vector<uint8_t>& blob, const IbltConfig& child_config) {
-  return ParseChildIbltBlob(blob.data(), blob.size(), child_config);
-}
-inline Result<ChildEncoding> ParseChildIbltBlob(
-    const IbltKeyView& blob, const IbltConfig& child_config) {
-  return ParseChildIbltBlob(blob.data, blob.size, child_config);
-}
-
-/// One of Bob's differing children as a partner for Alice's child
-/// sketches: its parsed child sketch and the child itself.
-struct ChildPartner {
-  Iblt sketch;
-  const ChildSet* set;
-};
-
-/// Recovers the child behind one of Alice's child-IBLT blobs (`blob`,
-/// parsed as `alice`): decodes her sketch against each partner's sketch in
-/// Iblt::RankFixed order of the partners' blobs (partner_blobs[i] is
-/// partners[i]'s), then against the empty set, and returns the first
-/// ApplyDifference candidate whose fingerprint is alice.fingerprint, or
-/// kDecodeFailure. Every partner is tried before the empty set and a
-/// verified candidate is Alice's child, so the ranking changes only how
-/// soon the match is found, never what is recovered. `order` is the
-/// caller's ranking buffer, reused across calls; the decodes churn
-/// `scratch`.
-Result<ChildSet> RecoverChild(IbltKeyView blob, const ChildEncoding& alice,
-                              std::span<const ChildPartner> partners,
+/// Recovers the child behind one of Alice's child-IBLT blobs: `blob`,
+/// ending in `fingerprint` (ChildIbltBlobFingerprint), whose sketch has
+/// `child_config`. Decodes her sketch against each of Bob's partner blobs
+/// (partner_blobs[i] is the blob of *partner_sets[i]) in Iblt::RankFixed
+/// order, then against the empty set, straight from the blob bytes
+/// (Iblt::DecodeFixedDifferenceU64View; no table), and returns the first
+/// ApplyDifference candidate whose fingerprint is `fingerprint`:
+/// kParseError when `blob` is not ChildIbltBlobWidth(child_config) wide,
+/// else kDecodeFailure when no candidate verifies. Every partner is tried
+/// before the empty set and a verified candidate is Alice's child, so the
+/// ranking changes only how soon the match is found, never what is
+/// recovered. `order` is the caller's ranking buffer, reused across calls;
+/// the decodes churn `scratch`.
+Result<ChildSet> RecoverChild(IbltKeyView blob, uint64_t fingerprint,
+                              const IbltConfig& child_config,
                               std::span<const IbltKeyView> partner_blobs,
+                              std::span<const ChildSet* const> partner_sets,
                               const HashFamily& fp_family,
                               std::vector<IbltFixedRank>* order,
                               DecodeScratch* scratch);

@@ -126,17 +126,16 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   if (!decoded.ok()) co_return decoded.status();
 
   // D_B: Bob's children whose encodings differ from all of Alice's. Their
-  // blobs, in the same order, are the decoded negatives themselves.
-  std::vector<ChildPartner> partners;
+  // blobs, in the same order, are the decoded negatives themselves, and
+  // serve as the partner sketches below as they are.
+  std::vector<const ChildSet*> partners;
   std::vector<bool> in_db(bob.size(), false);
   for (const IbltKeyView& blob : decoded.value().negative) {
     std::optional<size_t> j =
         bob_index.FindBlob(blob, bob_packed.bytes().data());
     if (!j) co_return VerificationFailure("iblt2: unknown negative encoding");
-    Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
-    if (!enc.ok()) co_return enc.status();
     in_db[*j] = true;
-    partners.push_back(ChildPartner{std::move(enc).value().sketch, &bob[*j]});
+    partners.push_back(&bob[*j]);
   }
 
   // D_A: recover each of Alice's differing children, keeping the
@@ -144,15 +143,15 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   std::vector<RecoveredChild> recovered;
   std::vector<IbltFixedRank> order;  // Partner ranking, reused per child.
   for (const IbltKeyView& blob : decoded.value().positive) {
-    Result<ChildEncoding> enc = ParseChildIbltBlob(blob, child_config);
-    if (!enc.ok()) co_return enc.status();
+    const uint64_t fingerprint = ChildIbltBlobFingerprint(blob);
     Result<ChildSet> child =
-        RecoverChild(blob, enc.value(), partners, decoded.value().negative,
-                     fp_family, &order, child_scratch);
+        RecoverChild(blob, fingerprint, child_config,
+                     decoded.value().negative, partners, fp_family, &order,
+                     child_scratch);
     if (!child.ok()) {
       co_return DecodeFailure("iblt2: a child IBLT decoded with no partner");
     }
-    recovered.push_back({std::move(child).value(), enc.value().fingerprint});
+    recovered.push_back({std::move(child).value(), fingerprint});
   }
 
   AssembledParent assembled =

@@ -15,7 +15,9 @@ namespace setrec {
 /// partition-0 records of the two fixed-form sketches (Iblt::RankFixed),
 /// and a true partner differs in at most as many of them as the two
 /// children differ in elements, while an unrelated child differs in nearly
-/// all, so the first decode usually succeeds. Every partner is still tried
+/// all, so the first decode usually succeeds. Each pairing decodes the two
+/// sketches straight from their blob bytes, with no table
+/// (Iblt::DecodeFixedDifferenceU64View). Every partner is still tried
 /// before the empty set, so the worst case stays O(d-hat^2) pairings of
 /// O(d) work each.
 ///

@@ -148,13 +148,16 @@ std::optional<size_t> ChildFingerprintIndex::Find(uint64_t fp) const {
   return it->second;
 }
 
+uint64_t ChildIbltBlobFingerprint(IbltKeyView blob) {
+  if (blob.size < 8) return 0;
+  return LoadLittleEndian<uint64_t>(blob.data + blob.size - 8);
+}
+
 std::optional<size_t> ChildFingerprintIndex::FindBlob(
     const IbltKeyView& blob, const uint8_t* packed) const {
   // LINT(alloc-free)
   if (blob.size < 8) return std::nullopt;
-  ByteReader tail(blob.data + blob.size - 8, 8);
-  uint64_t fp = 0;
-  if (!tail.GetU64(&fp)) return std::nullopt;
+  const uint64_t fp = ChildIbltBlobFingerprint(blob);
   auto it = std::lower_bound(entries_.begin(), entries_.end(),
                              std::pair<uint64_t, size_t>(fp, 0));
   for (; it != entries_.end() && it->first == fp; ++it) {

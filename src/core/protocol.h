@@ -160,6 +160,12 @@ size_t TotalElements(const SetOfSets& sets);
 /// NormalizeParentMultiset). The parent itself may be in any order.
 Status ValidateSetOfSets(const SetOfSets& sets, const SsrParams& params);
 
+/// The fingerprint an (IBLT, fingerprint) blob of core/encoding.h ends in:
+/// its last 8 bytes, little-endian. 0 for a blob of fewer than 8 bytes,
+/// which no outer table decodes (its keys are ChildIbltBlobWidth wide) and
+/// RecoverChild rejects.
+uint64_t ChildIbltBlobFingerprint(IbltKeyView blob);
+
 /// Bob's own children indexed by fingerprint: one flat vector of (child
 /// fingerprint, child index) pairs, sorted once per attempt. Decoded
 /// negatives map back to Bob's children through a binary search, and the
@@ -179,8 +185,9 @@ class ChildFingerprintIndex {
   /// `packed` holds one blob.size-byte blob per indexed child, in child
   /// order, each ending in that child's 8-byte fingerprint: the (child
   /// IBLT, fingerprint) encodings of core/encoding.h. The blob's trailing
-  /// fingerprint picks the candidates and a whole-blob compare confirms
-  /// one; a fingerprint match alone never selects a child. Allocation-free.
+  /// fingerprint (ChildIbltBlobFingerprint) picks the candidates and a
+  /// whole-blob compare confirms one; a fingerprint match alone never
+  /// selects a child. Allocation-free.
   std::optional<size_t> FindBlob(const IbltKeyView& blob,
                                  const uint8_t* packed) const;
 

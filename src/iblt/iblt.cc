@@ -50,36 +50,6 @@ void XorKeyScalar(uint64_t* dst, const uint8_t* key, size_t width) {
 constexpr double kCellsPerKey = 2.0;
 constexpr size_t kMinCells = 16;
 
-// The fixed-form record of one cell (SerializeFixed): 4-byte count, 8-byte
-// checksum, key_width key bytes.
-constexpr size_t FixedRecordWidth(size_t key_width) { return 12 + key_width; }
-
-// Zigzag encoding for signed counts in the compact serialization.
-uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-int64_t UnZigZag(uint64_t v) {
-  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-/// Gathers a byte-mode peel of 8-byte keys into the scratch's u64 side
-/// vectors and returns the view over them. Each peeled key is exactly one
-/// lane of the output arena, so gathering by offset costs O(d) moves and no
-/// allocations once the scratch is warm.
-IbltDecodeView64 GatherU64(DecodeScratch* scratch) {
-  scratch->pos_u64.clear();
-  scratch->neg_u64.clear();
-  for (size_t off : scratch->pos_offsets) {
-    scratch->pos_u64.push_back(scratch->out_lanes[off]);
-  }
-  for (size_t off : scratch->neg_offsets) {
-    scratch->neg_u64.push_back(scratch->out_lanes[off]);
-  }
-  return IbltDecodeView64{
-      std::span<uint64_t>(scratch->pos_u64.data(), scratch->pos_u64.size()),
-      std::span<uint64_t>(scratch->neg_u64.data(), scratch->neg_u64.size())};
-}
-
 }  // namespace
 
 int Iblt::sharded_workers_for_test = 0;
@@ -125,7 +95,7 @@ void IbltCellDerivation::WriteFixedU64(const uint64_t* keys, size_t n,
   // derivation is read from a local copy, whose address never escapes.
   const IbltCellDerivation derivation = *this;
   const int k = derivation.num_hashes();
-  constexpr size_t kRecord = FixedRecordWidth(8);
+  constexpr size_t kRecord = IbltConfig::FixedRecordWidth(8);
   KeyHashes hashes[Iblt::kSmallBatchMaxKeys];
   // LINT(alloc-free) — writes every child sketch the set-of-sets protocols
   // pack, on both parties, at every attempt and level.
@@ -435,15 +405,15 @@ void Iblt::LoadInto(DecodeScratch* scratch) const {
   scratch->key_lanes.assign(key_lanes_.begin(), key_lanes_.end());
 }
 
-bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
-  assert(out_u64 == nullptr || config_.key_width == 8);
-  assert(scratch->meta.size() == cells_ &&
-         scratch->key_lanes.size() == key_lanes_.size());
-  const IbltCellDerivation derivation = derivation_;
+bool Iblt::Peel(const IbltCellDerivation& table_derivation, size_t cells,
+                size_t lanes_per_key, DecodeScratch* scratch,
+                IbltDecodeResult64* out_u64) {
+  assert(scratch->meta.size() == cells &&
+         scratch->key_lanes.size() == cells * lanes_per_key);
+  const IbltCellDerivation derivation = table_derivation;
   const int k = derivation.num_hashes();
-  const size_t lanes_per_key = lanes_per_key_;
 
-  scratch->queued.assign(cells_, 0);
+  scratch->queued.assign(cells, 0);
   scratch->queue.clear();
   scratch->out_lanes.clear();
   scratch->pos_offsets.clear();
@@ -456,7 +426,7 @@ bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
   // anyway to derive its cells for removal — so each popped candidate costs
   // exactly one (bucket, check) hash pair, shared between the purity check
   // and the peel, and stale revisits of unchanged cells never rehash.
-  for (size_t i = 0; i < cells_; ++i) {
+  for (size_t i = 0; i < cells; ++i) {
     if (meta[i].count == 1 || meta[i].count == -1) {
       scratch->queue.push_back(static_cast<uint32_t>(i));
       scratch->queued[i] = 1;
@@ -465,7 +435,7 @@ bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
 
   // A correct drain extracts at most one key per (key, cell) incidence;
   // cap iterations so checksum-collision cascades cannot loop forever.
-  size_t budget = 4 * cells_ + 64;
+  size_t budget = 4 * cells + 64;
   size_t head = 0;
   while (head < scratch->queue.size() && budget-- > 0) {
     const size_t cell = scratch->queue[head++];
@@ -524,10 +494,10 @@ bool Iblt::Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const {
   }
 
   // Complete iff the work table drained to all-zero cells.
-  for (size_t i = 0; i < cells_; ++i) {
+  for (size_t i = 0; i < cells; ++i) {
     if (meta[i].count != 0 || meta[i].check != 0) return false;
   }
-  for (size_t i = 0; i < key_lanes_.size(); ++i) {
+  for (size_t i = 0; i < cells * lanes_per_key; ++i) {
     if (lanes[i] != 0) return false;
   }
   return true;
@@ -551,6 +521,22 @@ IbltDecodeView Iblt::BuildViews(DecodeScratch* scratch) const {
   return view;
 }
 
+IbltDecodeView64 Iblt::GatherU64(DecodeScratch* scratch) {
+  // Each peeled key is exactly one lane of the output arena, so gathering
+  // by offset costs O(d) moves and no allocations once the scratch is warm.
+  scratch->pos_u64.clear();
+  scratch->neg_u64.clear();
+  for (size_t off : scratch->pos_offsets) {
+    scratch->pos_u64.push_back(scratch->out_lanes[off]);
+  }
+  for (size_t off : scratch->neg_offsets) {
+    scratch->neg_u64.push_back(scratch->out_lanes[off]);
+  }
+  return IbltDecodeView64{
+      std::span<uint64_t>(scratch->pos_u64.data(), scratch->pos_u64.size()),
+      std::span<uint64_t>(scratch->neg_u64.data(), scratch->neg_u64.size())};
+}
+
 IbltDecodeResult IbltDecodeView::Materialize() const {
   IbltDecodeResult out;
   out.positive.reserve(positive.size());
@@ -563,7 +549,7 @@ IbltDecodeResult IbltDecodeView::Materialize() const {
 IbltPartialDecodeView Iblt::DecodePartial(DecodeScratch* scratch) const {
   IbltPartialDecodeView out;
   LoadInto(scratch);
-  out.complete = Peel(scratch, nullptr);
+  out.complete = Peel(derivation_, cells_, lanes_per_key_, scratch, nullptr);
   out.entries = BuildViews(scratch);
   return out;
 }
@@ -576,7 +562,7 @@ IbltPartialDecode Iblt::DecodePartial() const {
 
 Result<IbltDecodeView> Iblt::Decode(DecodeScratch* scratch) const {
   LoadInto(scratch);
-  if (!Peel(scratch, nullptr)) {
+  if (!Peel(derivation_, cells_, lanes_per_key_, scratch, nullptr)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return BuildViews(scratch);
@@ -593,7 +579,7 @@ Result<IbltDecodeResult64> Iblt::DecodeU64(DecodeScratch* scratch) const {
   assert(config_.key_width == 8);
   IbltDecodeResult64 out;
   LoadInto(scratch);
-  if (!Peel(scratch, &out)) {
+  if (!Peel(derivation_, cells_, lanes_per_key_, scratch, &out)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return out;
@@ -607,35 +593,7 @@ Result<IbltDecodeResult64> Iblt::DecodeU64() const {
 Result<IbltDecodeView64> Iblt::DecodeU64View(DecodeScratch* scratch) const {
   assert(config_.key_width == 8);
   LoadInto(scratch);
-  if (!Peel(scratch, nullptr)) {
-    return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
-  }
-  return GatherU64(scratch);
-}
-
-Result<IbltDecodeView64> Iblt::DecodeDifferenceU64View(
-    const Iblt& other, DecodeScratch* scratch) const {
-  if (!(config_ == other.config_)) {
-    return InvalidArgument("IBLT difference decode: mismatched configs");
-  }
-  assert(config_.key_width == 8);
-  // Load this - other straight into the work arrays: the same cell
-  // arithmetic as Subtract(), without the intermediate table.
-  scratch->meta.resize(cells_);
-  scratch->key_lanes.resize(key_lanes_.size());
-  IbltCellMeta* meta = scratch->meta.data();
-  uint64_t* lanes = scratch->key_lanes.data();
-  // LINT(alloc-free) — runs for every (child, partner) pair the set-of-sets
-  // protocols try; a warm scratch keeps the whole call off the heap.
-  for (size_t i = 0; i < cells_; ++i) {
-    meta[i].count = meta_[i].count - other.meta_[i].count;
-    meta[i].check = meta_[i].check ^ other.meta_[i].check;
-  }
-  for (size_t i = 0; i < key_lanes_.size(); ++i) {
-    lanes[i] = key_lanes_[i] ^ other.key_lanes_[i];
-  }
-  // LINT(end)
-  if (!Peel(scratch, nullptr)) {
+  if (!Peel(derivation_, cells_, lanes_per_key_, scratch, nullptr)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return GatherU64(scratch);
@@ -648,53 +606,10 @@ bool Iblt::IsZero() const {
   return true;
 }
 
-void Iblt::Serialize(ByteWriter* writer) const {
-  for (size_t i = 0; i < cells_; ++i) {
-    writer->PutVarint(ZigZag(meta_[i].count));
-    writer->PutU64(meta_[i].check);
-    writer->PutBytes(CellKeyBytes(i), config_.key_width);
-  }
-}
-
-Result<Iblt> Iblt::Deserialize(ByteReader* reader, const IbltConfig& config) {
-  Iblt table(config);
-  for (size_t i = 0; i < table.cells_; ++i) {
-    uint64_t zz = 0;
-    if (!reader->GetVarint(&zz)) return ParseError("IBLT truncated (count)");
-    table.meta_[i].count = UnZigZag(zz);  // Lossless: counts are int64 wide.
-    if (!reader->GetU64(&table.meta_[i].check)) {
-      return ParseError("IBLT truncated (check)");
-    }
-    // Key bytes land directly in the (zero-padded) lane arena.
-    if (!reader->GetRaw(config.key_width, table.CellKeyBytes(i))) {
-      return ParseError("IBLT truncated (key)");
-    }
-  }
-  return table;
-}
-
-void Iblt::SerializeFixed(ByteWriter* writer) const {
-  // The whole table is one fixed-size record run, laid out in place
-  // (little-endian, as everywhere in the wire format).
-  const size_t w = config_.key_width;
-  uint8_t* out = writer->Extend(config_.FixedSerializedSize());
-  // LINT(alloc-free) — per-cell copy of a whole table (the strata
-  // estimator's frames, and the reference the fixed-form writer is tested
-  // against).
-  for (size_t i = 0; i < cells_; ++i) {
-    const uint32_t count = static_cast<uint32_t>(meta_[i].count);
-    std::memcpy(out, &count, 4);
-    std::memcpy(out + 4, &meta_[i].check, 8);
-    std::memcpy(out + 12, CellKeyBytes(i), w);
-    out += FixedRecordWidth(w);
-  }
-  // LINT(end)
-}
-
 void Iblt::RankFixed(const IbltConfig& config, IbltKeyView target,
                      std::span<const IbltKeyView> candidates,
                      std::vector<IbltFixedRank>* order) {
-  const size_t record = FixedRecordWidth(config.key_width);
+  const size_t record = IbltConfig::FixedRecordWidth(config.key_width);
   const size_t records =
       config.PaddedCells() / static_cast<size_t>(config.num_hashes);
   assert(target.size >= records * record);
@@ -723,372 +638,6 @@ void Iblt::RankFixed(const IbltConfig& config, IbltKeyView target,
     order->push_back({distance, c});
   }
   std::sort(order->begin(), order->end());
-}
-
-Result<Iblt> Iblt::DeserializeFixed(ByteReader* reader,
-                                    const IbltConfig& config) {
-  Iblt table(config);
-  for (size_t i = 0; i < table.cells_; ++i) {
-    uint32_t count = 0;
-    if (!reader->GetU32(&count)) return ParseError("IBLT truncated (count)");
-    table.meta_[i].count = static_cast<int32_t>(count);
-    if (!reader->GetU64(&table.meta_[i].check)) {
-      return ParseError("IBLT truncated (check)");
-    }
-    if (!reader->GetRaw(config.key_width, table.CellKeyBytes(i))) {
-      return ParseError("IBLT truncated (key)");
-    }
-  }
-  return table;
-}
-
-// ---------------------------------------------------------------------------
-// Sparse wire codec (WireCodec::kSparse). Frame = mode byte + body:
-//   mode 0 (raw)    — the exact dense cell stream of Serialize(); emitted
-//                     when the sparse body would not be smaller (saturated
-//                     tables of incompressible data, e.g. the fingerprint
-//                     tables whose cells are pure 64-bit hashes).
-//   mode 1 (sparse) — occupancy bitmap over !CellIsZero, packed 2-bit count
-//                     codes for occupied cells, escape list for counts
-//                     outside {-1, +1}, 8 raw check bytes per occupied
-//                     cell, group-masked key bytes per occupied cell.
-//   mode 2 (delta)  — changed-cell bitmap vs. a lineage parent of identical
-//                     config, then the same count/check/key sections for
-//                     the changed cells (new absolute values; zero allowed).
-// Every section is strictly validated; any malformed prefix yields
-// kParseError and no table. Byte-level layout: src/net/README.md.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr uint8_t kSparseModeRaw = 0;
-constexpr uint8_t kSparseModeBitmap = 1;
-constexpr uint8_t kSparseModeDelta = 2;
-
-// 2-bit count codes, four per byte, low crumbs first.
-constexpr uint8_t kCountPlusOne = 0;
-constexpr uint8_t kCountMinusOne = 1;
-constexpr uint8_t kCountZero = 2;
-constexpr uint8_t kCountEscape = 3;
-
-size_t VarintLen(uint64_t v) {
-  size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
-}
-
-// Group-mask key compression: each 8-byte group of the key is one mask
-// byte (bit j = byte j of the group is non-zero) followed by only the
-// non-zero bytes. Wire tables subtract away most structure, so key fields
-// are dominated by zero bytes; masks reclaim them at one byte per group.
-void PutMaskedKey(const uint8_t* key, size_t width, ByteWriter* writer) {
-  for (size_t g = 0; g < width; g += 8) {
-    const size_t len = std::min<size_t>(8, width - g);
-    uint8_t mask = 0;
-    for (size_t b = 0; b < len; ++b) {
-      mask |= static_cast<uint8_t>((key[g + b] != 0) << b);
-    }
-    writer->PutU8(mask);
-    for (size_t b = 0; b < len; ++b) {
-      if (key[g + b] != 0) writer->PutU8(key[g + b]);
-    }
-  }
-}
-
-size_t MaskedKeyLen(const uint8_t* key, size_t width) {
-  size_t n = 0;
-  for (size_t g = 0; g < width; g += 8) {
-    const size_t len = std::min<size_t>(8, width - g);
-    ++n;
-    for (size_t b = 0; b < len; ++b) n += (key[g + b] != 0);
-  }
-  return n;
-}
-
-// Reads a group-masked key into `out` (writes all `width` bytes, zeros
-// included). Fails on truncation or mask bits past a short tail group.
-bool GetMaskedKey(ByteReader* reader, size_t width, uint8_t* out) {
-  for (size_t g = 0; g < width; g += 8) {
-    const size_t len = std::min<size_t>(8, width - g);
-    uint8_t mask = 0;
-    if (!reader->GetU8(&mask)) return false;
-    if (len < 8 && (mask >> len) != 0) return false;
-    for (size_t b = 0; b < len; ++b) {
-      if (mask & (1u << b)) {
-        if (!reader->GetU8(&out[g + b])) return false;
-      } else {
-        out[g + b] = 0;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-size_t Iblt::DenseSerializedSize() const {
-  size_t n = 0;
-  for (size_t i = 0; i < cells_; ++i) {
-    n += VarintLen(ZigZag(meta_[i].count)) + 8 + config_.key_width;
-  }
-  return n;
-}
-
-void Iblt::EncodeCellBlock(const std::vector<uint32_t>& cells,
-                           ByteWriter* writer) const {
-  // Packed 2-bit count codes, four per byte; unused trailing crumbs stay 0.
-  uint8_t crumbs = 0;
-  int filled = 0;
-  std::vector<uint32_t> escapes;
-  for (size_t ord = 0; ord < cells.size(); ++ord) {
-    const int64_t count = meta_[cells[ord]].count;
-    uint8_t code;
-    if (count == 1) {
-      code = kCountPlusOne;
-    } else if (count == -1) {
-      code = kCountMinusOne;
-    } else if (count == 0) {
-      code = kCountZero;
-    } else {
-      code = kCountEscape;
-      escapes.push_back(static_cast<uint32_t>(ord));
-    }
-    crumbs |= static_cast<uint8_t>(code << (2 * filled));
-    if (++filled == 4) {
-      writer->PutU8(crumbs);
-      crumbs = 0;
-      filled = 0;
-    }
-  }
-  if (filled != 0) writer->PutU8(crumbs);
-  // Escape list: occupied-ordinal + zigzag count per escaped cell. The
-  // ordinals are redundant with the code stream but make each escape entry
-  // self-locating, so the decoder can cross-check them.
-  writer->PutVarint(escapes.size());
-  for (uint32_t ord : escapes) {
-    writer->PutVarint(ord);
-    writer->PutVarint(ZigZag(meta_[cells[ord]].count));
-  }
-  // Checksums are XORs of uniform 64-bit hashes — incompressible; raw.
-  for (uint32_t cell : cells) writer->PutU64(meta_[cell].check);
-  // Key payloads, zero bytes suppressed behind group masks.
-  for (uint32_t cell : cells) {
-    PutMaskedKey(CellKeyBytes(cell), config_.key_width, writer);
-  }
-}
-
-Status Iblt::DecodeCellBlock(ByteReader* reader,
-                             const std::vector<uint32_t>& cells,
-                             bool allow_zero_cells) {
-  const size_t n = cells.size();
-  // Count codes.
-  std::vector<uint8_t> codes(n, kCountZero);
-  for (size_t ord = 0; ord < n; ord += 4) {
-    uint8_t crumbs = 0;
-    if (!reader->GetU8(&crumbs)) {
-      return ParseError("sparse IBLT truncated (count codes)");
-    }
-    const size_t in_byte = std::min<size_t>(4, n - ord);
-    if (in_byte < 4 && (crumbs >> (2 * in_byte)) != 0) {
-      return ParseError("sparse IBLT: count codes past the last cell");
-    }
-    for (size_t b = 0; b < in_byte; ++b) {
-      codes[ord + b] = (crumbs >> (2 * b)) & 0x3;
-    }
-  }
-  // Escape list, cross-checked against the kCountEscape positions: entries
-  // must name exactly those ordinals, in order, with counts that actually
-  // need escaping.
-  uint64_t num_escapes = 0;
-  if (!reader->GetVarint(&num_escapes)) {
-    return ParseError("sparse IBLT truncated (escape count)");
-  }
-  if (num_escapes > n) {
-    return ParseError("sparse IBLT: escape count exceeds occupied cells");
-  }
-  size_t next_escape = 0;  // Scans codes[] for the next kCountEscape.
-  std::vector<int64_t> escaped_counts(n, 0);
-  for (uint64_t e = 0; e < num_escapes; ++e) {
-    uint64_t ord = 0;
-    uint64_t zz = 0;
-    if (!reader->GetVarint(&ord) || !reader->GetVarint(&zz)) {
-      return ParseError("sparse IBLT truncated (escape list)");
-    }
-    if (ord >= n) {
-      return ParseError("sparse IBLT: escape-list index out of range");
-    }
-    while (next_escape < n && codes[next_escape] != kCountEscape) {
-      ++next_escape;
-    }
-    if (next_escape >= n || ord != next_escape) {
-      return ParseError("sparse IBLT: escape-list index mismatch");
-    }
-    const int64_t count = UnZigZag(zz);
-    if (count >= -1 && count <= 1) {
-      return ParseError("sparse IBLT: non-canonical escape count");
-    }
-    escaped_counts[ord] = count;
-    ++next_escape;
-  }
-  for (size_t ord = next_escape; ord < n; ++ord) {
-    if (codes[ord] == kCountEscape) {
-      return ParseError("sparse IBLT: escape code without escape entry");
-    }
-  }
-  // Apply counts.
-  for (size_t ord = 0; ord < n; ++ord) {
-    switch (codes[ord]) {
-      case kCountPlusOne:
-        meta_[cells[ord]].count = 1;
-        break;
-      case kCountMinusOne:
-        meta_[cells[ord]].count = -1;
-        break;
-      case kCountZero:
-        meta_[cells[ord]].count = 0;
-        break;
-      default:
-        meta_[cells[ord]].count = escaped_counts[ord];
-        break;
-    }
-  }
-  // Checks.
-  for (size_t ord = 0; ord < n; ++ord) {
-    if (!reader->GetU64(&meta_[cells[ord]].check)) {
-      return ParseError("sparse IBLT truncated (check)");
-    }
-  }
-  // Keys (group-masked; writes every key byte, so parent values from the
-  // delta path are fully overwritten).
-  for (size_t ord = 0; ord < n; ++ord) {
-    if (!GetMaskedKey(reader, config_.key_width, CellKeyBytes(cells[ord]))) {
-      return ParseError("sparse IBLT truncated or malformed (key mask)");
-    }
-  }
-  if (!allow_zero_cells) {
-    for (size_t ord = 0; ord < n; ++ord) {
-      if (CellIsZero(cells[ord])) {
-        return ParseError("sparse IBLT: occupied cell decoded to zero");
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-void Iblt::SerializeSparse(ByteWriter* writer) const {
-  std::vector<uint32_t> occupied;
-  std::vector<uint8_t> bitmap((cells_ + 7) / 8, 0);
-  for (size_t i = 0; i < cells_; ++i) {
-    if (!CellIsZero(i)) {
-      occupied.push_back(static_cast<uint32_t>(i));
-      bitmap[i >> 3] |= static_cast<uint8_t>(1u << (i & 7));
-    }
-  }
-  // Exact sparse-body size, computed before encoding so an oversized body
-  // is never built: bitmap + count crumbs + escapes + checks + masked keys.
-  size_t sparse_size = bitmap.size() + (occupied.size() + 3) / 4;
-  size_t num_escapes = 0;
-  for (size_t ord = 0; ord < occupied.size(); ++ord) {
-    const int64_t count = meta_[occupied[ord]].count;
-    if (count < -1 || count > 1) {
-      ++num_escapes;
-      sparse_size += VarintLen(ord) + VarintLen(ZigZag(count));
-    }
-  }
-  sparse_size += VarintLen(num_escapes) + 8 * occupied.size();
-  for (uint32_t cell : occupied) {
-    sparse_size += MaskedKeyLen(CellKeyBytes(cell), config_.key_width);
-  }
-  if (sparse_size >= DenseSerializedSize()) {
-    // Raw fallback: saturated/incompressible table — dense is no larger.
-    writer->PutU8(kSparseModeRaw);
-    Serialize(writer);
-    return;
-  }
-  writer->PutU8(kSparseModeBitmap);
-  writer->PutBytes(bitmap);
-  EncodeCellBlock(occupied, writer);
-}
-
-void Iblt::SerializeDelta(const Iblt& parent, ByteWriter* writer) const {
-  assert(config_ == parent.config_);
-  writer->PutU8(kSparseModeDelta);
-  std::vector<uint32_t> changed;
-  std::vector<uint8_t> bitmap((cells_ + 7) / 8, 0);
-  for (size_t i = 0; i < cells_; ++i) {
-    const bool same =
-        meta_[i].count == parent.meta_[i].count &&
-        meta_[i].check == parent.meta_[i].check &&
-        std::memcmp(CellLanes(i), parent.CellLanes(i),
-                    8 * lanes_per_key_) == 0;
-    if (!same) {
-      changed.push_back(static_cast<uint32_t>(i));
-      bitmap[i >> 3] |= static_cast<uint8_t>(1u << (i & 7));
-    }
-  }
-  // An all-zero bitmap is the whole frame: the unchanged-table marker.
-  writer->PutBytes(bitmap);
-  if (changed.empty()) return;
-  EncodeCellBlock(changed, writer);
-}
-
-Result<Iblt> Iblt::DeserializeSparse(ByteReader* reader,
-                                     const IbltConfig& config,
-                                     const TableLineage& lineage) {
-  uint8_t mode = 0;
-  if (!reader->GetU8(&mode)) return ParseError("sparse IBLT truncated (mode)");
-  if (mode == kSparseModeRaw) return Deserialize(reader, config);
-  if (mode != kSparseModeBitmap && mode != kSparseModeDelta) {
-    return ParseError("sparse IBLT: unknown frame mode");
-  }
-  const bool is_delta = mode == kSparseModeDelta;
-  if (is_delta && !lineage.CoversConfig(config)) {
-    return ParseError("sparse IBLT: delta frame without matching lineage");
-  }
-  // Delta starts from a copy of the parent; sparse from an all-zero table.
-  Iblt table = is_delta ? *lineage.parent : Iblt(config);
-  const size_t cells = table.cells_;
-  std::vector<uint8_t> bitmap;
-  if (!reader->GetBytes((cells + 7) / 8, &bitmap)) {
-    return ParseError("sparse IBLT truncated (occupancy bitmap)");
-  }
-  if (cells % 8 != 0 && (bitmap.back() >> (cells % 8)) != 0) {
-    return ParseError("sparse IBLT: occupancy bits past the last cell");
-  }
-  std::vector<uint32_t> marked;
-  for (size_t i = 0; i < cells; ++i) {
-    if (bitmap[i >> 3] & (1u << (i & 7))) {
-      marked.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  if (is_delta && marked.empty()) return table;  // Unchanged-table marker.
-  Status status =
-      table.DecodeCellBlock(reader, marked, /*allow_zero_cells=*/is_delta);
-  if (!status.ok()) return status;
-  return table;
-}
-
-void Iblt::SerializeWith(WireCodec codec, ByteWriter* writer,
-                         const TableLineage& lineage) const {
-  if (codec != WireCodec::kSparse) {
-    Serialize(writer);
-    return;
-  }
-  if (lineage.CoversConfig(config_)) {
-    SerializeDelta(*lineage.parent, writer);
-    return;
-  }
-  SerializeSparse(writer);
-}
-
-Result<Iblt> Iblt::DeserializeWith(WireCodec codec, ByteReader* reader,
-                                   const IbltConfig& config,
-                                   const TableLineage& lineage) {
-  if (codec != WireCodec::kSparse) return Deserialize(reader, config);
-  return DeserializeSparse(reader, config, lineage);
 }
 
 }  // namespace setrec

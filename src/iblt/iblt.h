@@ -43,6 +43,12 @@ struct IbltConfig {
   /// cell, plus no header); used to size blob keys that embed a child IBLT.
   size_t FixedSerializedSize() const;
 
+  /// Bytes of one cell's record in the fixed-width serialization: a 4-byte
+  /// count, the 8-byte checksum and `key_width` key bytes.
+  static constexpr size_t FixedRecordWidth(size_t key_width) {
+    return 12 + key_width;
+  }
+
   bool operator==(const IbltConfig&) const = default;
 };
 
@@ -332,16 +338,16 @@ struct IbltCellMeta {
 };
 
 /// Reusable peeling workspace. Decoding copies the table (counts, checksums,
-/// key lanes) into this scratch — or, for Iblt::DecodeDifferenceU64View,
-/// the cell-wise difference of two tables — and peels the copy; after the
-/// first decode warms the vectors up, subsequent decodes through the same
-/// scratch are fully allocation-free (vector::assign/resize and the output
-/// arena reuse capacity) — for byte keys as well as u64 keys. One scratch
-/// may be shared across tables of *different* configs — each decode resizes
-/// it — which is exactly what the cascading protocol's many child-IBLT
-/// decodes and the strata estimator's per-stratum decodes need. A scratch
-/// carries no table state between decodes; it must not be used by two
-/// decodes concurrently.
+/// key lanes) into this scratch — or, for Iblt::DecodeFixedDifferenceU64View,
+/// the record-wise difference of two fixed-form tables, with no table at all
+/// — and peels the copy; after the first decode warms the vectors up,
+/// subsequent decodes through the same scratch are fully allocation-free
+/// (vector::assign/resize and the output arena reuse capacity) — for byte
+/// keys as well as u64 keys. One scratch may be shared across tables of
+/// *different* configs — each decode resizes it — which is exactly what the
+/// cascading protocol's many child-sketch decodes and the strata estimator's
+/// per-stratum decodes need. A scratch carries no table state between
+/// decodes; it must not be used by two decodes concurrently.
 ///
 /// The scratch also OWNS the decoded keys of the view-returning overloads:
 /// peeled byte keys land lane-aligned in `out_lanes`, and the IbltKeyView
@@ -457,17 +463,23 @@ class Iblt {
   /// performs zero heap allocations — the u64 counterpart of the byte-key
   /// Decode(scratch) path. Requires key_width == 8.
   Result<IbltDecodeView64> DecodeU64View(DecodeScratch* scratch) const;
-  /// Fused difference decode: loads (*this - other) cell by cell straight
-  /// into the scratch and peels it, so the set-of-sets protocols can try a
-  /// child sketch against each partner without materializing the
-  /// difference table. Returns exactly what `Iblt d = *this;
-  /// d.Subtract(other); d.DecodeU64View(scratch)` returns — same status,
-  /// same keys in the same (deterministic peel) order — and
-  /// kInvalidArgument when the configs differ. Same view lifetime and
-  /// warm-scratch zero-allocation guarantee as DecodeU64View. Requires
-  /// key_width == 8.
-  Result<IbltDecodeView64> DecodeDifferenceU64View(
-      const Iblt& other, DecodeScratch* scratch) const;
+  /// Table-free difference decode of two fixed-form tables of `config`
+  /// (SerializeFixed's layout; bytes past it, such as a child blob's
+  /// fingerprint, are ignored): loads (a - b) record by record straight
+  /// into the scratch, counts sign-extended from their 32 bits as
+  /// DeserializeFixed reads them, and peels it. `b` without data
+  /// (IbltKeyView{}) is the empty table, so `a` is decoded alone. Returns
+  /// exactly what DeserializeFixed of both, Subtract and DecodeU64View
+  /// return — the same status, the same keys in the same (deterministic
+  /// peel) order — with kParseError for a blob shorter than
+  /// config.FixedSerializedSize() and kInvalidArgument unless key_width ==
+  /// 8. Same view lifetime and warm-scratch zero-allocation guarantee as
+  /// DecodeU64View. The set-of-sets protocols try one of Alice's child
+  /// sketches against each of Bob's partner blobs this way (RecoverChild in
+  /// core/encoding.h), reading both sketches in place.
+  static Result<IbltDecodeView64> DecodeFixedDifferenceU64View(
+      const IbltConfig& config, IbltKeyView a, IbltKeyView b,
+      DecodeScratch* scratch);
 
   /// Peels as far as possible and reports completeness instead of failing.
   /// Same owning-vs-view split as Decode().
@@ -477,7 +489,13 @@ class Iblt {
   /// True if every cell is zero (empty table or perfectly cancelled).
   bool IsZero() const;
 
-  /// Compact serialization (varint counts) for direct transmission.
+  // The wire codecs, Serialize through DeserializeWith, and
+  // DecodeFixedDifferenceU64View live in iblt_codec.cc. They read bytes a
+  // peer sent, so they fail closed with kParseError and never assert
+  // (setrec_lint's parse-assert rule covers that file).
+
+  /// Compact serialization (varint counts) for direct transmission,
+  /// written through one ByteWriter::Extend of its exact size.
   void Serialize(ByteWriter* writer) const;
   [[nodiscard]] static Result<Iblt> Deserialize(ByteReader* reader, const IbltConfig& config);
 
@@ -498,6 +516,9 @@ class Iblt {
   /// codec does not. Like the decode-view lifetime rule above, nothing here
   /// outlives the call: encode and decode work on complete in-memory tables
   /// and borrow `lineage.parent` only for the duration of the call.
+  ///
+  /// Every frame is written through one ByteWriter::Extend of its exact
+  /// size, measured first, and filled in place.
   void SerializeSparse(ByteWriter* writer) const;
   /// Parses a kSparse frame (any mode). Fails closed — kParseError, never a
   /// partially-initialized table — on every malformed prefix: truncated or
@@ -511,12 +532,13 @@ class Iblt {
                                         const TableLineage& lineage = {});
 
   /// Delta retransmission frame: only the cells that differ from
-  /// `parent` (same config required — see TableLineage::CoversConfig),
-  /// as a changed-cell bitmap plus sparse payloads of the new absolute
-  /// cell values. An all-zero bitmap is the unchanged-table marker: four
-  /// bytes on the wire for a verbatim retransmission. Only meaningful
-  /// under WireCodec::kSparse; DeserializeSparse parses it when given the
-  /// same lineage.
+  /// `parent`, as a changed-cell bitmap plus sparse payloads of the new
+  /// absolute cell values. An all-zero bitmap is the unchanged-table
+  /// marker: four bytes on the wire for a verbatim retransmission. Only
+  /// meaningful under WireCodec::kSparse; DeserializeSparse parses it when
+  /// given the same lineage. Precondition: `parent` has this table's config
+  /// (TableLineage::CoversConfig), which SerializeWith checks before it
+  /// calls here.
   void SerializeDelta(const Iblt& parent, ByteWriter* writer) const;
 
   /// Dispatch helpers: the codec-generic entry points protocols call.
@@ -615,18 +637,35 @@ class Iblt {
   void Update(const uint8_t* key, int32_t delta);
   bool CellIsZero(size_t cell) const;
 
+  /// The variable-length sections of a cell block, measured before it is
+  /// written so that a frame is one Extend of its exact size.
+  struct CellBlockLayout {
+    size_t escapes = 0;       // Cells whose count takes an escape entry.
+    size_t escape_bytes = 0;  // Their (ordinal, zigzag count) varints.
+    size_t key_bytes = 0;     // Group-masked key bytes of every cell.
+  };
+
   /// Shared sparse-codec sections (counts + checks + masked keys for a
   /// list of cell indices), used by both the full sparse frame and the
-  /// delta frame. `allow_zero_cells` is set on the delta path, where a
-  /// changed cell may legitimately become all-zero.
+  /// delta frame. MeasureCellBlock sizes them; EncodeCellBlock writes them
+  /// at `out`, which has exactly that many bytes. `allow_zero_cells` is set
+  /// on the delta path, where a changed cell may legitimately become
+  /// all-zero.
+  CellBlockLayout MeasureCellBlock(const std::vector<uint32_t>& cells) const;
   void EncodeCellBlock(const std::vector<uint32_t>& cells,
-                       ByteWriter* writer) const;
+                       const CellBlockLayout& layout, uint8_t* out) const;
+  /// Appends `mode`, the bitmap of `cells` and their cell block through one
+  /// Extend.
+  void AppendBitmapFrame(uint8_t mode, const std::vector<uint32_t>& cells,
+                         const CellBlockLayout& layout,
+                         ByteWriter* writer) const;
   Status DecodeCellBlock(ByteReader* reader,
                          const std::vector<uint32_t>& cells,
                          bool allow_zero_cells);
-  /// Exact byte count Serialize() would emit (the sparse encoder's
-  /// fallback threshold).
+  /// Exact byte count Serialize() emits (the sparse encoder's fallback
+  /// threshold), and the dense cell stream itself, written at `out`.
   size_t DenseSerializedSize() const;
+  void WriteDense(uint8_t* out) const;
 
   uint64_t* CellLanes(size_t cell) {
     return key_lanes_.data() + cell * lanes_per_key_;
@@ -656,18 +695,25 @@ class Iblt {
                            int first_index, int index_step);
 
   /// Decoding is load + peel. LoadInto copies this table's cells into the
-  /// scratch work arrays (DecodeDifferenceU64View loads a difference
-  /// instead); Peel then runs the one shared peeling loop over the loaded
-  /// cells, which must have this table's config. In u64 mode
-  /// (out_u64 != nullptr) decoded keys go to out_u64's vectors; in byte
-  /// mode they are appended lane-aligned to scratch->out_lanes with their
-  /// offsets recorded in pos/neg_offsets. Returns true iff the work arrays
-  /// drained to all-zero cells.
+  /// scratch work arrays (DecodeFixedDifferenceU64View loads a difference
+  /// of two fixed-form tables instead, with no table); Peel then runs the
+  /// one shared peeling loop over the `cells` loaded cells of
+  /// `lanes_per_key` key lanes each, whose keys map to cells through
+  /// `derivation`. It needs no table. In u64 mode (out_u64 != nullptr)
+  /// decoded keys go to out_u64's vectors; in byte mode they are appended
+  /// lane-aligned to scratch->out_lanes with their offsets recorded in
+  /// pos/neg_offsets. Returns true iff the work arrays drained to all-zero
+  /// cells.
   void LoadInto(DecodeScratch* scratch) const;
-  bool Peel(DecodeScratch* scratch, IbltDecodeResult64* out_u64) const;
+  static bool Peel(const IbltCellDerivation& derivation, size_t cells,
+                   size_t lanes_per_key, DecodeScratch* scratch,
+                   IbltDecodeResult64* out_u64);
   /// Builds the IbltKeyView arrays over scratch->out_lanes after a byte-mode
   /// peel (deferred so arena growth during the peel cannot dangle views).
   IbltDecodeView BuildViews(DecodeScratch* scratch) const;
+  /// Gathers a byte-mode peel of 8-byte keys into the scratch's u64 side
+  /// vectors and returns the view over them.
+  static IbltDecodeView64 GatherU64(DecodeScratch* scratch);
 
   static IbltBatchOptions batch_options_;
 

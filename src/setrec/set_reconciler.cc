@@ -68,26 +68,47 @@ std::vector<uint64_t> ApplyDifference(const std::vector<uint64_t>& base,
       std::span<const uint64_t>(diff.local_only));
 }
 
+namespace {
+
+/// `values` if sorted, else a sorted copy of them held in `copy`.
+std::span<const uint64_t> SortedView(std::span<const uint64_t> values,
+                                     std::vector<uint64_t>* copy) {
+  if (std::is_sorted(values.begin(), values.end())) return values;
+  copy->assign(values.begin(), values.end());
+  std::sort(copy->begin(), copy->end());
+  return *copy;
+}
+
+}  // namespace
+
 std::vector<uint64_t> ApplyDifference(const std::vector<uint64_t>& base,
                                       std::span<const uint64_t> remote_only,
                                       std::span<const uint64_t> local_only) {
-  std::vector<uint64_t> removed(local_only.begin(), local_only.end());
-  std::sort(removed.begin(), removed.end());
+  // Every input is walked in sorted order; a sorted one (every set-of-sets
+  // child, and the decode-view sides callers sort in place) is read where
+  // it is, so the result is then the only vector built.
+  std::vector<uint64_t> base_copy, removed_copy, added_copy;
+  const std::span<const uint64_t> sorted_base = SortedView(base, &base_copy);
+  const std::span<const uint64_t> removed =
+      SortedView(local_only, &removed_copy);
+  const std::span<const uint64_t> added =
+      SortedView(remote_only, &added_copy);
   std::vector<uint64_t> out;
   out.reserve(base.size() + remote_only.size());
-  std::vector<uint64_t> sorted_base = base;
-  std::sort(sorted_base.begin(), sorted_base.end());
-  // Multiset semantics: remove one occurrence per local_only entry.
+  // Multiset semantics: remove one occurrence per local_only entry, and
+  // merge the additions in as the base goes by.
   size_t r = 0;
+  size_t a = 0;
   for (uint64_t e : sorted_base) {
     if (r < removed.size() && removed[r] == e) {
       ++r;
       continue;
     }
+    while (a < added.size() && added[a] < e) out.push_back(added[a++]);
     out.push_back(e);
   }
-  out.insert(out.end(), remote_only.begin(), remote_only.end());
-  std::sort(out.begin(), out.end());
+  out.insert(out.end(), added.begin() + static_cast<std::ptrdiff_t>(a),
+             added.end());
   return out;
 }
 

@@ -62,7 +62,11 @@ std::vector<uint64_t> ApplyDifference(const std::vector<uint64_t>& base,
                                       const SetDifference& diff);
 
 /// Span form, the shape IbltDecodeView64 hands back: identical semantics
-/// without materializing the difference into owned vectors first.
+/// without materializing the difference into owned vectors first. The
+/// base and both sides are merged in sorted order straight into the
+/// result; an input that arrives unsorted is sorted in a copy, so callers
+/// holding a decode view sort its sides in place first and, with a sorted
+/// base, build one vector.
 std::vector<uint64_t> ApplyDifference(const std::vector<uint64_t>& base,
                                       std::span<const uint64_t> remote_only,
                                       std::span<const uint64_t> local_only);

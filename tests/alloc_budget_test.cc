@@ -6,12 +6,14 @@
 // covers Submit, every Step and TakeResults, so a budget counts everything
 // a session costs the allocator.
 //
-// Each budget is the count measured when it was last lowered: naive's and
-// multiround's when Bob's children were first looked up through a flat
-// fingerprint index and his parent assembled in one merge; iblt2's and
-// cascade's when child sketches were first written straight into their
-// blobs, with no table per packing call and no empty partner table. A later
-// change may lower a budget; it must never raise one.
+// Each budget is the count measured when it was last lowered, rounded up:
+// naive's when Bob's children were first looked up through a flat
+// fingerprint index and his parent assembled in one merge; iblt2's,
+// cascade's and multiround's when partner sketches were first decoded
+// straight from their blobs (no table parsed per partner or positive blob),
+// sparse frames written through one exact Extend, and ApplyDifference
+// became one sorted merge into its result vector. A later change may lower
+// a budget; it must never raise one.
 
 #include <gtest/gtest.h>
 
@@ -131,10 +133,10 @@ TEST_P(AllocationBudgetTest, WarmSessionWithinBudget) {
 INSTANTIATE_TEST_SUITE_P(
     Protocols, AllocationBudgetTest,
     ::testing::Values(Budget{SsrProtocolKind::kNaive, "naive", 81},
-                      Budget{SsrProtocolKind::kIblt2, "iblt2", 97},
-                      Budget{SsrProtocolKind::kCascade, "cascade", 126},
+                      Budget{SsrProtocolKind::kIblt2, "iblt2", 86},
+                      Budget{SsrProtocolKind::kCascade, "cascade", 111},
                       Budget{SsrProtocolKind::kMultiRound, "multiround",
-                             197}),
+                             172}),
     [](const ::testing::TestParamInfo<Budget>& param_info) {
       return std::string(param_info.param.name);
     });

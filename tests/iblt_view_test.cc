@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "bench/alloc_counter.h"
@@ -187,83 +188,136 @@ TEST(IbltViewTest, WarmU64ViewDecodeIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "warm u64 view decode must not hit the allocator";
 }
 
-/// Runs the fused a - b decode and the three-step copy + Subtract +
-/// DecodeU64View path, checks they agree in status code and element by
-/// element (the peel order is deterministic), and returns the fused status.
-Status ExpectDifferenceDecodeMatchesThreeStep(const Iblt& a, const Iblt& b) {
-  DecodeScratch fused_scratch;
-  Result<IbltDecodeView64> fused =
-      a.DecodeDifferenceU64View(b, &fused_scratch);
+std::vector<uint8_t> FixedForm(const Iblt& table) {
+  ByteWriter writer;
+  table.SerializeFixed(&writer);
+  return writer.Take();
+}
 
-  Iblt diff = a;
-  Status subtracted = diff.Subtract(b);
-  EXPECT_TRUE(subtracted.ok()) << subtracted.ToString();
-  DecodeScratch step_scratch;
-  Result<IbltDecodeView64> stepwise = diff.DecodeU64View(&step_scratch);
+IbltKeyView ViewOf(const std::vector<uint8_t>& bytes) {
+  return IbltKeyView{bytes.data(), bytes.size()};
+}
 
-  EXPECT_EQ(fused.status().code(), stepwise.status().code());
-  if (fused.ok() && stepwise.ok()) {
-    IbltDecodeResult64 f = fused.value().Materialize();
-    IbltDecodeResult64 s = stepwise.value().Materialize();
-    EXPECT_EQ(f.positive, s.positive);
-    EXPECT_EQ(f.negative, s.negative);
+/// The table path the blob decode replaces: DeserializeFixed of both blobs,
+/// Subtract, DecodeU64View. `b` null is the empty partner (a decoded alone).
+Result<IbltDecodeResult64> TablePathDecode(const IbltConfig& config,
+                                           const std::vector<uint8_t>& a,
+                                           const std::vector<uint8_t>* b) {
+  ByteReader reader_a(a);
+  Result<Iblt> table_a = Iblt::DeserializeFixed(&reader_a, config);
+  if (!table_a.ok()) return table_a.status();
+  Iblt diff = std::move(table_a).value();
+  if (b != nullptr) {
+    ByteReader reader_b(*b);
+    Result<Iblt> table_b = Iblt::DeserializeFixed(&reader_b, config);
+    if (!table_b.ok()) return table_b.status();
+    Status subtracted = diff.Subtract(table_b.value());
+    EXPECT_TRUE(subtracted.ok()) << subtracted.ToString();
   }
-  return fused.status();
+  DecodeScratch scratch;
+  Result<IbltDecodeView64> decoded = diff.DecodeU64View(&scratch);
+  if (!decoded.ok()) return decoded.status();
+  return decoded.value().Materialize();
+}
+
+/// Runs the table-free decode of fixed-form blobs a - b and the table path,
+/// checks they agree in status code and element by element (the peel order
+/// is deterministic), and returns the blob decode's status.
+Status ExpectBlobDecodeMatchesTablePath(const IbltConfig& config,
+                                        const std::vector<uint8_t>& a,
+                                        const std::vector<uint8_t>* b) {
+  DecodeScratch scratch;
+  Result<IbltDecodeView64> from_blobs = Iblt::DecodeFixedDifferenceU64View(
+      config, ViewOf(a), b != nullptr ? ViewOf(*b) : IbltKeyView{}, &scratch);
+  Result<IbltDecodeResult64> from_tables = TablePathDecode(config, a, b);
+  EXPECT_EQ(from_blobs.status().code(), from_tables.status().code());
+  if (from_blobs.ok() && from_tables.ok()) {
+    IbltDecodeResult64 keys = from_blobs.value().Materialize();
+    EXPECT_EQ(keys.positive, from_tables.value().positive);
+    EXPECT_EQ(keys.negative, from_tables.value().negative);
+  }
+  return from_blobs.status();
 }
 
 TEST(IbltViewTest, DifferenceDecodeMatchesSubtractThenDecode) {
-  // A child-sized sketch, as the set-of-sets protocols build them.
-  const IbltConfig config = IbltConfig::ForDifference(8, 4242);
+  // Child-sized sketches, as the set-of-sets protocols write them, over
+  // random pairs: near partners that decode, unrelated ones that do not,
+  // the absent partner, counts past +-1 and negative counts (erased keys),
+  // and a trailing fingerprint the decode must ignore.
   Rng rng(99);
-  std::vector<uint64_t> keys(40);
-  for (uint64_t& key : keys) key = rng.NextU64();
-
-  Iblt a(config);
-  a.InsertBatch(keys);
-
-  // Near partner: 3 of a's keys missing, 2 foreign keys — decodes.
-  Iblt near(config);
-  near.InsertBatch(keys.data() + 3, keys.size() - 3);
-  near.InsertU64(rng.NextU64());
-  near.InsertU64(rng.NextU64());
-  Status near_status = ExpectDifferenceDecodeMatchesThreeStep(a, near);
-  EXPECT_TRUE(near_status.ok()) << near_status.ToString();
-
-  // Unrelated partner: 80 keys of difference in a table sized for 8.
-  Iblt unrelated(config);
-  for (int i = 0; i < 40; ++i) unrelated.InsertU64(rng.NextU64());
-  EXPECT_EQ(ExpectDifferenceDecodeMatchesThreeStep(a, unrelated).code(),
-            StatusCode::kDecodeFailure);
-
-  // Empty partner: a small sketch decodes against it to its own keys.
-  Iblt small(config);
-  small.InsertBatch(keys.data(), 5);
-  const Iblt empty(config);
-  Status empty_status = ExpectDifferenceDecodeMatchesThreeStep(small, empty);
-  EXPECT_TRUE(empty_status.ok()) << empty_status.ToString();
-  DecodeScratch scratch;
-  Result<IbltDecodeView64> own = small.DecodeDifferenceU64View(empty, &scratch);
-  ASSERT_TRUE(own.ok());
-  EXPECT_EQ(own.value().positive.size(), 5u);
-  EXPECT_TRUE(own.value().negative.empty());
+  size_t decoded = 0;
+  size_t failed = 0;
+  for (int k : {3, 4, 5}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const IbltConfig config = IbltConfig::ForDifference(
+          4 + rng.NextU64() % 12, rng.NextU64(), /*key_width=*/8, k);
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " trial=" + std::to_string(trial));
+      Iblt a(config);
+      Iblt b(config);
+      const size_t shared = rng.NextU64() % 40;
+      for (size_t i = 0; i < shared; ++i) {
+        const uint64_t key = rng.NextU64();
+        a.InsertU64(key);
+        b.InsertU64(key);
+      }
+      const size_t differing = rng.NextU64() % (trial % 4 == 0 ? 60 : 8);
+      for (size_t i = 0; i < differing; ++i) {
+        const uint64_t key = rng.NextU64();
+        switch (rng.NextU64() % 4) {
+          case 0: a.InsertU64(key); break;
+          case 1: b.InsertU64(key); break;
+          case 2: a.EraseU64(key); break;  // A negative count in a.
+          default:                         // Count 2 in b's cells.
+            b.InsertU64(key);
+            b.InsertU64(key);
+            break;
+        }
+      }
+      std::vector<uint8_t> blob_a = FixedForm(a);
+      std::vector<uint8_t> blob_b = FixedForm(b);
+      if (trial % 2 == 1) {
+        // Bytes past the fixed form (a child blob's fingerprint).
+        blob_a.insert(blob_a.end(), 8, 0xa5);
+        blob_b.insert(blob_b.end(), 8, 0x5a);
+      }
+      for (const std::vector<uint8_t>* partner :
+           {static_cast<const std::vector<uint8_t>*>(&blob_b),
+            static_cast<const std::vector<uint8_t>*>(nullptr)}) {
+        const Status status =
+            ExpectBlobDecodeMatchesTablePath(config, blob_a, partner);
+        (status.ok() ? decoded : failed) += 1;
+      }
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(failed, 0u);
 
   // Identical tables: the difference is empty.
-  const Iblt copy = a;
-  EXPECT_TRUE(ExpectDifferenceDecodeMatchesThreeStep(a, copy).ok());
-  Result<IbltDecodeView64> none = a.DecodeDifferenceU64View(copy, &scratch);
+  const IbltConfig config = IbltConfig::ForDifference(8, 4242);
+  Iblt a(config);
+  for (int i = 0; i < 40; ++i) a.InsertU64(rng.NextU64());
+  const std::vector<uint8_t> blob = FixedForm(a);
+  DecodeScratch scratch;
+  Result<IbltDecodeView64> none = Iblt::DecodeFixedDifferenceU64View(
+      config, ViewOf(blob), ViewOf(blob), &scratch);
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().positive.empty());
   EXPECT_TRUE(none.value().negative.empty());
 
-  // Mismatched configs are rejected, not decoded.
-  IbltConfig other_seed = config;
-  other_seed.seed ^= 1;
-  EXPECT_EQ(a.DecodeDifferenceU64View(Iblt(other_seed), &scratch)
-                .status()
+  // A blob shorter than the fixed form fails as DeserializeFixed does.
+  const std::vector<uint8_t> short_blob(blob.begin(), blob.end() - 1);
+  EXPECT_EQ(ExpectBlobDecodeMatchesTablePath(config, blob, &short_blob)
                 .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(a.DecodeDifferenceU64View(
-                 Iblt(IbltConfig::ForDifference(16, 4242)), &scratch)
+            StatusCode::kParseError);
+  EXPECT_EQ(ExpectBlobDecodeMatchesTablePath(config, short_blob, nullptr)
+                .code(),
+            StatusCode::kParseError);
+
+  // Wide keys are not u64 sketches.
+  EXPECT_EQ(Iblt::DecodeFixedDifferenceU64View(
+                IbltConfig::ForDifference(8, 4242, /*key_width=*/16),
+                ViewOf(blob), IbltKeyView{}, &scratch)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -281,9 +335,12 @@ TEST(IbltViewTest, WarmDifferenceDecodeIsAllocationFree) {
   }
   for (int i = 0; i < 32; ++i) a.InsertU64(rng.NextU64());
   for (int i = 0; i < 16; ++i) b.InsertU64(rng.NextU64());
+  const std::vector<uint8_t> blob_a = FixedForm(a);
+  const std::vector<uint8_t> blob_b = FixedForm(b);
 
   DecodeScratch scratch;
-  Result<IbltDecodeView64> warmup = a.DecodeDifferenceU64View(b, &scratch);
+  Result<IbltDecodeView64> warmup = Iblt::DecodeFixedDifferenceU64View(
+      config, ViewOf(blob_a), ViewOf(blob_b), &scratch);
   ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
   ASSERT_EQ(warmup.value().positive.size(), 32u);
   ASSERT_EQ(warmup.value().negative.size(), 16u);
@@ -291,14 +348,15 @@ TEST(IbltViewTest, WarmDifferenceDecodeIsAllocationFree) {
   size_t allocs;
   {
     AllocationWindow window;
-    Result<IbltDecodeView64> decoded = a.DecodeDifferenceU64View(b, &scratch);
+    Result<IbltDecodeView64> decoded = Iblt::DecodeFixedDifferenceU64View(
+        config, ViewOf(blob_a), ViewOf(blob_b), &scratch);
     allocs = window.count();
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value().positive.size(), 32u);
     EXPECT_EQ(decoded.value().negative.size(), 16u);
   }
   EXPECT_EQ(allocs, 0u)
-      << "warm fused difference decode must not hit the allocator";
+      << "warm blob difference decode must not hit the allocator";
 }
 
 TEST(IbltKeyViewTest, TransparentMapLookup) {

@@ -289,12 +289,17 @@ TEST(ChildIbltBlobTest, RoundTrip) {
   ChildSet child = {10, 20, 30};
   std::vector<uint8_t> blob = EncodeChildIbltBlob(child, config, 0xabcdef);
   EXPECT_EQ(blob.size(), ChildIbltBlobWidth(config));
-  Result<ChildEncoding> enc = ParseChildIbltBlob(blob, config);
-  ASSERT_TRUE(enc.ok());
-  EXPECT_EQ(enc.value().fingerprint, 0xabcdefu);
-  Result<IbltDecodeResult64> decoded = enc.value().sketch.DecodeU64();
+  const IbltKeyView view{blob.data(), blob.size()};
+  EXPECT_EQ(ChildIbltBlobFingerprint(view), 0xabcdefu);
+  DecodeScratch scratch;
+  Result<IbltDecodeView64> decoded =
+      Iblt::DecodeFixedDifferenceU64View(config, view, IbltKeyView{}, &scratch);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value().positive.size(), 3u);
+  std::vector<uint64_t> keys(decoded.value().positive.begin(),
+                             decoded.value().positive.end());
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys, child);
+  EXPECT_TRUE(decoded.value().negative.empty());
 }
 
 // The reference the blob writer must match byte for byte: a table of the
@@ -367,11 +372,11 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
 }
 
 // Partners for RecoverChild, built the way Bob builds them: each child's
-// blob, and the sketch parsed back from it.
+// blob, a view of it, and the child.
 struct PartnerSet {
   std::vector<std::vector<uint8_t>> blobs;
-  std::vector<ChildPartner> partners;
   std::vector<IbltKeyView> views;
+  std::vector<const ChildSet*> sets;
 
   PartnerSet(const SetOfSets& children, const IbltConfig& config,
              const HashFamily& fp_family) {
@@ -380,11 +385,8 @@ struct PartnerSet {
           child, config, ChildFingerprint(child, fp_family)));
     }
     for (size_t i = 0; i < children.size(); ++i) {
-      Result<ChildEncoding> enc = ParseChildIbltBlob(blobs[i], config);
-      EXPECT_TRUE(enc.ok());
-      partners.push_back(ChildPartner{std::move(enc).value().sketch,
-                                      &children[i]});
       views.push_back(IbltKeyView{blobs[i].data(), blobs[i].size()});
+      sets.push_back(&children[i]);
     }
   }
 };
@@ -394,16 +396,15 @@ Result<ChildSet> RecoverAgainst(const ChildSet& alice,
                                 const SetOfSets& bob_partners,
                                 const IbltConfig& config,
                                 const HashFamily& fp_family) {
+  const uint64_t fingerprint = ChildFingerprint(alice, fp_family);
   const std::vector<uint8_t> blob =
-      EncodeChildIbltBlob(alice, config, ChildFingerprint(alice, fp_family));
-  Result<ChildEncoding> enc = ParseChildIbltBlob(blob, config);
-  EXPECT_TRUE(enc.ok());
+      EncodeChildIbltBlob(alice, config, fingerprint);
   const PartnerSet partners(bob_partners, config, fp_family);
   std::vector<IbltFixedRank> order;
   DecodeScratch scratch;
-  return RecoverChild(IbltKeyView{blob.data(), blob.size()}, enc.value(),
-                      partners.partners, partners.views, fp_family, &order,
-                      &scratch);
+  return RecoverChild(IbltKeyView{blob.data(), blob.size()}, fingerprint,
+                      config, partners.views, partners.sets, fp_family,
+                      &order, &scratch);
 }
 
 ChildSet RandomChild(Rng* rng, size_t n) {
@@ -459,19 +460,16 @@ TEST(RecoverChildTest, DifferenceNearDecodeLimitStillRecovers) {
     std::vector<IbltFixedRank> order;
     Iblt::RankFixed(config, view, partners.views, &order);
     if (order.empty() || order.back().index != bob.size() - 1) continue;
-    Result<ChildEncoding> enc = ParseChildIbltBlob(blob, config);
-    ASSERT_TRUE(enc.ok());
     DecodeScratch scratch;
-    if (!enc.value()
-             .sketch.DecodeDifferenceU64View(partners.partners.back().sketch,
-                                             &scratch)
+    if (!Iblt::DecodeFixedDifferenceU64View(config, view,
+                                            partners.views.back(), &scratch)
              .ok()) {
       continue;
     }
     found = true;
     Result<ChildSet> recovered = RecoverChild(
-        view, enc.value(), partners.partners, partners.views, fp_family,
-        &order, &scratch);
+        view, ChildIbltBlobFingerprint(view), config, partners.views,
+        partners.sets, fp_family, &order, &scratch);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ(recovered.value(), alice);
   }
@@ -498,6 +496,28 @@ TEST(RecoverChildTest, EmptyPartnerTriedAfterEveryPartner) {
       RecoverAgainst(RandomChild(&rng, 60), bob, config, fp_family);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kDecodeFailure);
+}
+
+TEST(RecoverChildTest, WrongWidthBlobRejected) {
+  // A blob one byte short or long of ChildIbltBlobWidth is a parse error
+  // before any partner is tried, even a partner equal to the child.
+  const IbltConfig config = IbltConfig::ForDifference(8, 62);
+  const HashFamily fp_family(63, 64);
+  const SetOfSets bob = {{1, 2, 3}};
+  const PartnerSet partners(bob, config, fp_family);
+  std::vector<uint8_t> blob = partners.blobs[0];
+  const uint64_t fingerprint = ChildFingerprint(bob[0], fp_family);
+  std::vector<IbltFixedRank> order;
+  DecodeScratch scratch;
+  for (size_t width : {blob.size() - 1, blob.size() + 1}) {
+    blob.resize(width);
+    Result<ChildSet> recovered =
+        RecoverChild(IbltKeyView{blob.data(), blob.size()}, fingerprint,
+                     config, partners.views, partners.sets, fp_family,
+                     &order, &scratch);
+    ASSERT_FALSE(recovered.ok());
+    EXPECT_EQ(recovered.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(WorkloadTest, AppliesRequestedChanges) {

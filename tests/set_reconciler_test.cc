@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "hashing/random.h"
 
@@ -50,6 +51,68 @@ TEST(ApplyDifferenceTest, MultisetRemovesOneOccurrence) {
   SetDifference diff;
   diff.local_only = {5};
   EXPECT_EQ(ApplyDifference({5, 5, 7}, diff), (std::vector<uint64_t>{5, 7}));
+}
+
+// ApplyDifference as it was before it became one sorted merge: sort copies
+// of the base and the removals, drop one occurrence per removal, append the
+// additions, sort.
+std::vector<uint64_t> ReferenceApplyDifference(std::vector<uint64_t> base,
+                                               std::vector<uint64_t> added,
+                                               std::vector<uint64_t> removed) {
+  std::sort(base.begin(), base.end());
+  std::sort(removed.begin(), removed.end());
+  std::vector<uint64_t> out;
+  size_t r = 0;
+  for (uint64_t e : base) {
+    if (r < removed.size() && removed[r] == e) {
+      ++r;
+      continue;
+    }
+    out.push_back(e);
+  }
+  out.insert(out.end(), added.begin(), added.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ApplyDifferenceTest, SortedAndUnsortedBasesAgree) {
+  // Multiset bases (repeats from a small value range), removals of present,
+  // repeated and absent values, additions that repeat base values; each
+  // side of the difference in peel (unsorted) or sorted order. A sorted
+  // base is merged where it is, its shuffled copy from a sorted copy.
+  Rng rng(77);
+  size_t unsorted_bases = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    const uint64_t range = 2 + rng.NextU64() % 40;
+    std::vector<uint64_t> base(rng.NextU64() % 30);
+    for (uint64_t& e : base) e = rng.NextU64() % range;
+    std::vector<uint64_t> removed(rng.NextU64() % 8);
+    for (uint64_t& e : removed) {
+      e = (rng.NextU64() % 3 != 0 && !base.empty())
+              ? base[rng.NextU64() % base.size()]
+              : rng.NextU64() % (2 * range);
+    }
+    std::vector<uint64_t> added(rng.NextU64() % 8);
+    for (uint64_t& e : added) e = rng.NextU64() % (2 * range);
+    if (trial % 2 == 0) {
+      std::sort(removed.begin(), removed.end());
+      std::sort(added.begin(), added.end());
+    }
+    const std::vector<uint64_t> expected =
+        ReferenceApplyDifference(base, added, removed);
+
+    std::vector<uint64_t> sorted_base = base;
+    std::sort(sorted_base.begin(), sorted_base.end());
+    std::vector<uint64_t> shuffled = base;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextU64() % i]);
+    }
+    unsorted_bases += !std::is_sorted(shuffled.begin(), shuffled.end());
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(ApplyDifference(sorted_base, added, removed), expected);
+    EXPECT_EQ(ApplyDifference(shuffled, added, removed), expected);
+  }
+  EXPECT_GT(unsorted_bases, 300u);
 }
 
 TEST(IbltReconcileKnownTest, RecoversAliceExactly) {

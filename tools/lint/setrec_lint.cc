@@ -3,8 +3,9 @@
 // Compilers enforce the language; this tool enforces the project's own
 // contracts — the ones a correct-looking diff can silently break:
 //
-//   parse-assert     Wire-parse code (src/net/, src/util/serialization.*)
-//                    must fail closed with Status/kParseError, never
+//   parse-assert     Wire-parse code (src/net/, src/util/serialization.*,
+//                    src/iblt/iblt_codec.cc) must fail closed with
+//                    Status/kParseError, never
 //                    assert()/abort(): those paths see hostile bytes, and
 //                    an assert is a remote crash (or a silent accept under
 //                    NDEBUG). The <cassert> include is banned there too so
@@ -73,6 +74,7 @@ struct Violation {
 const char* const kWireParsePrefixes[] = {
     "src/net/",
     "src/util/serialization",
+    "src/iblt/iblt_codec",
 };
 
 // The only files allowed to call coroutine_handle<>::resume(): the service

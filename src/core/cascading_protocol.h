@@ -15,7 +15,7 @@ namespace setrec {
 /// from later (per-child more expensive, but sparser) tables; children
 /// missed at one level are caught at the next. Within a level, each of
 /// Alice's decoded child sketches is paired with Bob's differing children
-/// closest first — ranked by how many partition-0 records their fixed-form
+/// closest first — ranked by how many partition-0 cells their child
 /// sketches differ in (Iblt::RankFixed) — then with the empty set, as in
 /// Algorithm 1; every partner is still tried, so the ranking changes only
 /// how soon a child is recovered.

@@ -48,13 +48,13 @@ Result<ChildSet> DecodeChildBlob(const uint8_t* data, size_t size, size_t h) {
 }
 
 size_t ChildIbltBlobWidth(const IbltConfig& child_config) {
-  return child_config.FixedSerializedSize() + 8;
+  return child_config.SketchSize() + 8;
 }
 
 namespace {
 
-/// Writes one child's (fixed-form sketch, fingerprint) blob into its
-/// zero-filled ChildIbltBlobWidth slot.
+/// Writes one child's (child sketch, fingerprint) blob into its zero-filled
+/// ChildIbltBlobWidth slot.
 void WriteChildIbltBlob(const ChildSet& child,
                         const IbltCellDerivation& derivation,
                         size_t sketch_bytes, uint64_t fingerprint,
@@ -70,7 +70,7 @@ std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
                                          uint64_t fingerprint) {
   std::vector<uint8_t> blob(ChildIbltBlobWidth(child_config), 0);
   WriteChildIbltBlob(child, IbltCellDerivation(child_config),
-                     child_config.FixedSerializedSize(), fingerprint,
+                     child_config.SketchSize(), fingerprint,
                      blob.data());
   return blob;
 }
@@ -82,7 +82,7 @@ void AppendChildIbltBlobs(const SetOfSets& children,
   assert(fingerprints.size() == children.size());
   if (children.empty()) return;
   const IbltCellDerivation derivation(child_config);
-  const size_t sketch_bytes = child_config.FixedSerializedSize();
+  const size_t sketch_bytes = child_config.SketchSize();
   const size_t width = ChildIbltBlobWidth(child_config);
   uint8_t* slot = out->Extend(children.size() * width);
   for (size_t i = 0; i < children.size(); ++i, slot += width) {

@@ -42,16 +42,18 @@ inline Result<ChildSet> DecodeChildBlob(const IbltKeyView& blob, size_t h) {
 }
 
 /// Width of an (IBLT, fingerprint) encoding blob for the given child IBLT
-/// config: the fixed IBLT serialization plus 8 fingerprint bytes. Bob never
+/// config: the child sketch in the child-sketch form (IbltConfig::SketchSize:
+/// per cell a one-byte count mod 256, a SketchCheckWidth()-byte checksum and
+/// the 8-byte key, in three sections) plus 8 fingerprint bytes. Bob never
 /// parses these blobs back into tables: he ranks and difference-decodes
 /// them in place (Iblt::RankFixed, Iblt::DecodeFixedDifferenceU64View) and
 /// reads their trailing fingerprints.
 size_t ChildIbltBlobWidth(const IbltConfig& child_config);
 
 /// Builds the (child IBLT, hash) encoding of Algorithms 1 and 2: the child's
-/// elements inserted into an IBLT with `child_config`, serialized fixed-
-/// width, followed by the child fingerprint. Written by the same fixed-form
-/// writer as AppendChildIbltBlobs.
+/// elements inserted into an IBLT with `child_config`, in the child-sketch
+/// form, followed by the child fingerprint. Written by the same writer as
+/// AppendChildIbltBlobs.
 std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
                                          const IbltConfig& child_config,
                                          uint64_t fingerprint);
@@ -59,12 +61,12 @@ std::vector<uint8_t> EncodeChildIbltBlob(const ChildSet& child,
 /// Packs the (child IBLT, fingerprint) blobs of every child contiguously,
 /// the layout the outer tables take as one batch of keys; fingerprints[i]
 /// belongs to children[i]. Extends `out` once by children ×
-/// ChildIbltBlobWidth zero bytes, then writes each child's fixed-form
-/// sketch straight into its slot (IbltCellDerivation::WriteFixedU64)
-/// followed by its fingerprint — no table, no allocation past the one
-/// extend, and the child inserts never pass through a ProtocolContext (they
-/// are the blob's contents, not a table the protocol keeps). Byte-identical
-/// to concatenating EncodeChildIbltBlob over the children.
+/// ChildIbltBlobWidth zero bytes, then writes each child's sketch straight
+/// into its slot (IbltCellDerivation::WriteFixedU64) followed by its
+/// fingerprint — no table, no allocation past the one extend, and the child
+/// inserts never pass through a ProtocolContext (they are the blob's
+/// contents, not a table the protocol keeps). Byte-identical to
+/// concatenating EncodeChildIbltBlob over the children.
 void AppendChildIbltBlobs(const SetOfSets& children,
                           const IbltConfig& child_config,
                           std::span<const uint64_t> fingerprints,

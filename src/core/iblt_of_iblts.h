@@ -12,7 +12,7 @@ namespace setrec {
 /// differing children by pairing her child IBLT with his own differing
 /// children's IBLTs until one decodes and fingerprint-verifies. He tries
 /// them closest first: ranking a partner costs one pass over the m/k
-/// partition-0 records of the two fixed-form sketches (Iblt::RankFixed),
+/// partition-0 cells of the two child sketches (Iblt::RankFixed),
 /// and a true partner differs in at most as many of them as the two
 /// children differ in elements, while an unrelated child differs in nearly
 /// all, so the first decode usually succeeds. Each pairing decodes the two

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <iterator>
 #include <thread>
 
 #include "hashing/random.h"
@@ -76,6 +77,54 @@ size_t IbltConfig::FixedSerializedSize() const {
   return PaddedCells() * FixedRecordWidth(key_width);
 }
 
+namespace {
+
+// ⌊e^j⌋ for j = 0..29, the integer thresholds of SketchCheckWidthFor.
+constexpr uint64_t kFloorExp[] = {
+    1,           2,           7,           20,          54,
+    148,         403,         1096,        2980,        8103,
+    22026,       59874,       162754,      442413,      1202604,
+    3269017,     8886110,     24154952,    65659969,    178482300,
+    485165195,   1318815734,  3584912846,  9744803446,  26489122129,
+    72004899337, 195729609428, 532048240601, 1446257064291,
+    3931334297144};
+
+// True when km-peeler's checksum for n keys under k hashes, ⌈(k−2)·ln n +
+// k⌉ bits, fits in `bits`. For k > 2 that is (k−2)·ln n <= bits − k, i.e.
+// n^(k−2) <= e^(bits−k); n^(k−2) is an integer and e^j is 1 at j = 0 and
+// irrational above, so the bound is n^(k−2) <= ⌊e^(bits−k)⌋.
+bool KmCheckFits(size_t n, int k, int bits) {
+  if (k <= 2) return k <= bits;  // (k−2)·ln n <= 0.
+  const int j = bits - k;
+  if (j < 0) return false;  // n^(k−2) >= 1 > e^j.
+  const __uint128_t limit = kFloorExp[j];
+  __uint128_t power = 1;  // At most limit, so power * n never wraps.
+  for (int i = 0; i < k - 2; ++i) {
+    power *= n;
+    if (power > limit) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+size_t IbltConfig::SketchCheckWidthFor(size_t n, int num_hashes) {
+  static_assert(std::size(kFloorExp) == 32 - 3 + 1,
+                "thresholds cover bits - k for 32 bits at k >= 3");
+  n = std::max<size_t>(n, 1);
+  if (KmCheckFits(n, num_hashes, 16)) return 2;
+  if (KmCheckFits(n, num_hashes, 32)) return 4;
+  return 8;
+}
+
+size_t IbltConfig::SketchCheckWidth() const {
+  return SketchCheckWidthFor(PaddedCells() / 2, num_hashes);
+}
+
+size_t IbltConfig::SketchSize() const {
+  return PaddedCells() * (1 + SketchCheckWidth() + key_width);
+}
+
 IbltCellDerivation::IbltCellDerivation(const IbltConfig& config)
     : bucket_(config.seed, /*tag=*/0x6275636bull),  // "buck"
       check_(config.seed, /*tag=*/0x6368656bull),   // "chek"
@@ -86,16 +135,24 @@ IbltCellDerivation::IbltCellDerivation(const IbltConfig& config)
                      ? ~0ull / cells_per_hash_ +
                            (~0ull % cells_per_hash_ == cells_per_hash_ - 1)
                      : 0),
-      num_hashes_(config.num_hashes) {}
+      num_hashes_(config.num_hashes),
+      sketch_check_width_(static_cast<int>(config.SketchCheckWidth())) {}
 
-void IbltCellDerivation::WriteFixedU64(const uint64_t* keys, size_t n,
-                                       uint8_t* out) const {
-  assert(key_width_ == 8);
-  // Every store below is a raw byte store, which may alias any object: the
-  // derivation is read from a local copy, whose address never escapes.
-  const IbltCellDerivation derivation = *this;
+namespace {
+
+// WriteFixedU64 for a checksum of sizeof(Check) bytes. Every store below is
+// a raw byte store, which may alias any object: the derivation is read from a
+// local copy, whose address never escapes.
+template <typename Check>
+void WriteSketchU64(const IbltCellDerivation& table_derivation,
+                    const uint64_t* keys, size_t n, size_t cells,
+                    uint8_t* out) {
+  using KeyHashes = IbltCellDerivation::KeyHashes;
+  const IbltCellDerivation derivation = table_derivation;
   const int k = derivation.num_hashes();
-  constexpr size_t kRecord = IbltConfig::FixedRecordWidth(8);
+  uint8_t* const counts = out;
+  uint8_t* const checks = out + cells;
+  uint8_t* const lanes = checks + cells * sizeof(Check);
   KeyHashes hashes[Iblt::kSmallBatchMaxKeys];
   // LINT(alloc-free) — writes every child sketch the set-of-sets protocols
   // pack, on both parties, at every attempt and level.
@@ -108,23 +165,41 @@ void IbltCellDerivation::WriteFixedU64(const uint64_t* keys, size_t n,
     // Partition by partition, as ApplyPartitionRange does.
     for (int i = 0; i < k; ++i) {
       for (size_t j = 0; j < block; ++j) {
-        uint8_t* record = out + derivation.Cell(hashes[j].bucket, i) * kRecord;
-        uint32_t count;
-        uint64_t check;
+        const size_t cell = derivation.Cell(hashes[j].bucket, i);
+        uint8_t* check_at = checks + cell * sizeof(Check);
+        uint8_t* lane_at = lanes + cell * 8;
+        Check check;
         uint64_t lane;
-        std::memcpy(&count, record, 4);
-        std::memcpy(&check, record + 4, 8);
-        std::memcpy(&lane, record + 12, 8);
-        count += 1;
-        check ^= hashes[j].check;
+        std::memcpy(&check, check_at, sizeof(Check));
+        std::memcpy(&lane, lane_at, 8);
+        counts[cell] = static_cast<uint8_t>(counts[cell] + 1);
+        check ^= static_cast<Check>(hashes[j].check);
         lane ^= block_keys[j];
-        std::memcpy(record, &count, 4);
-        std::memcpy(record + 4, &check, 8);
-        std::memcpy(record + 12, &lane, 8);
+        std::memcpy(check_at, &check, sizeof(Check));
+        std::memcpy(lane_at, &lane, 8);
       }
     }
   }
   // LINT(end)
+}
+
+}  // namespace
+
+void IbltCellDerivation::WriteFixedU64(const uint64_t* keys, size_t n,
+                                       uint8_t* out) const {
+  assert(key_width_ == 8);
+  const size_t cells = cells_per_hash_ * static_cast<size_t>(num_hashes_);
+  switch (sketch_check_width_) {
+    case 2:
+      WriteSketchU64<uint16_t>(*this, keys, n, cells, out);
+      return;
+    case 4:
+      WriteSketchU64<uint32_t>(*this, keys, n, cells, out);
+      return;
+    default:
+      WriteSketchU64<uint64_t>(*this, keys, n, cells, out);
+      return;
+  }
 }
 
 Iblt::Iblt(const IbltConfig& config)
@@ -406,8 +481,8 @@ void Iblt::LoadInto(DecodeScratch* scratch) const {
 }
 
 bool Iblt::Peel(const IbltCellDerivation& table_derivation, size_t cells,
-                size_t lanes_per_key, DecodeScratch* scratch,
-                IbltDecodeResult64* out_u64) {
+                size_t lanes_per_key, uint64_t check_mask,
+                DecodeScratch* scratch, IbltDecodeResult64* out_u64) {
   assert(scratch->meta.size() == cells &&
          scratch->key_lanes.size() == cells * lanes_per_key);
   const IbltCellDerivation derivation = table_derivation;
@@ -445,7 +520,8 @@ bool Iblt::Peel(const IbltCellDerivation& table_derivation, size_t cells,
     const uint8_t* cell_key =
         reinterpret_cast<const uint8_t*>(lanes + cell * lanes_per_key);
     const KeyHashes h = derivation.Hash(cell_key);
-    if (meta[cell].check != h.check) continue;  // Count ±1 but not pure.
+    const uint64_t check = h.check & check_mask;
+    if (meta[cell].check != check) continue;  // Count ±1 but not pure.
     const int64_t sign = count;
 
     if (out_u64 != nullptr) {
@@ -455,7 +531,7 @@ bool Iblt::Peel(const IbltCellDerivation& table_derivation, size_t cells,
       for (int i = 0; i < k; ++i) {
         const size_t t = derivation.Cell(h.bucket, i);
         meta[t].count -= sign;
-        meta[t].check ^= h.check;
+        meta[t].check ^= check;
         lanes[t] ^= key64;
         if ((meta[t].count == 1 || meta[t].count == -1) &&
             !scratch->queued[t]) {
@@ -484,7 +560,7 @@ bool Iblt::Peel(const IbltCellDerivation& table_derivation, size_t cells,
     for (int i = 0; i < k; ++i) {
       const size_t t = derivation.Cell(h.bucket, i);
       meta[t].count -= sign;
-      meta[t].check ^= h.check;
+      meta[t].check ^= check;
       XorLanesScalar(lanes + t * lanes_per_key, staged, lanes_per_key);
       if ((meta[t].count == 1 || meta[t].count == -1) && !scratch->queued[t]) {
         scratch->queue.push_back(static_cast<uint32_t>(t));
@@ -549,7 +625,8 @@ IbltDecodeResult IbltDecodeView::Materialize() const {
 IbltPartialDecodeView Iblt::DecodePartial(DecodeScratch* scratch) const {
   IbltPartialDecodeView out;
   LoadInto(scratch);
-  out.complete = Peel(derivation_, cells_, lanes_per_key_, scratch, nullptr);
+  out.complete = Peel(derivation_, cells_, lanes_per_key_, kFullCheckMask,
+                      scratch, nullptr);
   out.entries = BuildViews(scratch);
   return out;
 }
@@ -562,7 +639,8 @@ IbltPartialDecode Iblt::DecodePartial() const {
 
 Result<IbltDecodeView> Iblt::Decode(DecodeScratch* scratch) const {
   LoadInto(scratch);
-  if (!Peel(derivation_, cells_, lanes_per_key_, scratch, nullptr)) {
+  if (!Peel(derivation_, cells_, lanes_per_key_, kFullCheckMask, scratch,
+            nullptr)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return BuildViews(scratch);
@@ -579,7 +657,8 @@ Result<IbltDecodeResult64> Iblt::DecodeU64(DecodeScratch* scratch) const {
   assert(config_.key_width == 8);
   IbltDecodeResult64 out;
   LoadInto(scratch);
-  if (!Peel(derivation_, cells_, lanes_per_key_, scratch, &out)) {
+  if (!Peel(derivation_, cells_, lanes_per_key_, kFullCheckMask, scratch,
+            &out)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return out;
@@ -593,7 +672,8 @@ Result<IbltDecodeResult64> Iblt::DecodeU64() const {
 Result<IbltDecodeView64> Iblt::DecodeU64View(DecodeScratch* scratch) const {
   assert(config_.key_width == 8);
   LoadInto(scratch);
-  if (!Peel(derivation_, cells_, lanes_per_key_, scratch, nullptr)) {
+  if (!Peel(derivation_, cells_, lanes_per_key_, kFullCheckMask, scratch,
+            nullptr)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return GatherU64(scratch);
@@ -606,35 +686,58 @@ bool Iblt::IsZero() const {
   return true;
 }
 
+namespace {
+
+// How many of the first `records` cells of the child sketches at `a` and
+// `b` (the child-sketch form over `cells` cells, a checksum of
+// sizeof(Check) bytes) differ in count, checksum or key.
+template <typename Check>
+size_t SketchDistance(const uint8_t* a, const uint8_t* b, size_t cells,
+                      size_t records) {
+  const uint8_t* checks_a = a + cells;
+  const uint8_t* checks_b = b + cells;
+  const uint8_t* keys_a = checks_a + cells * sizeof(Check);
+  const uint8_t* keys_b = checks_b + cells * sizeof(Check);
+  size_t distance = 0;
+  // LINT(alloc-free) — runs for every (positive, partner) pair Bob ranks,
+  // at every attempt and level.
+  for (size_t r = 0; r < records; ++r) {
+    Check check_a;
+    Check check_b;
+    uint64_t key_a;
+    uint64_t key_b;
+    std::memcpy(&check_a, checks_a + r * sizeof(Check), sizeof(Check));
+    std::memcpy(&check_b, checks_b + r * sizeof(Check), sizeof(Check));
+    std::memcpy(&key_a, keys_a + 8 * r, 8);
+    std::memcpy(&key_b, keys_b + 8 * r, 8);
+    const uint64_t diff = static_cast<uint64_t>(a[r] ^ b[r]) |
+                          static_cast<uint64_t>(check_a ^ check_b) |
+                          (key_a ^ key_b);
+    distance += diff != 0;
+  }
+  // LINT(end)
+  return distance;
+}
+
+}  // namespace
+
 void Iblt::RankFixed(const IbltConfig& config, IbltKeyView target,
                      std::span<const IbltKeyView> candidates,
                      std::vector<IbltFixedRank>* order) {
-  const size_t record = IbltConfig::FixedRecordWidth(config.key_width);
-  const size_t records =
-      config.PaddedCells() / static_cast<size_t>(config.num_hashes);
-  assert(target.size >= records * record);
+  assert(config.key_width == 8);
+  assert(target.size >= config.SketchSize());
+  const size_t cells = config.PaddedCells();
+  const size_t records = cells / static_cast<size_t>(config.num_hashes);
+  const size_t check_width = config.SketchCheckWidth();
   order->clear();
   for (size_t c = 0; c < candidates.size(); ++c) {
-    assert(candidates[c].size >= records * record);
+    assert(candidates[c].size >= config.SketchSize());
     const uint8_t* a = target.data;
     const uint8_t* b = candidates[c].data;
-    size_t distance = 0;
-    // LINT(alloc-free) — runs for every (positive, partner) pair Bob
-    // ranks, at every attempt and level.
-    for (size_t r = 0; r < records; ++r, a += record, b += record) {
-      uint64_t diff = 0;
-      size_t i = 0;
-      for (; i + 8 <= record; i += 8) {
-        uint64_t x;
-        uint64_t y;
-        std::memcpy(&x, a + i, 8);
-        std::memcpy(&y, b + i, 8);
-        diff |= x ^ y;
-      }
-      for (; i < record; ++i) diff |= static_cast<uint64_t>(a[i] ^ b[i]);
-      distance += diff != 0;
-    }
-    // LINT(end)
+    const size_t distance =
+        check_width == 2   ? SketchDistance<uint16_t>(a, b, cells, records)
+        : check_width == 4 ? SketchDistance<uint32_t>(a, b, cells, records)
+                           : SketchDistance<uint64_t>(a, b, cells, records);
     order->push_back({distance, c});
   }
   std::sort(order->begin(), order->end());

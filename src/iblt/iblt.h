@@ -40,7 +40,7 @@ struct IbltConfig {
   size_t PaddedCells() const;
 
   /// Bytes of the fixed-width serialization (count + checksum + key per
-  /// cell, plus no header); used to size blob keys that embed a child IBLT.
+  /// cell, plus no header), Iblt::SerializeFixed's size.
   size_t FixedSerializedSize() const;
 
   /// Bytes of one cell's record in the fixed-width serialization: a 4-byte
@@ -48,6 +48,29 @@ struct IbltConfig {
   static constexpr size_t FixedRecordWidth(size_t key_width) {
     return 12 + key_width;
   }
+
+  /// Bytes of the child-sketch form, the fixed-width form child sketches
+  /// take inside the set-of-sets protocols' child blobs
+  /// (IbltCellDerivation::WriteFixedU64, Iblt::RankFixed and
+  /// Iblt::DecodeFixedDifferenceU64View): three sections in cell order,
+  /// first every cell's count mod 256 as one byte, then every cell's
+  /// checksum truncated to its low SketchCheckWidth() bytes, then every
+  /// cell's key_width key bytes, all little-endian.
+  size_t SketchSize() const;
+
+  /// Checksum bytes per cell in the child-sketch form:
+  /// SketchCheckWidthFor(PaddedCells() / 2, num_hashes).
+  size_t SketchCheckWidth() const;
+
+  /// The smallest of 2, 4 and 8 bytes that holds km-peeler's checksum for
+  /// a difference of `n` keys under `num_hashes` hashes, ⌈(k−2)·ln n + k⌉
+  /// bits. Decided by integer thresholds, not by a floating-point log, so
+  /// both parties agree on every build: 2 bytes at k = 4 through n = 403
+  /// (e^6 ≈ 403.4). A truncated checksum can pass an impure cell by chance
+  /// (about one in 2^(8w)); the protocols still return no wrong child,
+  /// because every recovered child is checked against its 64-bit
+  /// fingerprint.
+  static size_t SketchCheckWidthFor(size_t n, int num_hashes);
 
   bool operator==(const IbltConfig&) const = default;
 };
@@ -297,14 +320,15 @@ class IbltCellDerivation {
   }
   // LINT(end)
 
-  /// Writes the fixed-form serialization (Iblt::SerializeFixed's layout) of
-  /// the table of this config that holds exactly the `n` 8-byte keys, into
-  /// `out`, which must be config.FixedSerializedSize() ZERO bytes: each key
-  /// adds one to the count, its checksum and its value into its k records
-  /// in place. Byte-identical to building Iblt(config), InsertBatch(keys,
-  /// n) and SerializeFixed, with no table: keys are hashed in stack blocks
-  /// of Iblt::kSmallBatchMaxKeys, so the writer never allocates. This is
-  /// how the set-of-sets protocols pack child sketches
+  /// Writes the child-sketch form (IbltConfig::SketchSize) of the table of
+  /// this config that holds exactly the `n` 8-byte keys, into `out`, which
+  /// must be config.SketchSize() ZERO bytes: each key adds one to the
+  /// count, its truncated checksum and its value into its k cells in
+  /// place, each field one load and one store of its own width. Equal to
+  /// Iblt(config) with InsertBatch(keys, n), its counts taken mod 256 and
+  /// its checksums truncated, with no table: keys are hashed in stack
+  /// blocks of Iblt::kSmallBatchMaxKeys, so the writer never allocates.
+  /// This is how the set-of-sets protocols pack child sketches
   /// (AppendChildIbltBlobs in core/encoding.h). Requires key_width == 8.
   void WriteFixedU64(const uint64_t* keys, size_t n, uint8_t* out) const;
 
@@ -317,10 +341,11 @@ class IbltCellDerivation {
   size_t cells_per_hash_;  // Partition width m/k.
   uint64_t mod_magic_;     // floor(2^64 / cells_per_hash_), for Cell().
   int num_hashes_;
+  int sketch_check_width_;  // IbltConfig::SketchCheckWidth().
 };
 
 /// One candidate's place in Iblt::RankFixed's order: how many partition-0
-/// records it differs from the target in, then its position in the
+/// cells it differs from the target in, then its position in the
 /// candidate list. Compares lexicographically in that order.
 struct IbltFixedRank {
   size_t distance = 0;
@@ -339,12 +364,13 @@ struct IbltCellMeta {
 
 /// Reusable peeling workspace. Decoding copies the table (counts, checksums,
 /// key lanes) into this scratch — or, for Iblt::DecodeFixedDifferenceU64View,
-/// the record-wise difference of two fixed-form tables, with no table at all
-/// — and peels the copy; after the first decode warms the vectors up,
-/// subsequent decodes through the same scratch are fully allocation-free
-/// (vector::assign/resize and the output arena reuse capacity) — for byte
-/// keys as well as u64 keys. One scratch may be shared across tables of
-/// *different* configs — each decode resizes it — which is exactly what the
+/// the cell-wise difference of two child sketches in the child-sketch form
+/// (IbltConfig::SketchSize), with no table at all — and peels the copy;
+/// after the first decode warms the vectors up, subsequent decodes through
+/// the same scratch are fully allocation-free (vector::assign/resize and
+/// the output arena reuse capacity) — for byte keys as well as u64 keys.
+/// One scratch may be shared across tables of *different* configs — each
+/// decode resizes it — which is exactly what the
 /// cascading protocol's many child-sketch decodes and the strata estimator's
 /// per-stratum decodes need. A scratch carries no table state between
 /// decodes; it must not be used by two decodes concurrently.
@@ -463,16 +489,20 @@ class Iblt {
   /// performs zero heap allocations — the u64 counterpart of the byte-key
   /// Decode(scratch) path. Requires key_width == 8.
   Result<IbltDecodeView64> DecodeU64View(DecodeScratch* scratch) const;
-  /// Table-free difference decode of two fixed-form tables of `config`
-  /// (SerializeFixed's layout; bytes past it, such as a child blob's
-  /// fingerprint, are ignored): loads (a - b) record by record straight
-  /// into the scratch, counts sign-extended from their 32 bits as
-  /// DeserializeFixed reads them, and peels it. `b` without data
-  /// (IbltKeyView{}) is the empty table, so `a` is decoded alone. Returns
-  /// exactly what DeserializeFixed of both, Subtract and DecodeU64View
+  /// Table-free difference decode of two child sketches of `config` in the
+  /// child-sketch form (IbltConfig::SketchSize; bytes past it, such as a
+  /// child blob's fingerprint, are ignored): loads (a - b) cell by cell
+  /// straight into the scratch — the two count bytes subtracted mod 256
+  /// and the result sign-extended, the truncated checksums XORed — and
+  /// peels it, comparing checksums in their SketchCheckWidth() low bytes.
+  /// `b` without data (IbltKeyView{}) is the empty table, so `a` is decoded
+  /// alone. Returns what Subtract and DecodeU64View of the two tables
   /// return — the same status, the same keys in the same (deterministic
-  /// peel) order — with kParseError for a blob shorter than
-  /// config.FixedSerializedSize() and kInvalidArgument unless key_width ==
+  /// peel) order — whenever every cell's count difference lies in
+  /// [-128, 127] and no impure cell's checksum matches by chance in its
+  /// truncated bytes; a chance match can peel a wrong key, which callers
+  /// catch with a fingerprint (RecoverChild does). kParseError for a blob
+  /// shorter than config.SketchSize(), kInvalidArgument unless key_width ==
   /// 8. Same view lifetime and warm-scratch zero-allocation guarantee as
   /// DecodeU64View. The set-of-sets protocols try one of Alice's child
   /// sketches against each of Bob's partner blobs this way (RecoverChild in
@@ -556,23 +586,25 @@ class Iblt {
   /// all config().FixedSerializedSize() bytes in place with one
   /// ByteWriter::Extend: per cell, in cell order, the count as 4
   /// little-endian bytes (two's complement, truncated), the 8-byte checksum,
-  /// then the key_width key bytes. IbltCellDerivation::WriteFixedU64 writes
-  /// the same layout without a table.
+  /// then the key_width key bytes. The strata estimator's frames use it;
+  /// child sketches use the narrower child-sketch form instead
+  /// (IbltConfig::SketchSize).
   void SerializeFixed(ByteWriter* writer) const;
   [[nodiscard]] static Result<Iblt> DeserializeFixed(ByteReader* reader,
                                        const IbltConfig& config);
 
-  /// Orders fixed-form tables of `config` (SerializeFixed's layout; bytes
-  /// past it, such as a child blob's fingerprint, are ignored) by how many
-  /// partition-0 records — the first m/k cells — differ from `target`'s,
-  /// ties by position: `order` is cleared and refilled with one entry per
+  /// Orders child sketches of `config` in the child-sketch form
+  /// (IbltConfig::SketchSize; bytes past it, such as a child blob's
+  /// fingerprint, are ignored) by how many partition-0 cells — the first
+  /// m/k — differ from `target`'s in count, checksum or key, ties by
+  /// position: `order` is cleared and refilled with one entry per
   /// candidate, sorted. Every key touches exactly one partition-0 cell, so
   /// two tables whose key sets differ in e keys differ in at most e of
-  /// those records, while the ~2h keys of two unrelated h-key sets leave
+  /// those cells, while the ~2h keys of two unrelated h-key sets leave
   /// almost none of them equal (balls into bins). The set-of-sets protocols
   /// try Bob's partner sketches for one of Alice's child sketches in this
-  /// order, so the true partner is usually the first decode. Allocation-
-  /// free once `order` has the capacity.
+  /// order, so the true partner is usually the first decode. Requires
+  /// key_width == 8. Allocation-free once `order` has the capacity.
   static void RankFixed(const IbltConfig& config, IbltKeyView target,
                         std::span<const IbltKeyView> candidates,
                         std::vector<IbltFixedRank>* order);
@@ -696,18 +728,22 @@ class Iblt {
 
   /// Decoding is load + peel. LoadInto copies this table's cells into the
   /// scratch work arrays (DecodeFixedDifferenceU64View loads a difference
-  /// of two fixed-form tables instead, with no table); Peel then runs the
+  /// of two child sketches instead, with no table); Peel then runs the
   /// one shared peeling loop over the `cells` loaded cells of
   /// `lanes_per_key` key lanes each, whose keys map to cells through
-  /// `derivation`. It needs no table. In u64 mode (out_u64 != nullptr)
-  /// decoded keys go to out_u64's vectors; in byte mode they are appended
-  /// lane-aligned to scratch->out_lanes with their offsets recorded in
-  /// pos/neg_offsets. Returns true iff the work arrays drained to all-zero
-  /// cells.
+  /// `derivation`. It needs no table. A key's checksum enters the peel as
+  /// its `check_mask` bits: the loaded checksums of a child-sketch
+  /// difference hold only SketchCheckWidth() bytes, and every in-memory
+  /// decode passes all 64 bits (kFullCheckMask). In u64 mode (out_u64 !=
+  /// nullptr) decoded keys go to out_u64's vectors; in byte mode they are
+  /// appended lane-aligned to scratch->out_lanes with their offsets
+  /// recorded in pos/neg_offsets. Returns true iff the work arrays drained
+  /// to all-zero cells.
   void LoadInto(DecodeScratch* scratch) const;
+  static constexpr uint64_t kFullCheckMask = ~uint64_t{0};
   static bool Peel(const IbltCellDerivation& derivation, size_t cells,
-                   size_t lanes_per_key, DecodeScratch* scratch,
-                   IbltDecodeResult64* out_u64);
+                   size_t lanes_per_key, uint64_t check_mask,
+                   DecodeScratch* scratch, IbltDecodeResult64* out_u64);
   /// Builds the IbltKeyView arrays over scratch->out_lanes after a byte-mode
   /// peel (deferred so arena growth during the peel cannot dangle views).
   IbltDecodeView BuildViews(DecodeScratch* scratch) const;

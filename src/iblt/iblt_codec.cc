@@ -1,8 +1,9 @@
 // The IBLT wire codecs: the dense cell stream, the fixed-width form, the
 // sparse frames of WireCodec::kSparse, and the table-free difference decode
-// of two fixed-form tables. Everything here reads or writes bytes that cross
-// the wire, so parsers fail closed with kParseError on hostile input and no
-// assert is allowed (setrec_lint's parse-assert rule covers this file).
+// of two child sketches in the child-sketch form. Everything here reads or
+// writes bytes that cross the wire, so parsers fail closed with kParseError
+// on hostile input and no assert is allowed (setrec_lint's parse-assert rule
+// covers this file).
 // Byte-level layouts: src/net/README.md.
 
 #include <bit>
@@ -20,13 +21,6 @@ uint64_t ZigZag(int64_t v) {
 }
 int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
-}
-
-// One fixed-form record's count, sign-extended from its 32 bits, and its
-// checksum.
-IbltCellMeta ReadFixedMeta(const uint8_t* record) {
-  return {static_cast<int32_t>(LoadLittleEndian<uint32_t>(record)),
-          LoadLittleEndian<uint64_t>(record + 4)};
 }
 
 // ---------------------------------------------------------------------------
@@ -181,44 +175,75 @@ Result<Iblt> Iblt::DeserializeFixed(ByteReader* reader,
   return table;
 }
 
+// ---------------------------------------------------------------------------
+// Child-sketch form (IbltConfig::SketchSize): every cell's count byte, then
+// every cell's truncated checksum, then every cell's 8-byte key.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Loads a - b of two child sketches over `cells` cells with checksums of
+// sizeof(Check) bytes into the scratch arrays; `b` null is the empty
+// sketch. Counts are subtracted mod 256, then sign-extended.
+template <typename Check>
+void LoadSketchDifference(const uint8_t* a, const uint8_t* b, size_t cells,
+                          IbltCellMeta* meta, uint64_t* lanes) {
+  const uint8_t* checks_a = a + cells;
+  const uint8_t* keys_a = checks_a + cells * sizeof(Check);
+  // LINT(alloc-free) — loads a - b for every (child, partner) pair the
+  // set-of-sets protocols try; a warm scratch keeps the call off the heap.
+  if (b == nullptr) {
+    for (size_t i = 0; i < cells; ++i) {
+      meta[i].count = static_cast<int8_t>(a[i]);
+      meta[i].check = LoadLittleEndian<Check>(checks_a + i * sizeof(Check));
+      lanes[i] = LoadLittleEndian<uint64_t>(keys_a + 8 * i);
+    }
+    return;
+  }
+  const uint8_t* checks_b = b + cells;
+  const uint8_t* keys_b = checks_b + cells * sizeof(Check);
+  for (size_t i = 0; i < cells; ++i) {
+    meta[i].count = static_cast<int8_t>(static_cast<uint8_t>(a[i] - b[i]));
+    meta[i].check = static_cast<Check>(
+        LoadLittleEndian<Check>(checks_a + i * sizeof(Check)) ^
+        LoadLittleEndian<Check>(checks_b + i * sizeof(Check)));
+    lanes[i] = LoadLittleEndian<uint64_t>(keys_a + 8 * i) ^
+               LoadLittleEndian<uint64_t>(keys_b + 8 * i);
+  }
+  // LINT(end)
+}
+
+}  // namespace
+
 Result<IbltDecodeView64> Iblt::DecodeFixedDifferenceU64View(
     const IbltConfig& config, IbltKeyView a, IbltKeyView b,
     DecodeScratch* scratch) {
   if (config.key_width != 8) {
-    return InvalidArgument("IBLT fixed-form difference decode needs u64 keys");
+    return InvalidArgument(
+        "IBLT child-sketch difference decode needs u64 keys");
   }
-  const size_t bytes = config.FixedSerializedSize();
+  const size_t bytes = config.SketchSize();
   if (a.size < bytes || (b.data != nullptr && b.size < bytes)) {
-    return ParseError("IBLT truncated (fixed-form table)");
+    return ParseError("IBLT truncated (child sketch)");
   }
   const size_t cells = config.PaddedCells();
-  constexpr size_t kRecord = IbltConfig::FixedRecordWidth(8);
+  const size_t check_width = config.SketchCheckWidth();
   scratch->meta.resize(cells);
   scratch->key_lanes.resize(cells);
   IbltCellMeta* meta = scratch->meta.data();
   uint64_t* lanes = scratch->key_lanes.data();
-  const uint8_t* ra = a.data;
-  // LINT(alloc-free) — loads a - b for every (child, partner) pair the
-  // set-of-sets protocols try; a warm scratch keeps the call off the heap.
-  if (b.data == nullptr) {
-    for (size_t i = 0; i < cells; ++i, ra += kRecord) {
-      meta[i] = ReadFixedMeta(ra);
-      lanes[i] = LoadLittleEndian<uint64_t>(ra + 12);
-    }
+  if (check_width == 2) {
+    LoadSketchDifference<uint16_t>(a.data, b.data, cells, meta, lanes);
+  } else if (check_width == 4) {
+    LoadSketchDifference<uint32_t>(a.data, b.data, cells, meta, lanes);
   } else {
-    const uint8_t* rb = b.data;
-    for (size_t i = 0; i < cells; ++i, ra += kRecord, rb += kRecord) {
-      const IbltCellMeta ma = ReadFixedMeta(ra);
-      const IbltCellMeta mb = ReadFixedMeta(rb);
-      meta[i].count = ma.count - mb.count;
-      meta[i].check = ma.check ^ mb.check;
-      lanes[i] = LoadLittleEndian<uint64_t>(ra + 12) ^
-                 LoadLittleEndian<uint64_t>(rb + 12);
-    }
+    LoadSketchDifference<uint64_t>(a.data, b.data, cells, meta, lanes);
   }
-  // LINT(end)
-  if (!Peel(IbltCellDerivation(config), cells, /*lanes_per_key=*/1, scratch,
-            nullptr)) {
+  const uint64_t check_mask =
+      check_width == 8 ? kFullCheckMask
+                       : (uint64_t{1} << (8 * check_width)) - 1;
+  if (!Peel(IbltCellDerivation(config), cells, /*lanes_per_key=*/1,
+            check_mask, scratch, nullptr)) {
     return DecodeFailure("IBLT peeling incomplete (nonempty 2-core)");
   }
   return GatherU64(scratch);

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "hashing/random.h"
+#include "tests/sketch_form.h"
 
 namespace setrec {
 namespace {
@@ -38,6 +41,64 @@ TEST(IbltConfigTest, FixedSerializedSize) {
   config.num_hashes = 4;
   config.key_width = 8;
   EXPECT_EQ(config.FixedSerializedSize(), 16u * (4 + 8 + 8));
+}
+
+TEST(IbltConfigTest, SketchCheckWidthBoundaries) {
+  // km-peeler's ⌈(k−2)·ln n + k⌉ bits, in 2, 4 or 8 bytes: the last n that
+  // fits 16 bits is ⌊e^((16−k)/(k−2))⌋, the last that fits 32 bits
+  // ⌊e^((32−k)/(k−2))⌋.
+  struct Edge {
+    int k;
+    size_t last_n;
+    size_t width;  // Bytes at last_n; twice that at last_n + 1.
+  };
+  for (const Edge& edge : {Edge{3, 442413, 2}, Edge{3, 3931334297144, 4},
+                           Edge{4, 403, 2}, Edge{4, 1202604, 4},
+                           Edge{5, 39, 2}, Edge{5, 8103, 4}, Edge{6, 12, 2},
+                           Edge{6, 665, 4}, Edge{8, 3, 2}, Edge{8, 54, 4}}) {
+    SCOPED_TRACE("k=" + std::to_string(edge.k) +
+                 " n=" + std::to_string(edge.last_n));
+    EXPECT_EQ(IbltConfig::SketchCheckWidthFor(edge.last_n, edge.k),
+              edge.width);
+    EXPECT_EQ(IbltConfig::SketchCheckWidthFor(edge.last_n + 1, edge.k),
+              2 * edge.width);
+  }
+  // Two or fewer hashes need k bits at most; at n <= 1 the log vanishes,
+  // so k bits decide alone.
+  EXPECT_EQ(IbltConfig::SketchCheckWidthFor(size_t{1} << 40, 2), 2u);
+  EXPECT_EQ(IbltConfig::SketchCheckWidthFor(size_t{1} << 40, 1), 2u);
+  EXPECT_EQ(IbltConfig::SketchCheckWidthFor(0, 4), 2u);
+  EXPECT_EQ(IbltConfig::SketchCheckWidthFor(1, 16), 2u);
+  EXPECT_EQ(IbltConfig::SketchCheckWidthFor(1, 17), 4u);
+  EXPECT_EQ(IbltConfig::SketchCheckWidthFor(1, 33), 8u);
+
+  // The integer thresholds agree with the formula in floating point.
+  for (int k = 3; k <= 12; ++k) {
+    for (size_t n = 1; n < 5000; n += 1 + n / 64) {
+      const long double bits =
+          std::ceil(static_cast<long double>(k - 2) *
+                        std::log(static_cast<long double>(n)) +
+                    static_cast<long double>(k));
+      const size_t want = bits <= 16 ? 2 : bits <= 32 ? 4 : 8;
+      EXPECT_EQ(IbltConfig::SketchCheckWidthFor(n, k), want)
+          << "k=" << k << " n=" << n;
+    }
+  }
+
+  // A config's width is that of n = PaddedCells() / 2. At k = 4, 804
+  // cells (n = 402) take 2 bytes and 808 cells (n = 404) take 4.
+  IbltConfig config;
+  config.num_hashes = 4;
+  config.cells = 804;
+  EXPECT_EQ(config.SketchCheckWidth(), 2u);
+  EXPECT_EQ(config.SketchSize(), 804u * (1 + 2 + 8));
+  config.cells = 805;  // Pads to 808.
+  EXPECT_EQ(config.SketchCheckWidth(), 4u);
+  EXPECT_EQ(config.SketchSize(), 808u * (1 + 4 + 8));
+  // A child sketch sized for a difference of 64: 136 cells of 11 bytes.
+  const IbltConfig child = IbltConfig::ForDifference(64, 1);
+  EXPECT_EQ(child.PaddedCells(), 136u);
+  EXPECT_EQ(child.SketchSize(), 136u * 11);
 }
 
 TEST(IbltTest, InsertThenDecodePositive) {
@@ -184,15 +245,15 @@ TEST(IbltTest, FixedSerializationHasExactSize) {
   EXPECT_EQ(decoded.value().positive, (std::vector<uint64_t>{1}));
 }
 
-// Fixed-form bytes of a table holding `keys`, plus an 8-byte trailer the
+// Child-sketch form of a table holding `keys`, plus an 8-byte trailer the
 // way a child blob ends in its fingerprint.
-std::vector<uint8_t> FixedBytes(const IbltConfig& config,
-                                const std::vector<uint64_t>& keys,
-                                uint64_t trailer) {
+std::vector<uint8_t> SketchBytes(const IbltConfig& config,
+                                 const std::vector<uint64_t>& keys,
+                                 uint64_t trailer) {
   Iblt table(config);
   table.InsertBatch(keys);
   ByteWriter writer;
-  table.SerializeFixed(&writer);
+  writer.PutBytes(SketchFormOf(table));
   writer.PutU64(trailer);
   return writer.Take();
 }
@@ -209,14 +270,14 @@ TEST(IbltRankFixedTest, CloseTableRanksFirstFromLastPlace) {
   Rng rng(61);
   const IbltConfig config = IbltConfig::ForDifference(8, 62);
   const std::vector<uint64_t> target_keys = RandomKeys(&rng, 24);
-  const std::vector<uint8_t> target = FixedBytes(config, target_keys, 1);
+  const std::vector<uint8_t> target = SketchBytes(config, target_keys, 1);
   std::vector<std::vector<uint8_t>> tables;
   for (int i = 0; i < 5; ++i) {
-    tables.push_back(FixedBytes(config, RandomKeys(&rng, 24), 2));
+    tables.push_back(SketchBytes(config, RandomKeys(&rng, 24), 2));
   }
   std::vector<uint64_t> close = target_keys;
   for (size_t i = 0; i < 3; ++i) close[i] = rng.NextU64();
-  tables.push_back(FixedBytes(config, close, 3));
+  tables.push_back(SketchBytes(config, close, 3));
   std::vector<IbltKeyView> views;
   for (const std::vector<uint8_t>& t : tables) {
     views.push_back(IbltKeyView{t.data(), t.size()});
@@ -243,14 +304,14 @@ TEST(IbltRankFixedTest, CloseTableRanksFirstFromLastPlace) {
 TEST(IbltRankFixedTest, TiesKeepCandidateOrderAndTrailersAreIgnored) {
   // Equal tables with different trailers are at distance 0 in list order;
   // the empty table differs in exactly the target's nonzero partition-0
-  // records.
+  // cells.
   Rng rng(71);
   const IbltConfig config = IbltConfig::ForDifference(4, 72, 8, 3);
   const std::vector<uint64_t> keys = RandomKeys(&rng, 5);
-  const std::vector<uint8_t> target = FixedBytes(config, keys, 9);
-  const std::vector<uint8_t> empty = FixedBytes(config, {}, 0);
-  const std::vector<uint8_t> same_a = FixedBytes(config, keys, 10);
-  const std::vector<uint8_t> same_b = FixedBytes(config, keys, 11);
+  const std::vector<uint8_t> target = SketchBytes(config, keys, 9);
+  const std::vector<uint8_t> empty = SketchBytes(config, {}, 0);
+  const std::vector<uint8_t> same_a = SketchBytes(config, keys, 10);
+  const std::vector<uint8_t> same_b = SketchBytes(config, keys, 11);
   const std::vector<IbltKeyView> views = {
       {empty.data(), empty.size()},
       {same_a.data(), same_a.size()},
@@ -261,13 +322,18 @@ TEST(IbltRankFixedTest, TiesKeepCandidateOrderAndTrailersAreIgnored) {
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], (IbltFixedRank{0, 1}));
   EXPECT_EQ(order[1], (IbltFixedRank{0, 2}));
-  const size_t partition = config.PaddedCells() / 3;
-  const size_t record = 12 + config.key_width;  // Count, checksum, key.
+  // A cell's count, checksum and key bytes sit in three sections.
+  const size_t cells = config.PaddedCells();
+  const size_t partition = cells / 3;
+  const size_t w = config.SketchCheckWidth();
+  const auto any_set = [](const uint8_t* bytes, size_t n) {
+    return std::any_of(bytes, bytes + n, [](uint8_t b) { return b != 0; });
+  };
   size_t nonzero = 0;
   for (size_t r = 0; r < partition; ++r) {
-    const uint8_t* rec = target.data() + r * record;
-    nonzero +=
-        std::any_of(rec, rec + record, [](uint8_t b) { return b != 0; });
+    nonzero += any_set(target.data() + r, 1) ||
+               any_set(target.data() + cells + r * w, w) ||
+               any_set(target.data() + cells * (1 + w) + 8 * r, 8);
   }
   EXPECT_GT(nonzero, 0u);
   EXPECT_EQ(order[2], (IbltFixedRank{nonzero, 0}));

@@ -13,6 +13,7 @@
 #include "bench/alloc_counter.h"
 #include "hashing/random.h"
 #include "iblt/iblt.h"
+#include "tests/sketch_form.h"
 #include "util/serialization.h"
 
 namespace setrec {
@@ -188,30 +189,16 @@ TEST(IbltViewTest, WarmU64ViewDecodeIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "warm u64 view decode must not hit the allocator";
 }
 
-std::vector<uint8_t> FixedForm(const Iblt& table) {
-  ByteWriter writer;
-  table.SerializeFixed(&writer);
-  return writer.Take();
-}
-
 IbltKeyView ViewOf(const std::vector<uint8_t>& bytes) {
   return IbltKeyView{bytes.data(), bytes.size()};
 }
 
-/// The table path the blob decode replaces: DeserializeFixed of both blobs,
-/// Subtract, DecodeU64View. `b` null is the empty partner (a decoded alone).
-Result<IbltDecodeResult64> TablePathDecode(const IbltConfig& config,
-                                           const std::vector<uint8_t>& a,
-                                           const std::vector<uint8_t>* b) {
-  ByteReader reader_a(a);
-  Result<Iblt> table_a = Iblt::DeserializeFixed(&reader_a, config);
-  if (!table_a.ok()) return table_a.status();
-  Iblt diff = std::move(table_a).value();
+/// The in-memory path the blob decode stands in for: a copy of `a`, minus
+/// `b` unless it is null (the empty partner), through DecodeU64View.
+Result<IbltDecodeResult64> InMemoryDecode(const Iblt& a, const Iblt* b) {
+  Iblt diff = a;
   if (b != nullptr) {
-    ByteReader reader_b(*b);
-    Result<Iblt> table_b = Iblt::DeserializeFixed(&reader_b, config);
-    if (!table_b.ok()) return table_b.status();
-    Status subtracted = diff.Subtract(table_b.value());
+    Status subtracted = diff.Subtract(*b);
     EXPECT_TRUE(subtracted.ok()) << subtracted.ToString();
   }
   DecodeScratch scratch;
@@ -220,21 +207,30 @@ Result<IbltDecodeResult64> TablePathDecode(const IbltConfig& config,
   return decoded.value().Materialize();
 }
 
-/// Runs the table-free decode of fixed-form blobs a - b and the table path,
-/// checks they agree in status code and element by element (the peel order
-/// is deterministic), and returns the blob decode's status.
-Status ExpectBlobDecodeMatchesTablePath(const IbltConfig& config,
-                                        const std::vector<uint8_t>& a,
-                                        const std::vector<uint8_t>* b) {
+/// Decodes the child-sketch forms of a - b straight from their bytes
+/// (followed by `trailer` bytes of 0xa5, as a child blob is by its
+/// fingerprint), checks the result agrees with the in-memory path in
+/// status code and element by element (the peel order is deterministic),
+/// and returns the blob decode's status.
+Status ExpectBlobDecodeMatchesInMemory(const Iblt& a, const Iblt* b,
+                                       size_t trailer = 0) {
+  std::vector<uint8_t> blob_a = SketchFormOf(a);
+  blob_a.insert(blob_a.end(), trailer, 0xa5);
+  std::vector<uint8_t> blob_b;
+  if (b != nullptr) {
+    blob_b = SketchFormOf(*b);
+    blob_b.insert(blob_b.end(), trailer, 0x5a);
+  }
   DecodeScratch scratch;
   Result<IbltDecodeView64> from_blobs = Iblt::DecodeFixedDifferenceU64View(
-      config, ViewOf(a), b != nullptr ? ViewOf(*b) : IbltKeyView{}, &scratch);
-  Result<IbltDecodeResult64> from_tables = TablePathDecode(config, a, b);
-  EXPECT_EQ(from_blobs.status().code(), from_tables.status().code());
-  if (from_blobs.ok() && from_tables.ok()) {
+      a.config(), ViewOf(blob_a), b != nullptr ? ViewOf(blob_b) : IbltKeyView{},
+      &scratch);
+  Result<IbltDecodeResult64> in_memory = InMemoryDecode(a, b);
+  EXPECT_EQ(from_blobs.status().code(), in_memory.status().code());
+  if (from_blobs.ok() && in_memory.ok()) {
     IbltDecodeResult64 keys = from_blobs.value().Materialize();
-    EXPECT_EQ(keys.positive, from_tables.value().positive);
-    EXPECT_EQ(keys.negative, from_tables.value().negative);
+    EXPECT_EQ(keys.positive, in_memory.value().positive);
+    EXPECT_EQ(keys.negative, in_memory.value().negative);
   }
   return from_blobs.status();
 }
@@ -274,18 +270,11 @@ TEST(IbltViewTest, DifferenceDecodeMatchesSubtractThenDecode) {
             break;
         }
       }
-      std::vector<uint8_t> blob_a = FixedForm(a);
-      std::vector<uint8_t> blob_b = FixedForm(b);
-      if (trial % 2 == 1) {
-        // Bytes past the fixed form (a child blob's fingerprint).
-        blob_a.insert(blob_a.end(), 8, 0xa5);
-        blob_b.insert(blob_b.end(), 8, 0x5a);
-      }
-      for (const std::vector<uint8_t>* partner :
-           {static_cast<const std::vector<uint8_t>*>(&blob_b),
-            static_cast<const std::vector<uint8_t>*>(nullptr)}) {
+      const size_t trailer = trial % 2 == 1 ? 8 : 0;
+      for (const Iblt* partner : {static_cast<const Iblt*>(&b),
+                                  static_cast<const Iblt*>(nullptr)}) {
         const Status status =
-            ExpectBlobDecodeMatchesTablePath(config, blob_a, partner);
+            ExpectBlobDecodeMatchesInMemory(a, partner, trailer);
         (status.ok() ? decoded : failed) += 1;
       }
     }
@@ -297,7 +286,7 @@ TEST(IbltViewTest, DifferenceDecodeMatchesSubtractThenDecode) {
   const IbltConfig config = IbltConfig::ForDifference(8, 4242);
   Iblt a(config);
   for (int i = 0; i < 40; ++i) a.InsertU64(rng.NextU64());
-  const std::vector<uint8_t> blob = FixedForm(a);
+  const std::vector<uint8_t> blob = SketchFormOf(a);
   DecodeScratch scratch;
   Result<IbltDecodeView64> none = Iblt::DecodeFixedDifferenceU64View(
       config, ViewOf(blob), ViewOf(blob), &scratch);
@@ -305,14 +294,17 @@ TEST(IbltViewTest, DifferenceDecodeMatchesSubtractThenDecode) {
   EXPECT_TRUE(none.value().positive.empty());
   EXPECT_TRUE(none.value().negative.empty());
 
-  // A blob shorter than the fixed form fails as DeserializeFixed does.
+  // A blob shorter than the child-sketch form is a parse error, on either
+  // side.
   const std::vector<uint8_t> short_blob(blob.begin(), blob.end() - 1);
-  EXPECT_EQ(ExpectBlobDecodeMatchesTablePath(config, blob, &short_blob)
-                .code(),
-            StatusCode::kParseError);
-  EXPECT_EQ(ExpectBlobDecodeMatchesTablePath(config, short_blob, nullptr)
-                .code(),
-            StatusCode::kParseError);
+  for (const auto& [x, y] : {std::pair{ViewOf(blob), ViewOf(short_blob)},
+                             std::pair{ViewOf(short_blob), IbltKeyView{}}}) {
+    EXPECT_EQ(
+        Iblt::DecodeFixedDifferenceU64View(config, x, y, &scratch)
+            .status()
+            .code(),
+        StatusCode::kParseError);
+  }
 
   // Wide keys are not u64 sketches.
   EXPECT_EQ(Iblt::DecodeFixedDifferenceU64View(
@@ -321,6 +313,55 @@ TEST(IbltViewTest, DifferenceDecodeMatchesSubtractThenDecode) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(IbltViewTest, DifferenceDecodeWrapsCountsMod256) {
+  // Counts travel mod 256, so the decode subtracts the two count bytes mod
+  // 256 before it sign-extends. A 16-cell table of 1,200 shared keys (about
+  // 300 per cell) decodes the few keys around them, and so does a pair
+  // whose key x meets exactly 127 shared keys in its partition-0 cell: its
+  // count bytes there are 128 and 127, which sign-extended one by one
+  // would differ by 255.
+  IbltConfig config;
+  config.cells = 16;
+  config.num_hashes = 4;
+  config.seed = 1200;
+  const IbltCellDerivation derivation(config);
+  const auto cell0 = [&derivation](uint64_t key) {
+    return derivation.Cell(derivation.HashU64(key).bucket, 0);
+  };
+  Rng rng(1201);
+  const uint64_t x = rng.NextU64();
+  std::vector<uint64_t> shared;
+  size_t with_x = 0;  // Shared keys in x's partition-0 cell.
+  while (shared.size() < 1200) {
+    const uint64_t key = rng.NextU64();
+    if (cell0(key) == cell0(x)) {
+      if (with_x == 127) continue;
+      ++with_x;
+    }
+    shared.push_back(key);
+  }
+  ASSERT_EQ(with_x, 127u);
+  Iblt base(config);
+  base.InsertBatch(shared);
+
+  Iblt plus_x = base;
+  plus_x.InsertU64(x);
+  EXPECT_TRUE(ExpectBlobDecodeMatchesInMemory(plus_x, &base).ok());
+  EXPECT_TRUE(ExpectBlobDecodeMatchesInMemory(base, &plus_x).ok());
+
+  Iblt edited = base;  // x in, and three other keys either way.
+  edited.InsertU64(x);
+  Iblt other = base;
+  for (int i = 0; i < 3; ++i) {
+    edited.InsertU64(rng.NextU64());
+    other.InsertU64(rng.NextU64());
+  }
+  EXPECT_TRUE(ExpectBlobDecodeMatchesInMemory(edited, &other).ok());
+  EXPECT_TRUE(ExpectBlobDecodeMatchesInMemory(other, &edited, 8).ok());
+  // Alone, the 1,200-key sketch does not decode, in memory or from bytes.
+  EXPECT_FALSE(ExpectBlobDecodeMatchesInMemory(base, nullptr).ok());
 }
 
 TEST(IbltViewTest, WarmDifferenceDecodeIsAllocationFree) {
@@ -335,8 +376,8 @@ TEST(IbltViewTest, WarmDifferenceDecodeIsAllocationFree) {
   }
   for (int i = 0; i < 32; ++i) a.InsertU64(rng.NextU64());
   for (int i = 0; i < 16; ++i) b.InsertU64(rng.NextU64());
-  const std::vector<uint8_t> blob_a = FixedForm(a);
-  const std::vector<uint8_t> blob_b = FixedForm(b);
+  const std::vector<uint8_t> blob_a = SketchFormOf(a);
+  const std::vector<uint8_t> blob_b = SketchFormOf(b);
 
   DecodeScratch scratch;
   Result<IbltDecodeView64> warmup = Iblt::DecodeFixedDifferenceU64View(

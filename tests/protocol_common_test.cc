@@ -4,13 +4,17 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstring>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "core/encoding.h"
 #include "core/workload.h"
 #include "hashing/random.h"
 #include "setrec/multiset_codec.h"
+#include "setrec/set_reconciler.h"
+#include "tests/sketch_form.h"
 
 namespace setrec {
 namespace {
@@ -303,17 +307,33 @@ TEST(ChildIbltBlobTest, RoundTrip) {
 }
 
 // The reference the blob writer must match byte for byte: a table of the
-// child's config with the child inserted, serialized fixed-width, then the
-// fingerprint.
+// child's config with the child inserted, projected to the child-sketch
+// form, then the fingerprint.
 std::vector<uint8_t> TablePathBlob(const ChildSet& child,
                                    const IbltConfig& config,
                                    uint64_t fingerprint) {
   Iblt table(config);
   table.InsertBatch(child);
   ByteWriter writer;
-  table.SerializeFixed(&writer);
+  writer.PutBytes(SketchFormOf(table));
   writer.PutU64(fingerprint);
   return writer.Take();
+}
+
+// The largest count of any cell of `child`'s table under `config`.
+int64_t MaxCellCount(const ChildSet& child, const IbltConfig& config) {
+  Iblt table(config);
+  table.InsertBatch(child);
+  ByteWriter writer;
+  table.SerializeFixed(&writer);
+  int64_t max = 0;
+  for (size_t i = 0; i < config.PaddedCells(); ++i) {
+    uint32_t count = 0;
+    std::memcpy(&count, writer.bytes().data() +
+                            i * IbltConfig::FixedRecordWidth(8), 4);
+    max = std::max<int64_t>(max, count);
+  }
+  return max;
 }
 
 // `n` keys that all land in the same partition-0 cell of `config`, so that
@@ -333,8 +353,9 @@ ChildSet CollidingChild(const IbltConfig& config, size_t n) {
 TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
   // A full child, then an empty one right after it (residue from the full
   // child would show in its slot), a small one, one of more than
-  // Iblt::kSmallBatchMaxKeys elements (two hash blocks), and keys that
-  // collide in one cell.
+  // Iblt::kSmallBatchMaxKeys elements (two hash blocks), keys that collide
+  // in one cell, and 1,200 keys, whose counts pass 255 in small tables.
+  // The configs span checksums of 2, 4 and 8 bytes.
   Rng rng(2024);
   auto random_child = [&rng](size_t n) {
     ChildSet child(n);
@@ -342,17 +363,23 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
     std::sort(child.begin(), child.end());
     return child;
   };
-  for (int k : {3, 4, 5}) {
-    for (size_t cells : {size_t{8}, size_t{24}, size_t{136}, size_t{300}}) {
+  std::set<size_t> check_widths;
+  bool wrapped = false;
+  for (int k : {3, 4, 5, 8}) {
+    for (size_t cells :
+         {size_t{8}, size_t{16}, size_t{24}, size_t{136}, size_t{300}}) {
       IbltConfig config;
       config.cells = cells;
       config.num_hashes = k;
       config.seed = 99 + cells;
+      check_widths.insert(config.SketchCheckWidth());
       const SetOfSets children = {random_child(40), {}, random_child(3),
                                   random_child(Iblt::kSmallBatchMaxKeys + 72),
-                                  CollidingChild(config, 4)};
+                                  CollidingChild(config, 4),
+                                  random_child(1200)};
+      wrapped = wrapped || MaxCellCount(children.back(), config) > 255;
       const std::vector<uint64_t> fps = {0x1111, 0x2222, 0x3333, 0x4444,
-                                         0x5555};
+                                         0x5555, 0x6666};
       SCOPED_TRACE("k=" + std::to_string(k) +
                    " cells=" + std::to_string(cells));
       std::vector<uint8_t> expected = {0xee};  // Packing appends.
@@ -369,6 +396,8 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
       EXPECT_EQ(packed.bytes(), expected);
     }
   }
+  EXPECT_EQ(check_widths, (std::set<size_t>{2, 4, 8}));
+  EXPECT_TRUE(wrapped);
 }
 
 // Partners for RecoverChild, built the way Bob builds them: each child's
@@ -496,6 +525,88 @@ TEST(RecoverChildTest, EmptyPartnerTriedAfterEveryPartner) {
       RecoverAgainst(RandomChild(&rng, 60), bob, config, fp_family);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kDecodeFailure);
+}
+
+TEST(RecoverChildTest, TruncatedCheckCollisionNeverYieldsAnotherChild) {
+  // Child sketches carry 2-byte checksums here. A cell holding +a, +b and
+  // -c has count 1, key a ^ b ^ c and checksum h(a) ^ h(b) ^ h(c), and
+  // passes as pure when h(a ^ b ^ c) matches that checksum in its low 16
+  // bits. Such a triple is brute-forced in one partition-0 cell (about
+  // 2^18 draws), Alice's child holding a and b and Bob's partner c. The
+  // false peel may end the decode or leave a wrong candidate, but the
+  // 64-bit child fingerprint rejects every wrong candidate: RecoverChild
+  // returns Alice's child or kDecodeFailure.
+  const IbltConfig config = IbltConfig::ForDifference(2, 91);
+  ASSERT_EQ(config.SketchCheckWidth(), 2u);
+  const uint64_t mask = 0xffff;
+  const IbltCellDerivation derivation(config);
+  const auto hashes = [&derivation](uint64_t key) {
+    return derivation.HashU64(key);
+  };
+  const auto cell0 = [&](uint64_t key) {
+    return derivation.Cell(hashes(key).bucket, 0);
+  };
+  Rng rng(92);
+  const uint64_t a = rng.NextU64() >> 8;
+  uint64_t b = rng.NextU64() >> 8;
+  while (cell0(b) != cell0(a)) b = rng.NextU64() >> 8;
+  const uint64_t ab_check = hashes(a).check ^ hashes(b).check;
+  uint64_t c = 0;
+  bool found = false;
+  for (int tries = 0; tries < (1 << 24) && !found; ++tries) {
+    c = rng.NextU64() >> 8;
+    found = c != a && c != b && cell0(c) == cell0(a) &&
+            ((ab_check ^ hashes(c).check ^ hashes(a ^ b ^ c).check) &
+             mask) == 0;
+  }
+  ASSERT_TRUE(found);
+
+  const HashFamily fp_family(93, 94);
+  for (size_t shared : {size_t{3}, size_t{40}}) {
+    SCOPED_TRACE("shared=" + std::to_string(shared));
+    const ChildSet common = RandomChild(&rng, shared);
+    ChildSet alice = common;
+    alice.push_back(a);
+    alice.push_back(b);
+    std::sort(alice.begin(), alice.end());
+    ChildSet partner = common;
+    partner.push_back(c);
+    std::sort(partner.begin(), partner.end());
+    const uint64_t fingerprint = ChildFingerprint(alice, fp_family);
+    const std::vector<uint8_t> blob =
+        EncodeChildIbltBlob(alice, config, fingerprint);
+    const SetOfSets bob = {partner};
+    const PartnerSet partners(bob, config, fp_family);
+
+    // The false peel: whatever the blob decode returns is not the
+    // difference, and the candidate it makes fails the fingerprint.
+    DecodeScratch scratch;
+    Result<IbltDecodeView64> decoded = Iblt::DecodeFixedDifferenceU64View(
+        config, IbltKeyView{blob.data(), blob.size()}, partners.views[0],
+        &scratch);
+    if (decoded.ok()) {
+      std::sort(decoded.value().positive.begin(),
+                decoded.value().positive.end());
+      const ChildSet candidate = ApplyDifference(
+          partner, decoded.value().positive, decoded.value().negative);
+      EXPECT_NE(candidate, alice);
+      EXPECT_NE(ChildFingerprint(candidate, fp_family), fingerprint);
+    }
+
+    std::vector<IbltFixedRank> order;
+    Result<ChildSet> recovered = RecoverChild(
+        IbltKeyView{blob.data(), blob.size()}, fingerprint, config,
+        partners.views, partners.sets, fp_family, &order, &scratch);
+    if (shared == 3) {
+      // Five keys decode alone: the empty partner recovers the child.
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    }
+    if (recovered.ok()) {
+      EXPECT_EQ(recovered.value(), alice);
+    } else {
+      EXPECT_EQ(recovered.status().code(), StatusCode::kDecodeFailure);
+    }
+  }
 }
 
 TEST(RecoverChildTest, WrongWidthBlobRejected) {

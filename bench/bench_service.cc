@@ -704,9 +704,8 @@ double MeasureRecordCostNs() {
 }
 
 size_t CountRegistrySamples(const obs::MetricRegistry& m) {
-  size_t samples = m.opaque_session_latency.count() + m.flush_latency.count() +
-                   m.flush_occupancy.count() + m.lease_wait.count() +
-                   m.lease_hold.count();
+  size_t samples = m.flush_latency.count() + m.flush_occupancy.count() +
+                   m.lease_wait.count() + m.lease_hold.count();
   for (size_t k = 0; k < obs::kProtocolKinds; ++k) {
     for (size_t c = 0; c < obs::kWireCodecs; ++c) {
       samples += m.session_latency[k][c].count() + m.round_latency[k][c].count();
@@ -716,7 +715,7 @@ size_t CountRegistrySamples(const obs::MetricRegistry& m) {
 }
 
 obs::LatencyHistogram MergedSessionLatency(const obs::MetricRegistry& m) {
-  obs::LatencyHistogram all = m.opaque_session_latency;
+  obs::LatencyHistogram all;
   for (size_t k = 0; k < obs::kProtocolKinds; ++k) {
     for (size_t c = 0; c < obs::kWireCodecs; ++c) {
       all.Merge(m.session_latency[k][c]);

@@ -1,12 +1,14 @@
 // Sync server, three modes:
 //
-//  (default)        One SyncService instance driving 10,000 mixed-workload
-//                   loopback sessions the way a server facing a client
-//                   fleet would — set-of-sets sessions (all four protocol
-//                   families) against one registered server set, stepped
+//  (default)        One SyncService instance driving 10,000 loopback
+//                   set-of-sets sessions (all four protocol families mixed)
+//                   the way a server facing a client fleet would: every
+//                   session against one registered server set, stepped
 //                   round-by-round with sketch builds coalesced in the
-//                   cross-session batch planner, plus opaque graph /
-//                   forest / shingle sessions sharing the same scheduler.
+//                   cross-session batch planner. The graph, forest and
+//                   shingle reconcilers run as blocking calls in their own
+//                   examples (example_graph_sync, example_forest_sync,
+//                   example_document_collections).
 //
 //  --listen=tcp:PORT | --listen=unix:PATH  [--serve=N] [--shards=K]
 //                   [--stats-every=N] [--trace-slow=MS]
@@ -50,12 +52,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "apps/shingles.h"
 #include "core/workload.h"
 #include "examples/net_demo.h"
-#include "forest/forest_reconciler.h"
-#include "graph/degree_ordering.h"
-#include "graph/separated_instance.h"
 #include "hashing/random.h"
 #include "net/multi_pump.h"
 #include "net/net_pump.h"
@@ -465,57 +463,6 @@ int RunLoopbackDemo() {
     service.Submit(std::move(session));
   }
 
-  // --- Opaque sessions: graph, forest and shingle workloads share the
-  // scheduler (single-step sessions; no planner coalescing). ---
-  SeparatedInstanceSpec graph_spec;
-  graph_spec.seed = 5;
-  Result<Graph> graph_base = MakeSeparatedGraph(graph_spec);
-  if (graph_base.ok()) {
-    Rng grng(77);
-    auto alice = std::make_shared<Graph>(graph_base.value());
-    auto bob = std::make_shared<Graph>(graph_base.value());
-    alice->Perturb(1, &grng);
-    bob->Perturb(1, &grng);
-    SessionSpec session;
-    session.label = "graph";
-    session.opaque = [alice, bob, graph_spec](Channel* channel) {
-      Result<GraphReconcileOutcome> outcome = DegreeOrderingReconcile(
-          *alice, *bob, graph_spec.d, graph_spec.h, 9, channel);
-      return outcome.ok() ? Status::Ok() : outcome.status();
-    };
-    service.Submit(std::move(session));
-  }
-  {
-    Rng frng(4242);
-    auto alice = std::make_shared<RootedForest>(
-        RootedForest::Random(3000, 5, 0.12, &frng));
-    auto bob = std::make_shared<RootedForest>(*alice);
-    size_t d = bob->Perturb(2, 5, &frng);
-    size_t sigma = std::max(alice->MaxDepth(), bob->MaxDepth());
-    SessionSpec session;
-    session.label = "forest";
-    session.opaque = [alice, bob, d, sigma](Channel* channel) {
-      Result<ForestReconcileOutcome> outcome =
-          ForestReconcile(*alice, *bob, std::max<size_t>(d, 1), sigma, 11,
-                          channel);
-      return outcome.ok() ? Status::Ok() : outcome.status();
-    };
-    service.Submit(std::move(session));
-  }
-  {
-    auto alice = std::make_shared<SetOfSets>(base.alice);
-    auto bob = std::make_shared<SetOfSets>(base.bob);
-    auto shingle_params = std::make_shared<SsrParams>(params);
-    SessionSpec session;
-    session.label = "shingles";
-    session.opaque = [alice, bob, shingle_params](Channel* channel) {
-      Result<CollectionReconcileOutcome> outcome = ReconcileCollections(
-          *alice, *bob, /*per_doc_diff=*/8, *shingle_params, channel);
-      return outcome.ok() ? Status::Ok() : outcome.status();
-    };
-    service.Submit(std::move(session));
-  }
-
   // --- Run everything and report. ---
   const double seconds = [&] {
     const auto start = std::chrono::steady_clock::now();
@@ -537,7 +484,7 @@ int RunLoopbackDemo() {
   std::printf("planner: %zu flushes, mean occupancy %.0f keys, max %zu "
               "(sharded threshold %zu crossed %zu times)\n",
               stats.flushes, stats.mean_flush_occupancy(),
-              stats.max_flush_keys, Iblt::batch_options().sharded_min_keys,
+              stats.max_flush_keys, service.options().batch.sharded_min_keys,
               stats.sharded_flushes);
   std::printf("alice-message cache: %zu hits / %zu lookups\n",
               stats.cache_hits, stats.cache_hits + stats.cache_misses);

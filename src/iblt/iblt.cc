@@ -54,7 +54,6 @@ constexpr size_t kMinCells = 16;
 }  // namespace
 
 int Iblt::sharded_workers_for_test = 0;
-IbltBatchOptions Iblt::batch_options_;
 
 IbltConfig IbltConfig::ForDifference(size_t diff, uint64_t seed,
                                      size_t key_width, int num_hashes) {
@@ -231,22 +230,22 @@ void Iblt::EraseU64(uint64_t key) {
 }
 
 void Iblt::InsertBatch(const uint64_t* keys, size_t n) {
-  ApplyBatchU64(keys, n, +1, batch_options_);
+  ApplyBatchU64(keys, n, +1);
 }
 void Iblt::InsertBatch(const std::vector<uint64_t>& keys) {
-  ApplyBatchU64(keys.data(), keys.size(), +1, batch_options_);
+  ApplyBatchU64(keys.data(), keys.size(), +1);
 }
 void Iblt::InsertBatch(const uint8_t* keys, size_t n) {
-  ApplyBatchBytes(keys, n, +1, batch_options_);
+  ApplyBatchBytes(keys, n, +1);
 }
 void Iblt::EraseBatch(const uint64_t* keys, size_t n) {
-  ApplyBatchU64(keys, n, -1, batch_options_);
+  ApplyBatchU64(keys, n, -1);
 }
 void Iblt::EraseBatch(const std::vector<uint64_t>& keys) {
-  ApplyBatchU64(keys.data(), keys.size(), -1, batch_options_);
+  ApplyBatchU64(keys.data(), keys.size(), -1);
 }
 void Iblt::EraseBatch(const uint8_t* keys, size_t n) {
-  ApplyBatchBytes(keys, n, -1, batch_options_);
+  ApplyBatchBytes(keys, n, -1);
 }
 
 // The cell updates below read the derivation, the key width and the arena
@@ -314,28 +313,6 @@ int ShardedWorkerCount(int max_partitions, const IbltBatchOptions& options) {
 
 }  // namespace
 
-void Iblt::ApplyHashedBatch(const KeyHashes* hashes, const uint64_t* u64_keys,
-                            const uint8_t* byte_keys, size_t n, int32_t delta,
-                            const IbltBatchOptions& options) {
-  const int k = config_.num_hashes;
-  if (n >= options.sharded_min_keys && k > 1) {
-    // Partitions are disjoint cell ranges: shard them across threads with no
-    // synchronization. The result is identical to the serial order.
-    int workers = ShardedWorkerCount(k, options);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(workers - 1));
-    for (int t = 1; t < workers; ++t) {
-      threads.emplace_back([=, this] {
-        ApplyPartitionRange(hashes, u64_keys, byte_keys, n, delta, t, workers);
-      });
-    }
-    ApplyPartitionRange(hashes, u64_keys, byte_keys, n, delta, 0, workers);
-    for (std::thread& t : threads) t.join();
-    return;
-  }
-  ApplyPartitionRange(hashes, u64_keys, byte_keys, n, delta, 0, 1);
-}
-
 void Iblt::ApplyOps(const ApplyOp* ops, size_t count,
                     const IbltBatchOptions& options, ApplyScratch* scratch) {
   size_t total = 0;
@@ -358,9 +335,9 @@ void Iblt::ApplyOps(const ApplyOp* ops, size_t count,
     for (size_t i = 0; i < count; ++i) {
       const ApplyOp& op = ops[i];
       if (op.u64_keys != nullptr) {
-        op.table->ApplyBatchU64(op.u64_keys, op.n, op.delta, options);
+        op.table->ApplyBatchU64(op.u64_keys, op.n, op.delta);
       } else {
-        op.table->ApplyBatchBytes(op.byte_keys, op.n, op.delta, options);
+        op.table->ApplyBatchBytes(op.byte_keys, op.n, op.delta);
       }
     }
     return;
@@ -412,8 +389,7 @@ void Iblt::ApplyOps(const ApplyOp* ops, size_t count,
   for (std::thread& t : threads) t.join();
 }
 
-void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
-                         const IbltBatchOptions& options) {
+void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta) {
   assert(config_.key_width == 8);
   if (n == 0) return;
   // Small batches (the per-child sketches of the set-of-sets protocols)
@@ -422,20 +398,27 @@ void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
   std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
   KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes
                                               : heap_hashes.data();
-  for (size_t j = 0; j < n; ++j) hashes[j] = derivation_.HashU64(keys[j]);
-  ApplyHashedBatch(hashes, keys, nullptr, n, delta, options);
+  // n > 0, so a do-while: GCC's -Wmaybe-uninitialized cannot see that a
+  // for loop writes the stack buffer before ApplyPartitionRange reads it.
+  size_t j = 0;
+  do {
+    hashes[j] = derivation_.HashU64(keys[j]);
+  } while (++j < n);
+  ApplyPartitionRange(hashes, keys, nullptr, n, delta, 0, 1);
 }
 
-void Iblt::ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta,
-                           const IbltBatchOptions& options) {
+void Iblt::ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta) {
   if (n == 0) return;
   KeyHashes stack_hashes[kSmallBatchMaxKeys];
   std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
   KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes
                                               : heap_hashes.data();
   const size_t w = config_.key_width;
-  for (size_t j = 0; j < n; ++j) hashes[j] = derivation_.Hash(keys + j * w);
-  ApplyHashedBatch(hashes, nullptr, keys, n, delta, options);
+  size_t j = 0;
+  do {
+    hashes[j] = derivation_.Hash(keys + j * w);
+  } while (++j < n);
+  ApplyPartitionRange(hashes, nullptr, keys, n, delta, 0, 1);
 }
 
 Status Iblt::Subtract(const Iblt& other) {

@@ -75,8 +75,7 @@ struct IbltConfig {
   bool operator==(const IbltConfig&) const = default;
 };
 
-/// Compiled-in default for IbltBatchOptions::sharded_min_keys (also
-/// exposed as Iblt::kShardedBatchMinKeys).
+/// Compiled-in default for IbltBatchOptions::sharded_min_keys.
 inline constexpr size_t kShardedBatchMinKeysDefault = 1u << 16;
 
 /// Which wire encoding a protocol uses for the IBLT tables it sends. A
@@ -117,15 +116,14 @@ struct TableLineage {
   bool CoversConfig(const IbltConfig& config) const;  // defined after Iblt
 };
 
-/// Runtime tuning for batched cell updates (InsertBatch/EraseBatch and the
-/// multi-table Iblt::ApplyOps pass). A process-wide default is held by
-/// Iblt::batch_options()/set_batch_options(); callers that want different
-/// behavior per pass (the service batch planner, threshold sweeps in
-/// benches) pass their own instance to ApplyOps.
+/// Runtime tuning for the multi-table Iblt::ApplyOps pass, passed by its
+/// caller (the service batch planner, threshold sweeps in benches).
+/// InsertBatch/EraseBatch take none: they always run on the caller's
+/// thread.
 struct IbltBatchOptions {
-  /// Total keys in a pass at or above which cell updates are sharded across
-  /// std::thread workers (partitions are disjoint cell ranges, so sharding
-  /// is synchronization-free and deterministic).
+  /// Total keys in an ApplyOps pass at or above which its cell updates are
+  /// sharded across std::thread workers (partitions are disjoint cell
+  /// ranges, so sharding is synchronization-free and deterministic).
   size_t sharded_min_keys = kShardedBatchMinKeysDefault;
   /// Worker cap for sharded passes; 0 = std::thread::hardware_concurrency().
   int max_workers = 0;
@@ -444,16 +442,13 @@ class Iblt {
   void Erase(const std::vector<uint8_t>& key);
   void EraseU64(uint64_t key);
 
-  /// Batched insertion/deletion. The whole block of keys is hashed first,
-  /// then cell updates are applied grouped by partition (all partition-0
-  /// cells, then partition-1, ...), which keeps each pass inside one
-  /// contiguous m/k-cell window of the arrays. Blocks of at least
-  /// kShardedBatchMinKeys keys on multi-hash tables are applied by
-  /// std::thread workers sharded over partitions (partitions are disjoint
-  /// cell ranges, so no synchronization is needed and the result is
-  /// deterministic). Requires key_width == 8 for the u64 overloads; the
-  /// byte overloads take `n` keys packed contiguously at key_width bytes
-  /// each. Result is identical to n single-key Insert/Erase calls.
+  /// Batched insertion/deletion on the caller's thread. The whole block of
+  /// keys is hashed first, then cell updates are applied grouped by
+  /// partition (all partition-0 cells, then partition-1, ...), which keeps
+  /// each pass inside one contiguous m/k-cell window of the arrays.
+  /// Requires key_width == 8 for the u64 overloads; the byte overloads
+  /// take `n` keys packed contiguously at key_width bytes each. Result is
+  /// identical to n single-key Insert/Erase calls.
   void InsertBatch(const uint64_t* keys, size_t n);
   void InsertBatch(const std::vector<uint64_t>& keys);
   void InsertBatch(const uint8_t* keys, size_t n);
@@ -642,27 +637,15 @@ class Iblt {
   static void ApplyOps(const ApplyOp* ops, size_t count,
                        const IbltBatchOptions& options, ApplyScratch* scratch);
 
-  /// Process-wide defaults consulted by InsertBatch/EraseBatch (and by
-  /// ApplyOps callers that do not carry their own options). Runtime-tunable
-  /// so benches and the service planner can sweep the sharding threshold
-  /// without recompiling. Not synchronized: set before spawning threads.
-  static const IbltBatchOptions& batch_options() { return batch_options_; }
-  static void set_batch_options(const IbltBatchOptions& options) {
-    batch_options_ = options;
-  }
-
-  /// Compiled-in default for IbltBatchOptions::sharded_min_keys.
-  static constexpr size_t kShardedBatchMinKeys = kShardedBatchMinKeysDefault;
-
   /// Batches up to this size hash into a stack buffer (16 bytes per key)
   /// instead of a heap vector, keeping small batched updates
   /// allocation-free; IbltCellDerivation::WriteFixedU64 hashes in stack
   /// blocks of this size.
   static constexpr size_t kSmallBatchMaxKeys = 128;
 
-  /// Test hook: when > 0, large batches use exactly this many workers
-  /// regardless of std::thread::hardware_concurrency(), so the sharded path
-  /// can be exercised deterministically on any machine.
+  /// Test hook: when > 0, a sharded ApplyOps pass uses exactly this many
+  /// workers regardless of std::thread::hardware_concurrency(), so the
+  /// sharded path can be exercised deterministically on any machine.
   static int sharded_workers_for_test;
 
  private:
@@ -712,16 +695,12 @@ class Iblt {
     return reinterpret_cast<const uint8_t*>(CellLanes(cell));
   }
 
-  /// The batch-apply internals take the options explicitly so a coalesced
-  /// multi-table pass (ApplyOps) governs its sub-batches with ITS options;
-  /// the public InsertBatch/EraseBatch entry points pass batch_options_.
-  void ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta,
-                     const IbltBatchOptions& options);
-  void ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta,
-                       const IbltBatchOptions& options);
-  void ApplyHashedBatch(const KeyHashes* hashes, const uint64_t* u64_keys,
-                        const uint8_t* byte_keys, size_t n, int32_t delta,
-                        const IbltBatchOptions& options);
+  /// The batch internals. ApplyBatchU64/ApplyBatchBytes hash a block of
+  /// keys and apply all of it on the calling thread; ApplyPartitionRange
+  /// applies partition indices {first_index, first_index + index_step, ...}
+  /// of a hashed block (only a sharded ApplyOps pass steps above 1).
+  void ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta);
+  void ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta);
   void ApplyPartitionRange(const KeyHashes* hashes, const uint64_t* u64_keys,
                            const uint8_t* byte_keys, size_t n, int32_t delta,
                            int first_index, int index_step);
@@ -750,8 +729,6 @@ class Iblt {
   /// Gathers a byte-mode peel of 8-byte keys into the scratch's u64 side
   /// vectors and returns the view over them.
   static IbltDecodeView64 GatherU64(DecodeScratch* scratch);
-
-  static IbltBatchOptions batch_options_;
 
   IbltConfig config_;
   size_t cells_;           // Padded cell count.

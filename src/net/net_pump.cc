@@ -15,6 +15,7 @@
 
 #include "net/wire.h"
 #include "obs/clock.h"
+#include "obs/trace.h"
 #include "obs/trace_text.h"
 #include "util/serialization.h"
 
@@ -108,7 +109,7 @@ NetPump::NetPump(SyncService* service, NetPumpOptions options)
   }
   // A networked service answers TRACE?, so traced/slow sessions must be
   // retained even when --trace-slow never armed the tracer's stderr dump.
-  service_->tracer().EnableCapture(service_->options().trace_ring_capacity);
+  service_->tracer().EnableCapture(obs::kTraceRingCapacity);
 }
 
 NetPump::~NetPump() {

@@ -100,10 +100,6 @@ void AppendRegistry(const MetricRegistry& reg,
       }
     }
   }
-  if (reg.opaque_session_latency.count() > 0) {
-    w.Histogram("setrec_session_latency_ns", "proto=\"opaque\"",
-                reg.opaque_session_latency);
-  }
   w.Histogram("setrec_flush_latency_ns", "", reg.flush_latency);
   w.Histogram("setrec_flush_occupancy_keys", "", reg.flush_occupancy);
   w.Histogram("setrec_lease_wait_ns", "", reg.lease_wait);

@@ -43,7 +43,6 @@ void MetricRegistry::Merge(const MetricRegistry& other) {
       round_latency[k][c].Merge(other.round_latency[k][c]);
     }
   }
-  opaque_session_latency.Merge(other.opaque_session_latency);
   flush_latency.Merge(other.flush_latency);
   flush_occupancy.Merge(other.flush_occupancy);
   lease_wait.Merge(other.lease_wait);

@@ -88,10 +88,9 @@ inline constexpr size_t kWireCodecs = 2;
 /// shards from published snapshots. All recording is allocation-free.
 struct MetricRegistry {
   /// End-to-end session latency (StartSession -> FinalizeSession), labelled
-  /// protocol kind x wire codec. Opaque/mirror halves (no local protocol
-  /// run) get their own histogram so they cannot skew per-protocol tails.
+  /// protocol kind x wire codec. Half sessions record here too, under
+  /// their protocol.
   LatencyHistogram session_latency[kProtocolKinds][kWireCodecs];
-  LatencyHistogram opaque_session_latency;
   /// Time between consecutive round boundaries (Send parks) of a session.
   LatencyHistogram round_latency[kProtocolKinds][kWireCodecs];
   /// Planner flush: wall time of one FlushPlanner pass, and its occupancy

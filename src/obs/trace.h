@@ -61,6 +61,10 @@ struct CompletedTrace {
   std::vector<CompletedTraceEvent> events;
 };
 
+/// Trace-event slots in a shard's ring and in a client probe's. When the
+/// ring is full, each new event overwrites the oldest.
+inline constexpr size_t kTraceRingCapacity = 4096;
+
 /// Per-shard fixed-capacity ring of trace events, written by the shard's
 /// single driver thread. Recording is a store into a preallocated slot —
 /// zero heap allocations (pinned by tests/obs_trace_test.cc with the

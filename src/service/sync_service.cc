@@ -213,7 +213,6 @@ struct SyncService::Session {
   std::shared_ptr<const SetsOfSetsProtocol> protocol;
   SessionContext ctx;
   Task<Result<SsrOutcome>> task;
-  bool started = false;
   /// Planner ops queued by this session since the last flush.
   size_t ops_pending = 0;
   /// Observability state (src/obs/): all timestamps are 0 when metrics and
@@ -225,8 +224,6 @@ struct SyncService::Session {
   /// Histogram axes, resolved once at start (protocol kind x wire codec).
   uint8_t kind_idx = 0;
   uint8_t codec_idx = 0;
-
-  bool opaque() const { return spec.alice == nullptr && spec.bob == nullptr; }
 };
 
 namespace {
@@ -379,7 +376,7 @@ SyncService::SyncService(SyncServiceOptions options,
       shard_id_(shard_id) {
   if (cache_ == nullptr) cache_ = std::make_shared<SharedServiceCache>();
   if (options_.trace_slow_ns > 0) {
-    tracer_.Configure(options_.trace_ring_capacity, options_.trace_slow_ns);
+    tracer_.Configure(obs::kTraceRingCapacity, options_.trace_slow_ns);
   }
 }
 
@@ -418,8 +415,7 @@ uint64_t SyncService::Submit(SessionSpec spec) {
 void SyncService::SubmitPreassigned(uint64_t id, SessionSpec spec) {
   switch (spec.role) {
     case SessionRole::kBoth:
-      assert((spec.alice != nullptr && spec.bob != nullptr) ||
-             spec.opaque != nullptr);
+      assert(spec.alice != nullptr && spec.bob != nullptr);
       break;
     case SessionRole::kAliceHalf:
       assert(spec.alice != nullptr);
@@ -620,10 +616,8 @@ void SyncService::Admit() {
     session->spec = std::move(backlog_.front().spec);
     backlog_.pop_front();
     session->ctx.Bind(this, session.get());
-    if (!session->opaque()) {
-      session->protocol =
-          ProtocolFor(session->spec.protocol, session->spec.params);
-    }
+    session->protocol =
+        ProtocolFor(session->spec.protocol, session->spec.params);
     Session* raw = session.get();
     raw->slot = active_.size();
     active_.push_back(std::move(session));
@@ -641,43 +635,19 @@ void SyncService::Admit() {
   }
 }
 
-void SyncService::RunOpaqueSession(Session* session) {
-  Status status = session->spec.opaque(&session->channel);
-  SsrOutcome outcome;
-  outcome.stats = {session->channel.rounds(), session->channel.total_bytes(),
-                   0};
-  if (session->spec.on_send) {
-    for (const Channel::Message& m : session->channel.transcript()) {
-      session->spec.on_send(m);
-    }
-  }
-  if (status.ok()) {
-    FinalizeSession(session, std::move(outcome));
-  } else {
-    FinalizeSession(session, status);
-  }
-}
-
 void SyncService::StartSession(Session* session) {
   ++stats_.resumes;
   if (const uint64_t now = ObsNow(); now != 0) {
     session->start_ns = now;
     session->last_round_ns = now;
-    if (!session->opaque()) {
-      session->kind_idx = static_cast<uint8_t>(session->spec.protocol);
-      session->codec_idx =
-          session->spec.params.wire_codec == WireCodec::kSparse ? 1 : 0;
-    }
+    session->kind_idx = static_cast<uint8_t>(session->spec.protocol);
+    session->codec_idx =
+        session->spec.params.wire_codec == WireCodec::kSparse ? 1 : 0;
     if (tracer_.armed()) {
       tracer_.Record(session->id, obs::TracePhase::kSession, true, now,
                      session->spec.trace_id);
     }
   }
-  if (session->opaque()) {
-    RunOpaqueSession(session);
-    return;
-  }
-  session->started = true;
   switch (session->spec.role) {
     case SessionRole::kBoth:
       session->task = session->protocol->ReconcileAsync(
@@ -735,8 +705,6 @@ void SyncService::FinalizeSession(Session* session,
   if (outcome.ok()) {
     ++stats_.sessions_completed;
     result.status = Status::Ok();
-    // For opaque sessions RunOpaqueSession already filled stats from the
-    // channel totals; protocol sessions report their own.
     result.stats = outcome.value().stats;
     if (options_.keep_recovered) {
       result.recovered = std::move(outcome.value().recovered);
@@ -755,24 +723,16 @@ void SyncService::FinalizeSession(Session* session,
   if (const uint64_t now = ObsNow(); now != 0 && session->start_ns != 0) {
     const uint64_t latency = now - session->start_ns;
     if (options_.metrics) {
-      if (session->opaque()) {
-        metrics_.opaque_session_latency.Record(latency);
-      } else {
-        metrics_.session_latency[session->kind_idx][session->codec_idx]
-            .Record(latency);
-      }
+      metrics_.session_latency[session->kind_idx][session->codec_idx].Record(
+          latency);
     }
     if (tracer_.armed()) {
       tracer_.Record(session->id, obs::TracePhase::kSession, false, now,
                      session->spec.trace_id);
       char label[32];
-      if (session->opaque()) {
-        std::snprintf(label, sizeof label, "opaque");
-      } else {
-        std::snprintf(label, sizeof label, "%s/%s",
-                      SsrProtocolKindName(session->spec.protocol),
-                      session->codec_idx != 0 ? "sparse" : "dense");
-      }
+      std::snprintf(label, sizeof label, "%s/%s",
+                    SsrProtocolKindName(session->spec.protocol),
+                    session->codec_idx != 0 ? "sparse" : "dense");
       tracer_.OnSessionEnd(session->id, session->spec.trace_id, latency,
                            label, stderr);
     }
@@ -795,7 +755,6 @@ void SyncService::FinalizeSession(Session* session,
     finished->protocol = nullptr;
     finished->spec = SessionSpec{};
     finished->channel.Reset();
-    finished->started = false;
     finished->ops_pending = 0;
     finished->start_ns = 0;
     finished->last_round_ns = 0;

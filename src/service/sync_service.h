@@ -51,21 +51,14 @@ std::unique_ptr<SetsOfSetsProtocol> MakeSsrProtocol(SsrProtocolKind kind,
 /// recovering side.
 enum class SessionRole { kBoth, kAliceHalf, kBobHalf };
 
-/// One reconciliation job. Three shapes:
-///
-///  * Steppable set-of-sets session: `alice`/`bob` set, driven through the
-///    per-party protocol coroutines round-by-round with sketch builds
-///    deferred into the cross-session batch planner.
-///  * Half session (role != kBoth): only one party's coroutine runs here,
-///    against a remote peer (see SessionRole).
-///  * Opaque session: any reconciliation expressible as a blocking run over
-///    a Channel (graph, forest, shingle-collection workloads). It executes
-///    in a single step; it shares the service's scheduling, stats and
-///    on_send but not the batch planner.
+/// One set-of-sets reconciliation job, driven through the per-party
+/// protocol coroutines round-by-round with sketch builds deferred into the
+/// cross-session batch planner. A kBoth session runs both parties here
+/// (`alice` and `bob` set); a half session (role != kBoth) runs only one
+/// party's coroutine, against a remote peer (see SessionRole).
 struct SessionSpec {
   std::string label;
 
-  // --- steppable set-of-sets session ---
   SsrProtocolKind protocol = SsrProtocolKind::kNaive;
   SsrParams params;
   SessionRole role = SessionRole::kBoth;
@@ -76,15 +69,11 @@ struct SessionSpec {
   std::shared_ptr<const SetOfSets> bob;
   std::optional<size_t> known_d;
 
-  // --- opaque session (set when alice/bob are null) ---
-  std::function<Status(Channel*)> opaque;
-
   /// Optional send hook, called on the shard's driving thread with every
   /// locally sent protocol message, in transcript order. kBoth sessions
   /// report the full transcript; half sessions only the local party's
-  /// messages — exactly the bytes a remote peer must be shown. An opaque
-  /// session reports its whole transcript when it completes. The net pump
-  /// frames each message straight into the session's connection.
+  /// messages — exactly the bytes a remote peer must be shown. The net
+  /// pump frames each message straight into the session's connection.
   std::function<void(const Channel::Message&)> on_send;
 
   /// Client-propagated trace context (from the hello; 0 = untraced). The
@@ -99,9 +88,11 @@ struct SessionResult {
   std::string label;
   Status status;
   /// rounds/bytes from the session channel; attempts from the protocol
-  /// (0 for opaque sessions).
+  /// (0 for failed sessions, and for Alice half sessions, whose recovery
+  /// runs at the remote Bob).
   SsrStats stats;
-  /// Bob's recovery (set sessions, when options.keep_recovered).
+  /// Bob's recovery (kBoth and Bob half sessions, when
+  /// options.keep_recovered).
   SetOfSets recovered;
   /// Order-sensitive hash of the full transcript (sender, label, payload
   /// per message) when options.hash_transcripts — the shard-count
@@ -176,11 +167,9 @@ struct SyncServiceOptions {
   /// Slow-session tracing: a session whose end-to-end latency reaches this
   /// threshold dumps its span tree to stderr, once. 0 disables the slow
   /// dump (the net pump may still arm trace capture for TRACE? — see
-  /// SessionTracer::EnableCapture).
+  /// SessionTracer::EnableCapture). Whichever arms the tracer, the shard's
+  /// ring holds obs::kTraceRingCapacity events.
   uint64_t trace_slow_ns = 0;
-  /// Per-shard trace-event ring capacity (used when trace_slow_ns > 0 or
-  /// when the pump arms capture).
-  size_t trace_ring_capacity = 4096;
 };
 
 /// Appends the service-layer exposition — the metric registry's histograms
@@ -395,7 +384,6 @@ class SyncService {
   /// scheduler queue.
   void CollectReadyReceives(Session* session);
   void FinalizeSession(Session* session, Result<SsrOutcome> outcome);
-  void RunOpaqueSession(Session* session);
   /// Moves local lease waiters for `key` onto the scheduler queue.
   void WakeLease(uint64_t key);
   std::shared_ptr<const SetsOfSetsProtocol> ProtocolFor(

@@ -64,7 +64,8 @@ TEST(IbltBatchTest, ByteBatchMatchesPerKeyInsertAcrossWidthsAndSizes) {
 
 TEST(IbltBatchTest, U64BatchMatchesPerKeyInsert) {
   for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    for (size_t d : {0ul, 1ul, 10ul, 1000ul}) {
+    for (size_t d : {0ul, 1ul, 10ul, 1000ul,
+                     kShardedBatchMinKeysDefault + 1000}) {
       IbltConfig config = IbltConfig::ForDifference(d, seed);
       Rng rng(seed * 11 + d);
       std::vector<uint64_t> keys(d);
@@ -144,27 +145,6 @@ TEST(IbltBatchTest, ScratchAdaptsAcrossConfigs) {
       EXPECT_EQ(out.entries.positive.size(), d);
     }
   }
-}
-
-TEST(IbltBatchTest, ShardedBatchMatchesSerialBatch) {
-  // Force the std::thread-sharded path (the batch is above
-  // kShardedBatchMinKeys) and pin the worker count so the test exercises
-  // real sharding even on single-core machines.
-  const size_t n = Iblt::kShardedBatchMinKeys + 1000;
-  IbltConfig config = IbltConfig::ForDifference(n / 8, 77);
-  Rng rng(99);
-  std::vector<uint64_t> keys(n);
-  for (auto& k : keys) k = rng.NextU64();
-
-  Iblt serial(config);
-  for (uint64_t k : keys) serial.InsertU64(k);
-
-  Iblt::sharded_workers_for_test = 4;
-  Iblt sharded(config);
-  sharded.InsertBatch(keys);
-  Iblt::sharded_workers_for_test = 0;
-
-  EXPECT_EQ(SerializedBytes(serial), SerializedBytes(sharded));
 }
 
 TEST(IbltBatchTest, SubtractAndAddRejectMismatchedConfigs) {

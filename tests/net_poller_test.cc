@@ -288,10 +288,12 @@ TEST(MultiPumpRouting, NewConnectionsAvoidTheLoadedShard) {
   ShardedSyncService service(service_options);
 
   // Pin synthetic load on shard 0: sessions submitted but never stepped.
+  const auto empty = std::make_shared<const SetOfSets>();
   for (int i = 0; i < 4; ++i) {
     SessionSpec spec;
     spec.label = "ballast";
-    spec.opaque = [](Channel*) { return Status::Ok(); };
+    spec.alice = empty;
+    spec.bob = empty;
     service.shard(0)->Submit(std::move(spec));
   }
   ASSERT_EQ(service.LoadOf(0).total(), 4u);

@@ -276,50 +276,5 @@ TEST(ServiceCacheEquivalence, MixedCodecSessionsNeverCrossReplay) {
   }
 }
 
-TEST(ServiceOpaqueSessions, RunAlongsideSteppableOnes) {
-  SsrWorkloadSpec spec;
-  spec.num_children = 12;
-  spec.child_size = 8;
-  spec.changes = 2;
-  spec.seed = 7;
-  SsrWorkload w = MakeSsrWorkload(spec);
-
-  SsrParams params;
-  params.max_child_size = spec.child_size + spec.changes + 2;
-  params.seed = 77;
-
-  SyncService service;
-  SessionSpec steppable;
-  steppable.label = "sets";
-  steppable.protocol = SsrProtocolKind::kNaive;
-  steppable.params = params;
-  steppable.alice = std::make_shared<SetOfSets>(w.alice);
-  steppable.bob = std::make_shared<SetOfSets>(w.bob);
-  steppable.known_d = w.applied_changes;
-  service.Submit(std::move(steppable));
-
-  SessionSpec opaque;
-  opaque.label = "opaque";
-  opaque.opaque = [](Channel* channel) {
-    channel->Send(Party::kAlice, {1, 2, 3}, "blob");
-    channel->Send(Party::kBob, {4}, "ack");
-    return Status::Ok();
-  };
-  service.Submit(std::move(opaque));
-  service.RunToCompletion();
-
-  std::vector<SessionResult> results = service.TakeResults();
-  ASSERT_EQ(results.size(), 2u);
-  for (const SessionResult& r : results) {
-    EXPECT_TRUE(r.status.ok()) << r.label << ": " << r.status.ToString();
-    if (r.label == "opaque") {
-      EXPECT_EQ(r.stats.rounds, 2u);
-      EXPECT_EQ(r.stats.bytes, 4u);
-    } else {
-      EXPECT_EQ(r.recovered, Canonicalize(w.alice));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace setrec

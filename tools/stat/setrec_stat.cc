@@ -174,7 +174,7 @@ Result<obs::MergedTimeline> ProbeOnce(const ConnectSpec& spec,
                                       SsrProtocolKind kind, uint64_t trace_id,
                                       size_t* server_trace_count) {
   obs::SessionTracer tracer;
-  tracer.EnableCapture(4096);
+  tracer.EnableCapture(obs::kTraceRingCapacity);
   Result<SsrOutcome> outcome = net_demo::RunDemoClientSessionTraced(
       spec.host, spec.port, kind, /*index=*/1, trace_id, &tracer);
   if (!outcome.ok()) return outcome.status();

@@ -66,13 +66,17 @@ Result<AttemptResult> CollectionAttempt(const SetOfSets& alice,
   // Round A (Alice -> Bob): parent fingerprint + outer table.
   Iblt outer(outer_config);
   std::map<uint64_t, const ChildSet*> alice_by_fp;
+  std::vector<uint64_t> alice_fps;
+  alice_fps.reserve(alice.size());
   for (const ChildSet& doc : alice) {
     uint64_t fp = ChildFingerprint(doc, fp_family);
     alice_by_fp[fp] = &doc;
+    alice_fps.push_back(fp);
     outer.Insert(EncodeChildIbltBlob(doc, child_config, fp));
   }
   ByteWriter wa;
-  wa.PutU64(ParentFingerprint(alice, fp_family));
+  // ParentFingerprint(alice), from the child fingerprints in hand.
+  wa.PutU64(SetFingerprint(alice_fps, fp_family));
   outer.Serialize(&wa);
   size_t msg_a = channel->Send(Party::kAlice, wa.Take(), "shingles-outer");
 

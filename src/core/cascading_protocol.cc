@@ -122,11 +122,12 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
       {kAttemptTag, d, d_hat, seed, h,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    writer->PutU64(ParentFingerprint(alice, fp_family));
     std::vector<uint64_t> fps(alice.size());
     for (size_t i = 0; i < alice.size(); ++i) {
       fps[i] = ChildFingerprint(alice[i], fp_family);
     }
+    // ParentFingerprint(alice), from the child fingerprints in hand.
+    writer->PutU64(SetFingerprint(fps, fp_family));
     AttemptTables built;  // This attempt's tables, kept only when sparse.
     for (size_t level = 0; level < plan.t; ++level) {
       ByteWriter packed;
@@ -247,7 +248,23 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   std::vector<IbltKeyView> partner_blobs;
   std::vector<IbltFixedRank> order;
 
-  for (size_t level = 0; level < plan.t; ++level) {
+  // The fingerprints of the parent Bob would assemble now: his children not
+  // known to differ, then the ones recovered. Once they make Alice's parent
+  // fingerprint, every later table (Alice's children minus these) is
+  // empty, so the remaining levels and T* cannot change the result.
+  std::vector<uint64_t> parent_fps;
+  parent_fps.reserve(bob.size() + d_hat);
+  auto parent_matches = [&] {
+    parent_fps.clear();
+    for (size_t j = 0; j < bob.size(); ++j) {
+      if (!in_db[j]) parent_fps.push_back(bob_fps[j]);
+    }
+    parent_fps.insert(parent_fps.end(), da_fps.begin(), da_fps.end());
+    return SetFingerprint(parent_fps, fp_family) == alice_parent_fp;
+  };
+  bool matched = false;
+
+  for (size_t level = 0; level < plan.t && !matched; ++level) {
     const IbltConfig& child_config = plan.child_configs[level];
     const size_t blob_width = plan.outer_configs[level].key_width;
     Iblt& outer = outer_tables[level];
@@ -307,9 +324,10 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
       da.push_back(std::move(child).value());
       da_fps.push_back(fingerprint);
     }
+    matched = parent_matches();
   }
 
-  if (plan.has_star) {
+  if (plan.has_star && !matched) {
     Iblt star = std::move(star_table).value();
     const size_t blob_width = plan.star_config.key_width;
     ByteWriter star_packed;

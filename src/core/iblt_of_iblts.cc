@@ -60,7 +60,8 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
     Iblt outer(configs.outer);
     ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
     co_await ctx->FlushBuilds();
-    writer->PutU64(ParentFingerprint(alice, fp_family));
+    // ParentFingerprint(alice), from the child fingerprints in hand.
+    writer->PutU64(SetFingerprint(fps, fp_family));
     outer.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
   };

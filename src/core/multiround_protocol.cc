@@ -81,7 +81,8 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
     Iblt ta(fp_config);
     ctx->QueueInsertU64(&ta, alice_fps.data(), alice_fps.size());
     co_await ctx->FlushBuilds();
-    writer->PutU64(ParentFingerprint(alice, fp_family));
+    // ParentFingerprint(alice), from the child fingerprints in hand.
+    writer->PutU64(SetFingerprint(alice_fps, fp_family));
     // A retry whose fingerprint config repeats resends only changed cells
     // (today each attempt folds the trial into the seed, so this mostly
     // degrades to a full frame; the lineage hook makes any same-config

@@ -80,11 +80,33 @@ std::pair<uint64_t, uint64_t> HashFamily::HashBytesPair(const HashFamily& a,
 }
 // LINT(end)
 
+bool CpuHasAvx512() {
+#if defined(__x86_64__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0 &&
+           __builtin_cpu_supports("avx512dq") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
+}
+
+uint64_t HashU64SumScalar(const uint64_t* elements, size_t n,
+                          const HashFamily& family) {
+  uint64_t sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += family.HashU64(elements[i]);
+  return sum;
+}
+
 uint64_t SetFingerprint(const std::vector<uint64_t>& elements,
                         const HashFamily& family) {
-  uint64_t sum = 0;
-  for (uint64_t e : elements) sum += family.HashU64(e);
-  return sum + Mix64(family.seed() ^ (elements.size() * 0x51ed2701eb0aa3ddull));
+  const size_t n = elements.size();
+  const uint64_t sum = CpuHasAvx512()
+                           ? HashU64SumAvx512(elements.data(), n, family)
+                           : HashU64SumScalar(elements.data(), n, family);
+  return sum + Mix64(family.seed() ^ (n * 0x51ed2701eb0aa3ddull));
 }
 
 }  // namespace setrec

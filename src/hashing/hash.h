@@ -120,14 +120,37 @@ class HashFamily {
   uint64_t seed_;
 };
 
+/// True when this CPU, and the OS on it, run AVX-512F and AVX-512DQ code.
+/// Decided once per process by __builtin_cpu_supports, which also checks
+/// that the OS saves the vector registers; always false off x86-64.
+/// SetFingerprint and the child-sketch writer
+/// (IbltCellDerivation::WriteFixedU64) run their AVX-512 bodies when it
+/// is true and their scalar bodies otherwise. There is no option to force
+/// either: the two bodies give the same bits.
+bool CpuHasAvx512();
+
 /// Order-invariant 64-bit fingerprint of a multiset of 64-bit elements:
 /// sum of per-element mixes plus a mixed size term. Summation (rather than
 /// XOR) makes the fingerprint sensitive to element multiplicity, so the same
 /// function serves sets and multisets (Section 3.4). This is the "hash of
 /// each of the sets" the paper's protocols use to ward against checksum
 /// failures and to identify which child set an encoding belongs to.
+///
+/// The element sum, Σ family.HashU64(e) mod 2^64, has two bodies:
+/// HashU64SumScalar, one element at a time, and HashU64SumAvx512, eight
+/// lanes per instruction. The body is chosen by CPU (CpuHasAvx512). A sum
+/// mod 2^64 does not depend on the order of its terms, so the fingerprint
+/// does not depend on which body ran. The scalar body is the reference,
+/// and it stays tested on AVX-512 hosts.
 uint64_t SetFingerprint(const std::vector<uint64_t>& elements,
                         const HashFamily& family);
+
+/// The two bodies of SetFingerprint's element sum over elements[0, n).
+/// HashU64SumAvx512 requires CpuHasAvx512(); it reads no element past n.
+uint64_t HashU64SumScalar(const uint64_t* elements, size_t n,
+                          const HashFamily& family);
+uint64_t HashU64SumAvx512(const uint64_t* elements, size_t n,
+                          const HashFamily& family);
 
 }  // namespace setrec
 

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <thread>
 
+#include "hashing/hash.h"
 #include "hashing/random.h"
 
 namespace setrec {
@@ -137,45 +138,68 @@ IbltCellDerivation::IbltCellDerivation(const IbltConfig& config)
       num_hashes_(config.num_hashes),
       sketch_check_width_(static_cast<int>(config.SketchCheckWidth())) {}
 
+void IbltCellDerivation::BlockStepScalar(const uint64_t* keys, size_t n,
+                                         int first, int count,
+                                         BlockHashes* out) const {
+  // The stores into `out` may alias a member read through `this`; a local
+  // copy keeps the derivation in registers (see the class comment).
+  const IbltCellDerivation derivation = *this;
+  // LINT(alloc-free) — the reference block step, and the one hosts
+  // without AVX-512 run for every child sketch.
+  for (size_t j = 0; j < n; ++j) {
+    const KeyHashes h = derivation.HashU64(keys[j]);
+    out->checks[j] = h.check;
+    for (int i = 0; i < count; ++i) {
+      out->cells[i][j] = derivation.Cell(h.bucket, first + i);
+    }
+  }
+  // LINT(end)
+}
+
 namespace {
 
-// WriteFixedU64 for a checksum of sizeof(Check) bytes. Every store below is
-// a raw byte store, which may alias any object: the derivation is read from a
-// local copy, whose address never escapes.
+// WriteFixedU64 for a checksum of sizeof(Check) bytes. Every cell update
+// below is a raw byte store, which may alias any object, so the update loop
+// reads only locals and the block step's output, never the derivation.
 template <typename Check>
-void WriteSketchU64(const IbltCellDerivation& table_derivation,
-                    const uint64_t* keys, size_t n, size_t cells,
-                    uint8_t* out) {
-  using KeyHashes = IbltCellDerivation::KeyHashes;
-  const IbltCellDerivation derivation = table_derivation;
+void WriteSketchU64(const IbltCellDerivation& derivation, const uint64_t* keys,
+                    size_t n, size_t cells, bool avx512, uint8_t* out) {
+  constexpr size_t kBlockKeys = IbltCellDerivation::kBlockKeys;
+  constexpr int kBlockHashes = IbltCellDerivation::kBlockHashes;
   const int k = derivation.num_hashes();
   uint8_t* const counts = out;
   uint8_t* const checks = out + cells;
   uint8_t* const lanes = checks + cells * sizeof(Check);
-  KeyHashes hashes[Iblt::kSmallBatchMaxKeys];
+  IbltCellDerivation::BlockHashes hashes;
   // LINT(alloc-free) — writes every child sketch the set-of-sets protocols
   // pack, on both parties, at every attempt and level.
-  for (size_t first = 0; first < n; first += Iblt::kSmallBatchMaxKeys) {
-    const size_t block = std::min(n - first, Iblt::kSmallBatchMaxKeys);
+  for (size_t first = 0; first < n; first += kBlockKeys) {
+    const size_t block = std::min(n - first, kBlockKeys);
     const uint64_t* block_keys = keys + first;
-    for (size_t j = 0; j < block; ++j) {
-      hashes[j] = derivation.HashU64(block_keys[j]);
-    }
-    // Partition by partition, as ApplyPartitionRange does.
-    for (int i = 0; i < k; ++i) {
-      for (size_t j = 0; j < block; ++j) {
-        const size_t cell = derivation.Cell(hashes[j].bucket, i);
-        uint8_t* check_at = checks + cell * sizeof(Check);
-        uint8_t* lane_at = lanes + cell * 8;
-        Check check;
-        uint64_t lane;
-        std::memcpy(&check, check_at, sizeof(Check));
-        std::memcpy(&lane, lane_at, 8);
-        counts[cell] = static_cast<uint8_t>(counts[cell] + 1);
-        check ^= static_cast<Check>(hashes[j].check);
-        lane ^= block_keys[j];
-        std::memcpy(check_at, &check, sizeof(Check));
-        std::memcpy(lane_at, &lane, 8);
+    for (int group = 0; group < k; group += kBlockHashes) {
+      const int count = std::min(k - group, kBlockHashes);
+      if (avx512) {
+        derivation.BlockStepAvx512(block_keys, block, group, count, &hashes);
+      } else {
+        derivation.BlockStepScalar(block_keys, block, group, count, &hashes);
+      }
+      // Partition by partition, as ApplyPartitionRange does.
+      for (int i = 0; i < count; ++i) {
+        const size_t* block_cells = hashes.cells[i];
+        for (size_t j = 0; j < block; ++j) {
+          const size_t cell = block_cells[j];
+          uint8_t* check_at = checks + cell * sizeof(Check);
+          uint8_t* lane_at = lanes + cell * 8;
+          Check check;
+          uint64_t lane;
+          std::memcpy(&check, check_at, sizeof(Check));
+          std::memcpy(&lane, lane_at, 8);
+          counts[cell] = static_cast<uint8_t>(counts[cell] + 1);
+          check ^= static_cast<Check>(hashes.checks[j]);
+          lane ^= block_keys[j];
+          std::memcpy(check_at, &check, sizeof(Check));
+          std::memcpy(lane_at, &lane, 8);
+        }
       }
     }
   }
@@ -188,15 +212,16 @@ void IbltCellDerivation::WriteFixedU64(const uint64_t* keys, size_t n,
                                        uint8_t* out) const {
   assert(key_width_ == 8);
   const size_t cells = cells_per_hash_ * static_cast<size_t>(num_hashes_);
+  const bool avx512 = CpuHasAvx512();
   switch (sketch_check_width_) {
     case 2:
-      WriteSketchU64<uint16_t>(*this, keys, n, cells, out);
+      WriteSketchU64<uint16_t>(*this, keys, n, cells, avx512, out);
       return;
     case 4:
-      WriteSketchU64<uint32_t>(*this, keys, n, cells, out);
+      WriteSketchU64<uint32_t>(*this, keys, n, cells, avx512, out);
       return;
     default:
-      WriteSketchU64<uint64_t>(*this, keys, n, cells, out);
+      WriteSketchU64<uint64_t>(*this, keys, n, cells, avx512, out);
       return;
   }
 }

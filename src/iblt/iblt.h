@@ -324,11 +324,40 @@ class IbltCellDerivation {
   /// count, its truncated checksum and its value into its k cells in
   /// place, each field one load and one store of its own width. Equal to
   /// Iblt(config) with InsertBatch(keys, n), its counts taken mod 256 and
-  /// its checksums truncated, with no table: keys are hashed in stack
-  /// blocks of Iblt::kSmallBatchMaxKeys, so the writer never allocates.
-  /// This is how the set-of-sets protocols pack child sketches
-  /// (AppendChildIbltBlobs in core/encoding.h). Requires key_width == 8.
+  /// its checksums truncated, with no table, and it never allocates. For
+  /// each stack block of up to kBlockKeys keys, a block step first
+  /// computes every key's check and cells (BlockHashes), then the cell
+  /// updates run partition by partition. The block step has two bodies,
+  /// chosen by CPU (CpuHasAvx512 in hashing/hash.h): BlockStepScalar and
+  /// BlockStepAvx512. They compute the same values, so the bytes do not
+  /// depend on which body ran; the scalar body is the reference, and it
+  /// stays tested on AVX-512 hosts. This is how the set-of-sets protocols
+  /// pack child sketches (AppendChildIbltBlobs in core/encoding.h).
+  /// Requires key_width == 8.
   void WriteFixedU64(const uint64_t* keys, size_t n, uint8_t* out) const;
+
+  /// Keys per block step (Iblt::kSmallBatchMaxKeys), and hash indices per
+  /// block step: WriteFixedU64 covers a larger k in groups of kBlockHashes.
+  static constexpr size_t kBlockKeys = 128;
+  static constexpr int kBlockHashes = 8;
+
+  /// One block step's output: checks[j] is key j's check hash, and
+  /// cells[i][j] is its cell under hash index first + i.
+  struct BlockHashes {
+    uint64_t checks[kBlockKeys];
+    size_t cells[kBlockHashes][kBlockKeys];
+  };
+
+  /// The two bodies of WriteFixedU64's block step. For keys[0, n), with
+  /// n <= kBlockKeys, each writes HashU64(key).check to out->checks and
+  /// Cell(HashU64(key).bucket, first + i) to out->cells[i], for i < count,
+  /// count <= kBlockHashes. Entries past n are unspecified. The scalar
+  /// body does that key by key; BlockStepAvx512 does it for eight keys per
+  /// instruction, requires CpuHasAvx512() and reads no key past n.
+  void BlockStepScalar(const uint64_t* keys, size_t n, int first, int count,
+                       BlockHashes* out) const;
+  void BlockStepAvx512(const uint64_t* keys, size_t n, int first, int count,
+                       BlockHashes* out) const;
 
   int num_hashes() const { return num_hashes_; }
 
@@ -641,7 +670,7 @@ class Iblt {
   /// instead of a heap vector, keeping small batched updates
   /// allocation-free; IbltCellDerivation::WriteFixedU64 hashes in stack
   /// blocks of this size.
-  static constexpr size_t kSmallBatchMaxKeys = 128;
+  static constexpr size_t kSmallBatchMaxKeys = IbltCellDerivation::kBlockKeys;
 
   /// Test hook: when > 0, a sharded ApplyOps pass uses exactly this many
   /// workers regardless of std::thread::hardware_concurrency(), so the

@@ -8,9 +8,9 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <memory>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "core/build_context.h"
 #include "core/task.h"
@@ -119,19 +119,23 @@ class StreamPartyContext final : public InlineContext {
 /// the oversized frame and the query returns kParseError).
 constexpr size_t kMaxAdminReplyBytes = 4u << 20;
 
+/// Bytes per read() of a client's socket. The buffer is one uninitialized
+/// allocation per session: read() fills what the decoder is fed.
+constexpr size_t kReadChunkBytes = 64u << 10;
+
 Result<std::string> QueryAdminOverFd(int fd, const Channel::Message& query,
                                      const char* reply_label) {
   if (Status s = WriteFrameToFd(fd, query); !s.ok()) return s;
   FrameDecoder decoder(kMaxAdminReplyBytes);
-  std::vector<uint8_t> buf(64u << 10);
+  const auto buf = std::make_unique_for_overwrite<uint8_t[]>(kReadChunkBytes);
   for (;;) {
-    ssize_t n = ::read(fd, buf.data(), buf.size());
+    ssize_t n = ::read(fd, buf.get(), kReadChunkBytes);
     if (n == 0) return Unavailable("peer closed before the admin reply");
     if (n < 0) {
       if (errno == EINTR) continue;
       return Unavailable(std::string("read: ") + strerror(errno));
     }
-    decoder.Feed(buf.data(), static_cast<size_t>(n));
+    decoder.Feed(buf.get(), static_cast<size_t>(n));
     Channel::Message message;
     while (decoder.Next(&message)) {
       if (message.label == reply_label) {
@@ -205,14 +209,14 @@ Result<SsrOutcome> RunBobHalfOverFd(const SetsOfSetsProtocol& protocol,
   // instrumentation gap — the merged timeline's coverage measures real
   // untraced work, not scheduler luck.
   FrameDecoder decoder;
-  std::vector<uint8_t> buf(64u << 10);
+  const auto buf = std::make_unique_for_overwrite<uint8_t[]>(kReadChunkBytes);
   if (!task.Done()) ctx.Record(obs::TracePhase::kRecvWait, /*enter=*/true);
   while (!task.Done()) {
     if (!ctx.write_status().ok()) {
       ctx.CancelReceives();
       return ctx.write_status();
     }
-    ssize_t n = ::read(fd, buf.data(), buf.size());
+    ssize_t n = ::read(fd, buf.get(), kReadChunkBytes);
     if (n == 0) {
       ctx.CancelReceives();
       return Unavailable("peer closed the connection mid-protocol");
@@ -222,7 +226,7 @@ Result<SsrOutcome> RunBobHalfOverFd(const SetsOfSetsProtocol& protocol,
       ctx.CancelReceives();
       return Unavailable(std::string("read: ") + strerror(errno));
     }
-    decoder.Feed(buf.data(), static_cast<size_t>(n));
+    decoder.Feed(buf.get(), static_cast<size_t>(n));
     Channel::Message message;
     bool delivered = false;
     while (decoder.Next(&message)) {

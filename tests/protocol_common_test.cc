@@ -355,7 +355,9 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
   // child would show in its slot), a small one, one of more than
   // Iblt::kSmallBatchMaxKeys elements (two hash blocks), keys that collide
   // in one cell, and 1,200 keys, whose counts pass 255 in small tables.
-  // The configs span checksums of 2, 4 and 8 bytes.
+  // The sizes cover every remainder mod 8 (the vector body's lane count),
+  // inside one block and in a second block's tail. The configs span
+  // checksums of 2, 4 and 8 bytes.
   Rng rng(2024);
   auto random_child = [&rng](size_t n) {
     ChildSet child(n);
@@ -364,6 +366,7 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
     return child;
   };
   std::set<size_t> check_widths;
+  std::set<size_t> remainders;
   bool wrapped = false;
   for (int k : {3, 4, 5, 8}) {
     for (size_t cells :
@@ -373,13 +376,25 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
       config.num_hashes = k;
       config.seed = 99 + cells;
       check_widths.insert(config.SketchCheckWidth());
-      const SetOfSets children = {random_child(40), {}, random_child(3),
+      const SetOfSets children = {random_child(40),
+                                  {},
+                                  random_child(3),
                                   random_child(Iblt::kSmallBatchMaxKeys + 72),
                                   CollidingChild(config, 4),
-                                  random_child(1200)};
-      wrapped = wrapped || MaxCellCount(children.back(), config) > 255;
-      const std::vector<uint64_t> fps = {0x1111, 0x2222, 0x3333, 0x4444,
-                                         0x5555, 0x6666};
+                                  random_child(1200),
+                                  random_child(1),
+                                  random_child(2),
+                                  random_child(5),
+                                  random_child(6),
+                                  random_child(7),
+                                  random_child(65),
+                                  random_child(Iblt::kSmallBatchMaxKeys + 7)};
+      wrapped = wrapped || MaxCellCount(children[5], config) > 255;
+      std::vector<uint64_t> fps;
+      for (const ChildSet& child : children) {
+        remainders.insert(child.size() % 8);
+        fps.push_back(0x1111 * (fps.size() + 1));
+      }
       SCOPED_TRACE("k=" + std::to_string(k) +
                    " cells=" + std::to_string(cells));
       std::vector<uint8_t> expected = {0xee};  // Packing appends.
@@ -397,6 +412,7 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
     }
   }
   EXPECT_EQ(check_widths, (std::set<size_t>{2, 4, 8}));
+  EXPECT_EQ(remainders.size(), 8u);
   EXPECT_TRUE(wrapped);
 }
 

@@ -25,6 +25,12 @@
 //                    scratch's next decode. Storing one in a class member
 //                    outlives the borrow; only src/iblt/iblt.h (the
 //                    defining header and the arena itself) may do so.
+//   simd-outside-kernel
+//                    x86 intrinsic headers, vector types and intrinsics,
+//                    and target attributes only in the files named for
+//                    them (kSimdKernelFiles). Elsewhere they would run
+//                    without the CpuHasAvx512() dispatch, or grow a second
+//                    body with no scalar twin to test it against.
 //
 // Annotation vocabulary (see docs/ANALYSIS.md):
 //   // LINT(alloc-free)        begin an allocation-free region
@@ -377,6 +383,36 @@ void CheckRawPoll(const SourceFile& f, std::vector<Violation>* out) {
   }
 }
 
+// Vector code lives in the files named for it: the shared eight-lane mixers
+// and the two AVX-512 bodies, each run only after CpuHasAvx512()
+// (hashing/hash.h) and each tested against its scalar body.
+const char* const kSimdKernelFiles[] = {
+    "src/hashing/mix_avx512.h",
+    "src/hashing/hash_avx512.cc",
+    "src/iblt/iblt_avx512.cc",
+};
+
+void CheckSimdOutsideKernel(const SourceFile& f, std::vector<Violation>* out) {
+  for (const char* path : kSimdKernelFiles) {
+    if (f.rel_path == path) return;
+  }
+  // String contents are blanked in the code mirror, but their quotes stay,
+  // which is what pins target("...") to the attribute form.
+  static const std::regex kSimd(
+      R"(#\s*include\s*<\w*intrin\.h>|\b__m(128|256|512)\w*)"
+      R"(|\b_mm(256|512)?_\w+|\btarget(_clones)?\s*\(\s*")");
+  for (size_t i = 0; i < f.code.size(); ++i) {
+    if (LineAllows(f.raw[i], "simd-outside-kernel")) continue;
+    if (std::regex_search(f.code[i], kSimd)) {
+      out->push_back({f.rel_path, i + 1, "simd-outside-kernel",
+                      "SIMD intrinsics or a target attribute outside the "
+                      "kernel files; put vector code in a body beside its "
+                      "scalar twin, chosen by CpuHasAvx512() (see "
+                      "hashing/mix_avx512.h)"});
+    }
+  }
+}
+
 // Tracks whether each `{` opens a class/struct body, so member declarations
 // can be told apart from locals and parameters.
 void CheckViewMembers(const SourceFile& f, std::vector<Violation>* out) {
@@ -436,6 +472,7 @@ void LintFile(const SourceFile& f, std::vector<Violation>* out) {
   CheckClockInRegions(f, out);
   CheckFormatInRegions(f, out);
   CheckRawPoll(f, out);
+  CheckSimdOutsideKernel(f, out);
   CheckViewMembers(f, out);
 }
 

@@ -176,13 +176,16 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
 
   std::vector<Plan> plans;
   size_t total_estimated = 0;
+  // One merge buffer for every (Alice child, Bob child) pair: copy
+  // assignment reuses its vectors' capacity.
+  L0Estimator merged(est_params);
   for (size_t a = 0; a < alice_diff_fps_rx.size(); ++a) {
     const uint64_t fp = alice_diff_fps_rx[a];
     const ChildSet& child = alice[alice_diff_children[a]];
     uint64_t best_partner = kNoPartner;
     uint64_t best_estimate = ~0ull;
     for (size_t j = 0; j < bob_estimators.size(); ++j) {
-      L0Estimator merged = bob_estimators[j];
+      merged = bob_estimators[j];
       if (!merged.Merge(mine_ests[a]).ok()) continue;
       uint64_t estimate = merged.Estimate();
       if (estimate < best_estimate) {

@@ -121,16 +121,19 @@ uint64_t L0Estimator::EstimateReplica(int replica) const {
 }
 
 uint64_t L0Estimator::Estimate() const {
-  std::vector<uint64_t> estimates;
-  estimates.reserve(static_cast<size_t>(params_.replicas));
-  for (int r = 0; r < params_.replicas; ++r) {
-    estimates.push_back(EstimateReplica(r));
+  // The replicas' estimates sit in a stack array, or on the heap above
+  // kStackReplicas replicas, so the usual estimate never allocates.
+  constexpr size_t kStackReplicas = 16;
+  const size_t count = static_cast<size_t>(params_.replicas);
+  uint64_t stack_estimates[kStackReplicas] = {};
+  std::vector<uint64_t> heap_estimates(count > kStackReplicas ? count : 0);
+  uint64_t* estimates =
+      count > kStackReplicas ? heap_estimates.data() : stack_estimates;
+  for (size_t r = 0; r < count; ++r) {
+    estimates[r] = EstimateReplica(static_cast<int>(r));
   }
-  std::nth_element(
-      estimates.begin(),
-      estimates.begin() + static_cast<std::ptrdiff_t>(estimates.size() / 2),
-      estimates.end());
-  return estimates[estimates.size() / 2];
+  std::nth_element(estimates, estimates + count / 2, estimates + count);
+  return estimates[count / 2];
 }
 
 void L0Estimator::Serialize(ByteWriter* writer) const {

@@ -85,7 +85,8 @@ bool CpuHasAvx512() {
   static const bool has = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f") != 0 &&
-           __builtin_cpu_supports("avx512dq") != 0;
+           __builtin_cpu_supports("avx512dq") != 0 &&
+           __builtin_cpu_supports("avx512bw") != 0;
   }();
   return has;
 #else

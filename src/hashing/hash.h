@@ -120,13 +120,14 @@ class HashFamily {
   uint64_t seed_;
 };
 
-/// True when this CPU, and the OS on it, run AVX-512F and AVX-512DQ code.
+/// True when this CPU, and the OS on it, run AVX-512F, AVX-512DQ and
+/// AVX-512BW code (BW for the byte and word masks of the IBLT bodies).
 /// Decided once per process by __builtin_cpu_supports, which also checks
 /// that the OS saves the vector registers; always false off x86-64.
-/// SetFingerprint and the child-sketch writer
-/// (IbltCellDerivation::WriteFixedU64) run their AVX-512 bodies when it
-/// is true and their scalar bodies otherwise. There is no option to force
-/// either: the two bodies give the same bits.
+/// SetFingerprint, every IBLT batch (Iblt::InsertBatch/EraseBatch) and the
+/// child-sketch writer (IbltCellDerivation::WriteFixedU64) run their
+/// AVX-512 bodies when it is true and their scalar bodies otherwise. There
+/// is no option to force either: the two bodies give the same bits.
 bool CpuHasAvx512();
 
 /// Order-invariant 64-bit fingerprint of a multiset of 64-bit elements:

@@ -2,14 +2,15 @@
 #define SETREC_HASHING_MIX_AVX512_H_
 
 // Eight-lane AVX-512F/DQ forms of the hashing/hash.h mixers, shared by the
-// AVX-512 bodies of SetFingerprint (hashing/hash_avx512.cc) and of the
-// child-sketch writer's block step (iblt/iblt_avx512.cc). Each function
-// computes, in every 64-bit lane, exactly what its scalar namesake computes:
-// the arithmetic is the same wrapping 64-bit multiply, add, xor, shift and
-// rotate, so the bytes never depend on which body ran.
+// AVX-512 bodies of SetFingerprint (hashing/hash_avx512.cc) and of the IBLT
+// block step, batch loop and child-sketch writer (iblt/iblt_avx512.cc).
+// Each function computes, in every 64-bit lane, exactly what its scalar
+// namesake computes: the arithmetic is the same wrapping 64-bit multiply,
+// add, xor, shift and rotate, so the bytes never depend on which body ran.
 //
-// Every function carries its own target attribute, so this header compiles
-// in any translation unit without -mavx512f; only the two bodies call it,
+// Every function carries its own target attribute (F, DQ and BW: the BW
+// byte and word masks serve the IBLT bodies), so this header compiles in
+// any translation unit without -mavx512f; only the two bodies call it,
 // after CpuHasAvx512() (hashing/hash.h) said yes. This file and the two
 // bodies are the only places setrec_lint's simd-outside-kernel rule admits
 // intrinsics.
@@ -30,7 +31,8 @@
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 
-#define SETREC_AVX512_TARGET __attribute__((target("avx512f,avx512dq")))
+#define SETREC_AVX512_TARGET \
+  __attribute__((target("avx512f,avx512dq,avx512bw")))
 
 namespace setrec::avx512 {
 
@@ -65,6 +67,15 @@ SETREC_AVX512_TARGET inline __m512i HashWord8Premixed(uint64_t seed,
   h = _mm512_add_epi64(_mm512_mullo_epi64(h, Splat(kPrime1)), Splat(kPrime2));
   h = _mm512_xor_si512(h, Splat(setrec::Mix64(kPrime2)));
   return Mix64(h);
+}
+
+/// One step of HashFamily::HashBytes's chain (hashing/hash.cc) in each
+/// lane: h ^= mixed_lane, rotate left by 27, then h * kPrime1 + kPrime2.
+SETREC_AVX512_TARGET inline __m512i BytesChainStep(__m512i h,
+                                                   __m512i mixed_lane) {
+  h = _mm512_rol_epi64(_mm512_xor_si512(h, mixed_lane), 27);
+  return _mm512_add_epi64(_mm512_mullo_epi64(h, Splat(0x9e3779b185ebca87ull)),
+                          Splat(0xc2b2ae3d27d4eb4full));
 }
 
 /// The high 64 bits of each lane's 128-bit product a * b, from four 32-bit

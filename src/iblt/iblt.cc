@@ -138,16 +138,17 @@ IbltCellDerivation::IbltCellDerivation(const IbltConfig& config)
       num_hashes_(config.num_hashes),
       sketch_check_width_(static_cast<int>(config.SketchCheckWidth())) {}
 
-void IbltCellDerivation::BlockStepScalar(const uint64_t* keys, size_t n,
+void IbltCellDerivation::BlockStepScalar(const uint8_t* keys, size_t n,
                                          int first, int count,
                                          BlockHashes* out) const {
   // The stores into `out` may alias a member read through `this`; a local
   // copy keeps the derivation in registers (see the class comment).
   const IbltCellDerivation derivation = *this;
+  const size_t w = key_width_;
   // LINT(alloc-free) — the reference block step, and the one hosts
-  // without AVX-512 run for every child sketch.
+  // without AVX-512 run for every batch and child sketch.
   for (size_t j = 0; j < n; ++j) {
-    const KeyHashes h = derivation.HashU64(keys[j]);
+    const KeyHashes h = derivation.Hash(keys + j * w);
     out->checks[j] = h.check;
     for (int i = 0; i < count; ++i) {
       out->cells[i][j] = derivation.Cell(h.bucket, first + i);
@@ -158,9 +159,10 @@ void IbltCellDerivation::BlockStepScalar(const uint64_t* keys, size_t n,
 
 namespace {
 
-// WriteFixedU64 for a checksum of sizeof(Check) bytes. Every cell update
-// below is a raw byte store, which may alias any object, so the update loop
-// reads only locals and the block step's output, never the derivation.
+// The writer for a checksum of sizeof(Check) bytes, on either block step.
+// Every cell update below is a raw byte store, which may alias any object,
+// so the update loop reads only locals and the block step's output, never
+// the derivation.
 template <typename Check>
 void WriteSketchU64(const IbltCellDerivation& derivation, const uint64_t* keys,
                     size_t n, size_t cells, bool avx512, uint8_t* out) {
@@ -176,14 +178,15 @@ void WriteSketchU64(const IbltCellDerivation& derivation, const uint64_t* keys,
   for (size_t first = 0; first < n; first += kBlockKeys) {
     const size_t block = std::min(n - first, kBlockKeys);
     const uint64_t* block_keys = keys + first;
+    const auto* block_bytes = reinterpret_cast<const uint8_t*>(block_keys);
     for (int group = 0; group < k; group += kBlockHashes) {
       const int count = std::min(k - group, kBlockHashes);
       if (avx512) {
-        derivation.BlockStepAvx512(block_keys, block, group, count, &hashes);
+        derivation.BlockStepAvx512(block_bytes, block, group, count, &hashes);
       } else {
-        derivation.BlockStepScalar(block_keys, block, group, count, &hashes);
+        derivation.BlockStepScalar(block_bytes, block, group, count, &hashes);
       }
-      // Partition by partition, as ApplyPartitionRange does.
+      // Partition by partition, as Iblt::ApplyBatch does.
       for (int i = 0; i < count; ++i) {
         const size_t* block_cells = hashes.cells[i];
         for (size_t j = 0; j < block; ++j) {
@@ -206,24 +209,52 @@ void WriteSketchU64(const IbltCellDerivation& derivation, const uint64_t* keys,
   // LINT(end)
 }
 
+void WriteSketch(const IbltCellDerivation& derivation, const uint64_t* keys,
+                 size_t n, size_t cells, size_t check_width, bool avx512,
+                 uint8_t* out) {
+  switch (check_width) {
+    case 2:
+      WriteSketchU64<uint16_t>(derivation, keys, n, cells, avx512, out);
+      return;
+    case 4:
+      WriteSketchU64<uint32_t>(derivation, keys, n, cells, avx512, out);
+      return;
+    default:
+      WriteSketchU64<uint64_t>(derivation, keys, n, cells, avx512, out);
+      return;
+  }
+}
+
 }  // namespace
 
 void IbltCellDerivation::WriteFixedU64(const uint64_t* keys, size_t n,
                                        uint8_t* out) const {
+  if (CpuHasAvx512()) {
+    WriteFixedU64Avx512(keys, n, out);
+  } else {
+    WriteFixedU64Scalar(keys, n, out);
+  }
+}
+
+void IbltCellDerivation::WriteFixedU64Scalar(const uint64_t* keys, size_t n,
+                                             uint8_t* out) const {
   assert(key_width_ == 8);
   const size_t cells = cells_per_hash_ * static_cast<size_t>(num_hashes_);
-  const bool avx512 = CpuHasAvx512();
-  switch (sketch_check_width_) {
-    case 2:
-      WriteSketchU64<uint16_t>(*this, keys, n, cells, avx512, out);
-      return;
-    case 4:
-      WriteSketchU64<uint32_t>(*this, keys, n, cells, avx512, out);
-      return;
-    default:
-      WriteSketchU64<uint64_t>(*this, keys, n, cells, avx512, out);
-      return;
+  WriteSketch(*this, keys, n, cells, static_cast<size_t>(sketch_check_width_),
+              /*avx512=*/false, out);
+}
+
+void IbltCellDerivation::WriteFixedU64Avx512(const uint64_t* keys, size_t n,
+                                             uint8_t* out) const {
+  assert(key_width_ == 8);
+  const size_t cells = cells_per_hash_ * static_cast<size_t>(num_hashes_);
+  if (cells <= kRegisterCells && num_hashes_ <= kBlockHashes &&
+      sketch_check_width_ == 2) {
+    WriteRegistersAvx512(keys, n, out);
+    return;
   }
+  WriteSketch(*this, keys, n, cells, static_cast<size_t>(sketch_check_width_),
+              /*avx512=*/true, out);
 }
 
 Iblt::Iblt(const IbltConfig& config)
@@ -255,22 +286,24 @@ void Iblt::EraseU64(uint64_t key) {
 }
 
 void Iblt::InsertBatch(const uint64_t* keys, size_t n) {
-  ApplyBatchU64(keys, n, +1);
+  assert(config_.key_width == 8);
+  ApplyBatch(reinterpret_cast<const uint8_t*>(keys), n, +1);
 }
 void Iblt::InsertBatch(const std::vector<uint64_t>& keys) {
-  ApplyBatchU64(keys.data(), keys.size(), +1);
+  InsertBatch(keys.data(), keys.size());
 }
 void Iblt::InsertBatch(const uint8_t* keys, size_t n) {
-  ApplyBatchBytes(keys, n, +1);
+  ApplyBatch(keys, n, +1);
 }
 void Iblt::EraseBatch(const uint64_t* keys, size_t n) {
-  ApplyBatchU64(keys, n, -1);
+  assert(config_.key_width == 8);
+  ApplyBatch(reinterpret_cast<const uint8_t*>(keys), n, -1);
 }
 void Iblt::EraseBatch(const std::vector<uint64_t>& keys) {
-  ApplyBatchU64(keys.data(), keys.size(), -1);
+  EraseBatch(keys.data(), keys.size());
 }
 void Iblt::EraseBatch(const uint8_t* keys, size_t n) {
-  ApplyBatchBytes(keys, n, -1);
+  ApplyBatch(keys, n, -1);
 }
 
 // The cell updates below read the derivation, the key width and the arena
@@ -359,11 +392,11 @@ void Iblt::ApplyOps(const ApplyOp* ops, size_t count,
     // there is no worker to share the staging with.
     for (size_t i = 0; i < count; ++i) {
       const ApplyOp& op = ops[i];
-      if (op.u64_keys != nullptr) {
-        op.table->ApplyBatchU64(op.u64_keys, op.n, op.delta);
-      } else {
-        op.table->ApplyBatchBytes(op.byte_keys, op.n, op.delta);
-      }
+      op.table->ApplyBatch(
+          op.u64_keys != nullptr
+              ? reinterpret_cast<const uint8_t*>(op.u64_keys)
+              : op.byte_keys,
+          op.n, op.delta);
     }
     return;
   }
@@ -414,36 +447,53 @@ void Iblt::ApplyOps(const ApplyOp* ops, size_t count,
   for (std::thread& t : threads) t.join();
 }
 
-void Iblt::ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta) {
-  assert(config_.key_width == 8);
-  if (n == 0) return;
-  // Small batches (the per-child sketches of the set-of-sets protocols)
-  // hash into a stack buffer so batched updates stay allocation-free.
-  KeyHashes stack_hashes[kSmallBatchMaxKeys];
-  std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
-  KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes
-                                              : heap_hashes.data();
-  // n > 0, so a do-while: GCC's -Wmaybe-uninitialized cannot see that a
-  // for loop writes the stack buffer before ApplyPartitionRange reads it.
-  size_t j = 0;
-  do {
-    hashes[j] = derivation_.HashU64(keys[j]);
-  } while (++j < n);
-  ApplyPartitionRange(hashes, keys, nullptr, n, delta, 0, 1);
-}
-
-void Iblt::ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta) {
-  if (n == 0) return;
-  KeyHashes stack_hashes[kSmallBatchMaxKeys];
-  std::vector<KeyHashes> heap_hashes(n <= kSmallBatchMaxKeys ? 0 : n);
-  KeyHashes* hashes = n <= kSmallBatchMaxKeys ? stack_hashes
-                                              : heap_hashes.data();
+void Iblt::ApplyBatch(const uint8_t* keys, size_t n, int32_t delta) {
+  constexpr size_t kBlockKeys = IbltCellDerivation::kBlockKeys;
+  constexpr int kBlockHashes = IbltCellDerivation::kBlockHashes;
+  const IbltCellDerivation derivation = derivation_;
   const size_t w = config_.key_width;
-  size_t j = 0;
-  do {
-    hashes[j] = derivation_.Hash(keys + j * w);
-  } while (++j < n);
-  ApplyPartitionRange(hashes, nullptr, keys, n, delta, 0, 1);
+  const size_t lanes_per_key = lanes_per_key_;
+  const int k = derivation.num_hashes();
+  const bool avx512 = CpuHasAvx512();
+  IbltCellMeta* meta = meta_.data();
+  uint64_t* lanes = key_lanes_.data();
+  IbltCellDerivation::BlockHashes hashes;
+  // LINT(alloc-free) — every InsertBatch/EraseBatch: outer tables of child
+  // blobs, star and fingerprint tables, strata and set-reconciler tables.
+  for (size_t first = 0; first < n; first += kBlockKeys) {
+    const size_t block = std::min(n - first, kBlockKeys);
+    const uint8_t* block_keys = keys + first * w;
+    for (int group = 0; group < k; group += kBlockHashes) {
+      const int count = std::min(k - group, kBlockHashes);
+      if (avx512) {
+        derivation.BlockStepAvx512(block_keys, block, group, count, &hashes);
+      } else {
+        derivation.BlockStepScalar(block_keys, block, group, count, &hashes);
+      }
+      if (avx512 && w != 8) {
+        UpdateCellsAvx512(hashes, count, block_keys, block, w, lanes_per_key,
+                          delta, meta, lanes);
+        continue;
+      }
+      // Partition by partition: each pass stays inside one m/k-cell window.
+      for (int i = 0; i < count; ++i) {
+        const size_t* block_cells = hashes.cells[i];
+        for (size_t j = 0; j < block; ++j) {
+          const size_t cell = block_cells[j];
+          meta[cell].count += delta;
+          meta[cell].check ^= hashes.checks[j];
+          if (w == 8) {
+            uint64_t key;
+            std::memcpy(&key, block_keys + 8 * j, 8);
+            lanes[cell] ^= key;
+          } else {
+            XorKeyScalar(lanes + cell * lanes_per_key, block_keys + j * w, w);
+          }
+        }
+      }
+    }
+  }
+  // LINT(end)
 }
 
 Status Iblt::Subtract(const Iblt& other) {

@@ -320,26 +320,41 @@ class IbltCellDerivation {
 
   /// Writes the child-sketch form (IbltConfig::SketchSize) of the table of
   /// this config that holds exactly the `n` 8-byte keys, into `out`, which
-  /// must be config.SketchSize() ZERO bytes: each key adds one to the
-  /// count, its truncated checksum and its value into its k cells in
-  /// place, each field one load and one store of its own width. Equal to
-  /// Iblt(config) with InsertBatch(keys, n), its counts taken mod 256 and
-  /// its checksums truncated, with no table, and it never allocates. For
-  /// each stack block of up to kBlockKeys keys, a block step first
-  /// computes every key's check and cells (BlockHashes), then the cell
-  /// updates run partition by partition. The block step has two bodies,
-  /// chosen by CPU (CpuHasAvx512 in hashing/hash.h): BlockStepScalar and
-  /// BlockStepAvx512. They compute the same values, so the bytes do not
-  /// depend on which body ran; the scalar body is the reference, and it
-  /// stays tested on AVX-512 hosts. This is how the set-of-sets protocols
-  /// pack child sketches (AppendChildIbltBlobs in core/encoding.h).
-  /// Requires key_width == 8.
+  /// must be config.SketchSize() ZERO bytes. Equal to Iblt(config) with
+  /// InsertBatch(keys, n), its counts taken mod 256 and its checksums
+  /// truncated, with no table, and it never allocates. This is how the
+  /// set-of-sets protocols pack child sketches (AppendChildIbltBlobs in
+  /// core/encoding.h). Requires key_width == 8.
+  ///
+  /// Two bodies, chosen by CPU (CpuHasAvx512 in hashing/hash.h):
+  ///  * WriteFixedU64Scalar: for each stack block of up to kBlockKeys keys,
+  ///    BlockStepScalar computes every key's check and cells, then the
+  ///    cell updates run partition by partition, each key adding one to
+  ///    the count, its truncated checksum and its value into its k cells
+  ///    in place, each field one load and one store of its own width.
+  ///  * WriteFixedU64Avx512: the same with BlockStepAvx512, except for
+  ///    configs of at most kRegisterCells cells, k <= kBlockHashes and a
+  ///    2-byte check (most child sketches): there the counts, checks and
+  ///    key lanes accumulate in vector registers, each key's k cells
+  ///    become one bit mask that drives masked adds and XORs, and the
+  ///    three sections are stored once at the end.
+  /// Both write the same bytes, so a child blob does not depend on which
+  /// body ran; the scalar body is the reference, and it stays tested on
+  /// AVX-512 hosts. WriteFixedU64Avx512 requires CpuHasAvx512().
   void WriteFixedU64(const uint64_t* keys, size_t n, uint8_t* out) const;
+  void WriteFixedU64Scalar(const uint64_t* keys, size_t n,
+                           uint8_t* out) const;
+  void WriteFixedU64Avx512(const uint64_t* keys, size_t n,
+                           uint8_t* out) const;
 
   /// Keys per block step (Iblt::kSmallBatchMaxKeys), and hash indices per
-  /// block step: WriteFixedU64 covers a larger k in groups of kBlockHashes.
+  /// block step: a larger k is covered in groups of kBlockHashes.
   static constexpr size_t kBlockKeys = 128;
   static constexpr int kBlockHashes = 8;
+  /// The most cells WriteFixedU64Avx512 keeps in registers: one byte lane
+  /// per count and one word lane per check fit a 64-byte vector each, and
+  /// the key lanes four 8-lane vectors.
+  static constexpr size_t kRegisterCells = 32;
 
   /// One block step's output: checks[j] is key j's check hash, and
   /// cells[i][j] is its cell under hash index first + i.
@@ -348,20 +363,34 @@ class IbltCellDerivation {
     size_t cells[kBlockHashes][kBlockKeys];
   };
 
-  /// The two bodies of WriteFixedU64's block step. For keys[0, n), with
-  /// n <= kBlockKeys, each writes HashU64(key).check to out->checks and
-  /// Cell(HashU64(key).bucket, first + i) to out->cells[i], for i < count,
-  /// count <= kBlockHashes. Entries past n are unspecified. The scalar
-  /// body does that key by key; BlockStepAvx512 does it for eight keys per
-  /// instruction, requires CpuHasAvx512() and reads no key past n.
-  void BlockStepScalar(const uint64_t* keys, size_t n, int first, int count,
+  /// The two bodies of the block step that every IBLT batch (Iblt's
+  /// InsertBatch and EraseBatch) and the child-sketch writer run. For the
+  /// n <= kBlockKeys keys packed at key_width bytes each from `keys` (an
+  /// array of 64-bit keys is the key_width == 8 case), each writes
+  /// Hash(key).check to out->checks and Cell(Hash(key).bucket, first + i)
+  /// to out->cells[i], for i < count, count <= kBlockHashes. Entries past
+  /// n are unspecified. The scalar body does that key by key.
+  /// BlockStepAvx512 does it for eight keys per instruction: 8-byte keys
+  /// from one load per eight keys, wider keys from 64-byte loads, one per
+  /// key, transposed in registers so that lane l holds key l's next 8
+  /// bytes, with HashBytesPair's lane mixes and both chains run in
+  /// vectors. It reduces a power-of-two partition width m/k with a mask,
+  /// which equals the scalar body's remainder. It requires CpuHasAvx512()
+  /// and reads no byte past the n-th key.
+  void BlockStepScalar(const uint8_t* keys, size_t n, int first, int count,
                        BlockHashes* out) const;
-  void BlockStepAvx512(const uint64_t* keys, size_t n, int first, int count,
+  void BlockStepAvx512(const uint8_t* keys, size_t n, int first, int count,
                        BlockHashes* out) const;
 
   int num_hashes() const { return num_hashes_; }
+  size_t key_width() const { return key_width_; }
 
  private:
+  /// WriteFixedU64Avx512's register body (iblt_avx512.cc), for configs of
+  /// at most kRegisterCells cells, k <= kBlockHashes and a 2-byte check.
+  void WriteRegistersAvx512(const uint64_t* keys, size_t n,
+                            uint8_t* out) const;
+
   HashFamily bucket_;
   HashFamily check_;
   size_t key_width_;
@@ -471,13 +500,19 @@ class Iblt {
   void Erase(const std::vector<uint8_t>& key);
   void EraseU64(uint64_t key);
 
-  /// Batched insertion/deletion on the caller's thread. The whole block of
-  /// keys is hashed first, then cell updates are applied grouped by
-  /// partition (all partition-0 cells, then partition-1, ...), which keeps
-  /// each pass inside one contiguous m/k-cell window of the arrays.
+  /// Batched insertion/deletion on the caller's thread, in stack blocks of
+  /// kSmallBatchMaxKeys keys: the derivation's block step hashes a block
+  /// and computes its cells (in groups of kBlockHashes hash indices), then
+  /// cell updates are applied grouped by partition (all partition-0 cells,
+  /// then partition-1, ...), which keeps each pass inside one contiguous
+  /// m/k-cell window of the arrays. The block step and the updates have a
+  /// scalar and an AVX-512 body, chosen by CPU (CpuHasAvx512); the AVX-512
+  /// updates XOR a key wider than 8 bytes into its cell 64 bytes at a time
+  /// and touch no byte past key_width. Both bodies give the same table.
   /// Requires key_width == 8 for the u64 overloads; the byte overloads
   /// take `n` keys packed contiguously at key_width bytes each. Result is
-  /// identical to n single-key Insert/Erase calls.
+  /// identical to n single-key Insert/Erase calls, and no batch
+  /// allocates.
   void InsertBatch(const uint64_t* keys, size_t n);
   void InsertBatch(const std::vector<uint64_t>& keys);
   void InsertBatch(const uint8_t* keys, size_t n);
@@ -666,10 +701,10 @@ class Iblt {
   static void ApplyOps(const ApplyOp* ops, size_t count,
                        const IbltBatchOptions& options, ApplyScratch* scratch);
 
-  /// Batches up to this size hash into a stack buffer (16 bytes per key)
-  /// instead of a heap vector, keeping small batched updates
-  /// allocation-free; IbltCellDerivation::WriteFixedU64 hashes in stack
-  /// blocks of this size.
+  /// Keys per stack block of InsertBatch/EraseBatch and of
+  /// IbltCellDerivation::WriteFixedU64 (IbltCellDerivation::kBlockKeys):
+  /// a batch of any size is hashed and applied one block at a time, so no
+  /// batch stages its hashes on the heap.
   static constexpr size_t kSmallBatchMaxKeys = IbltCellDerivation::kBlockKeys;
 
   /// Test hook: when > 0, a sharded ApplyOps pass uses exactly this many
@@ -724,12 +759,20 @@ class Iblt {
     return reinterpret_cast<const uint8_t*>(CellLanes(cell));
   }
 
-  /// The batch internals. ApplyBatchU64/ApplyBatchBytes hash a block of
-  /// keys and apply all of it on the calling thread; ApplyPartitionRange
-  /// applies partition indices {first_index, first_index + index_step, ...}
-  /// of a hashed block (only a sharded ApplyOps pass steps above 1).
-  void ApplyBatchU64(const uint64_t* keys, size_t n, int32_t delta);
-  void ApplyBatchBytes(const uint8_t* keys, size_t n, int32_t delta);
+  /// The batch internals. ApplyBatch is every InsertBatch/EraseBatch: one
+  /// loop over stack blocks of keys packed at key_width bytes, each run
+  /// through the block step and then applied partition by partition, on
+  /// the calling thread. UpdateCellsAvx512 is the AVX-512 body of those
+  /// updates for keys wider than 8 bytes (iblt_avx512.cc).
+  /// ApplyPartitionRange applies partition indices {first_index,
+  /// first_index + index_step, ...} of keys hashed per key into a sharded
+  /// ApplyOps pass's staging.
+  void ApplyBatch(const uint8_t* keys, size_t n, int32_t delta);
+  static void UpdateCellsAvx512(const IbltCellDerivation::BlockHashes& hashes,
+                                int count, const uint8_t* keys, size_t n,
+                                size_t key_width, size_t lanes_per_key,
+                                int32_t delta, IbltCellMeta* meta,
+                                uint64_t* lanes);
   void ApplyPartitionRange(const KeyHashes* hashes, const uint64_t* u64_keys,
                            const uint8_t* byte_keys, size_t n, int32_t delta,
                            int first_index, int index_step);

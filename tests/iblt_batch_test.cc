@@ -39,8 +39,12 @@ std::vector<uint8_t> RandomPackedKeys(size_t n, size_t width, uint64_t seed) {
 }
 
 TEST(IbltBatchTest, ByteBatchMatchesPerKeyInsertAcrossWidthsAndSizes) {
+  // 64-bit keys, narrower and wider keys around every word and 64-byte
+  // boundary (the AVX-512 batch body XORs keys 64 bytes at a time), and
+  // child-blob widths. The per-key Insert is the scalar reference.
   for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    for (size_t width : {8ul, 36ul}) {  // 64-bit keys and a blob-ish width.
+    for (size_t width : {1ul, 7ul, 8ul, 9ul, 15ul, 16ul, 17ul, 36ul, 63ul,
+                         64ul, 65ul, 140ul, 1504ul}) {
       for (size_t d : {0ul, 1ul, 10ul, 1000ul}) {
         IbltConfig config = IbltConfig::ForDifference(d, seed, width);
         std::vector<uint8_t> packed = RandomPackedKeys(d, width, seed * 7 + d);
@@ -54,9 +58,13 @@ TEST(IbltBatchTest, ByteBatchMatchesPerKeyInsertAcrossWidthsAndSizes) {
         EXPECT_EQ(SerializedBytes(per_key), SerializedBytes(batched))
             << "seed=" << seed << " width=" << width << " d=" << d;
 
-        // Batched erase must cancel the batched insert exactly.
+        // Batched erase must cancel the batched insert exactly, and the
+        // per-key insert too: a batch that touched a byte past key_width
+        // in a cell's zero padding would leave it set.
         batched.EraseBatch(packed.data(), d);
         EXPECT_TRUE(batched.IsZero());
+        per_key.EraseBatch(packed.data(), d);
+        EXPECT_TRUE(per_key.IsZero());
       }
     }
   }

@@ -357,7 +357,8 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
   // in one cell, and 1,200 keys, whose counts pass 255 in small tables.
   // The sizes cover every remainder mod 8 (the vector body's lane count),
   // inside one block and in a second block's tail. The configs span
-  // checksums of 2, 4 and 8 bytes.
+  // checksums of 2, 4 and 8 bytes, and cell counts on both sides of the
+  // AVX-512 writer's register body (at most 32 cells).
   Rng rng(2024);
   auto random_child = [&rng](size_t n) {
     ChildSet child(n);
@@ -369,8 +370,9 @@ TEST(ChildIbltBlobTest, WriterMatchesTablePath) {
   std::set<size_t> remainders;
   bool wrapped = false;
   for (int k : {3, 4, 5, 8}) {
-    for (size_t cells :
-         {size_t{8}, size_t{16}, size_t{24}, size_t{136}, size_t{300}}) {
+    for (size_t cells : {size_t{8}, size_t{12}, size_t{16}, size_t{20},
+                         size_t{24}, size_t{28}, size_t{32}, size_t{33},
+                         size_t{136}, size_t{300}}) {
       IbltConfig config;
       config.cells = cells;
       config.num_hashes = k;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "charpoly/gf.h"
 #include "charpoly/poly.h"
@@ -92,15 +91,26 @@ Result<SetDifference> CharPolyReconciler::DecodeDifference(
 
   // Sanity: recovered elements must be in range, local_only must really be
   // local, and sizes must reconcile. These catch an underestimated bound
-  // that slipped past the linear-factor certificate.
-  std::unordered_set<uint64_t> local(local_set.begin(), local_set.end());
+  // that slipped past the linear-factor certificate. Membership is a binary
+  // search: in local_set itself when it is sorted (a canonical child always
+  // is), else in a sorted copy.
+  std::vector<uint64_t> sorted_copy;
+  const std::vector<uint64_t>* local = &local_set;
+  if (!std::is_sorted(local_set.begin(), local_set.end())) {
+    sorted_copy = local_set;
+    std::sort(sorted_copy.begin(), sorted_copy.end());
+    local = &sorted_copy;
+  }
+  const auto is_local = [local](uint64_t e) {
+    return std::binary_search(local->begin(), local->end(), e);
+  };
   for (uint64_t e : diff.remote_only) {
-    if (e > gf::kMaxElement || local.count(e) > 0) {
+    if (e > gf::kMaxElement || is_local(e)) {
       return VerificationFailure("recovered remote-only element implausible");
     }
   }
   for (uint64_t e : diff.local_only) {
-    if (local.count(e) == 0) {
+    if (!is_local(e)) {
       return VerificationFailure("recovered local-only element not local");
     }
   }

@@ -88,7 +88,10 @@ void Poly::DivMod(const Poly& divisor, Poly* quotient, Poly* remainder) const {
   assert(!divisor.IsZero());
   std::vector<uint64_t> rem = coeffs_;
   int dd = divisor.Degree();
-  uint64_t lead_inv = gf::Inv(divisor.LeadingCoeff());
+  // A monic divisor (every PolyPowMod and root-splitting modulus) needs no
+  // field inverse.
+  const uint64_t lead = divisor.LeadingCoeff();
+  const uint64_t lead_inv = lead == 1 ? 1 : gf::Inv(lead);
   std::vector<uint64_t> quot;
   if (Degree() >= dd) quot.assign(static_cast<size_t>(Degree() - dd) + 1, 0);
   for (int i = Degree(); i >= dd; --i) {
@@ -112,7 +115,7 @@ Poly Poly::Mod(const Poly& divisor) const {
 }
 
 Poly Poly::Monic() const {
-  if (IsZero()) return Poly();
+  if (IsZero() || LeadingCoeff() == 1) return *this;
   return MulScalar(gf::Inv(LeadingCoeff()));
 }
 

@@ -42,10 +42,12 @@ class Poly {
   Poly Sub(const Poly& other) const;
   Poly Mul(const Poly& other) const;
   Poly MulScalar(uint64_t c) const;
-  /// Quotient and remainder; divisor must be nonzero.
+  /// Quotient and remainder; divisor must be nonzero. A monic divisor
+  /// costs no field inverse (any other costs one gf::Inv).
   void DivMod(const Poly& divisor, Poly* quotient, Poly* remainder) const;
   Poly Mod(const Poly& divisor) const;
-  /// Scales so the leading coefficient is 1 (zero stays zero).
+  /// Scales so the leading coefficient is 1 (zero stays zero); a monic
+  /// polynomial is returned as it is, with no field inverse.
   Poly Monic() const;
   /// Formal derivative.
   Poly Derivative() const;

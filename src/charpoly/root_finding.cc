@@ -66,6 +66,12 @@ Result<std::vector<uint64_t>> FindRoots(const Poly& f, uint64_t seed) {
   int deg = monic.Degree();
   std::vector<uint64_t> roots;
   if (deg == 0) return roots;
+  if (deg == 1) {
+    // x + c always splits: its root -c is in the field, so by Fermat
+    // x^p - x vanishes there and the certificate below cannot fail.
+    roots.push_back(gf::Neg(monic.Coeff(0)));
+    return roots;
+  }
 
   // Certify "product of distinct linear factors": f | x^p - x exactly when
   // f is squarefree with all roots in the field. Compute x^p mod f, then

@@ -16,7 +16,9 @@ namespace setrec {
 /// linear-factors property, then split recursively with random
 /// (x + a)^((p-1)/2) - 1 gcds. Returns kVerificationFailure if f is not a
 /// product of distinct linear factors (this is how an underestimated
-/// difference bound d is detected). `seed` drives the randomized splitting.
+/// difference bound d is detected). A degree-1 f always splits, so its
+/// root is returned with no certificate. `seed` drives the randomized
+/// splitting.
 Result<std::vector<uint64_t>> FindRoots(const Poly& f, uint64_t seed);
 
 }  // namespace setrec

@@ -176,23 +176,27 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
 
   std::vector<Plan> plans;
   size_t total_estimated = 0;
-  // One merge buffer for every (Alice child, Bob child) pair: copy
-  // assignment reuses its vectors' capacity.
-  L0Estimator merged(est_params);
+  // Every (Alice child, Bob child) pair is estimated straight from the two
+  // estimators' words, each replica's corrected estimate read from one
+  // table built here.
+  const L0Estimator::Corrections corrections(est_params);
   for (size_t a = 0; a < alice_diff_fps_rx.size(); ++a) {
     const uint64_t fp = alice_diff_fps_rx[a];
     const ChildSet& child = alice[alice_diff_children[a]];
     uint64_t best_partner = kNoPartner;
     uint64_t best_estimate = ~0ull;
+    // LINT(alloc-free) — the partner search, one pair estimate per
+    // (Alice child, Bob child) pair.
     for (size_t j = 0; j < bob_estimators.size(); ++j) {
-      merged = bob_estimators[j];
-      if (!merged.Merge(mine_ests[a]).ok()) continue;
-      uint64_t estimate = merged.Estimate();
-      if (estimate < best_estimate) {
-        best_estimate = estimate;
+      Result<uint64_t> estimate =
+          mine_ests[a].PairEstimate(bob_estimators[j], corrections);
+      if (!estimate.ok()) continue;
+      if (estimate.value() < best_estimate) {
+        best_estimate = estimate.value();
         best_partner = j;
       }
     }
+    // LINT(end)
     size_t d_i =
         best_partner == kNoPartner
             ? child.size() + 1

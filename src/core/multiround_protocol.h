@@ -14,11 +14,14 @@ namespace setrec {
 ///  2. Bob sends, for each of his differing children, a compact l0
 ///     set-difference estimator of its elements (Theorem 3.1).
 ///  3. Alice matches each of her differing children to the most similar of
-///     Bob's (smallest estimated difference d_i) and sends a per-child
-///     payload: a characteristic-polynomial transcript when d_i < sqrt(d)
-///     (Theorem 2.3), an O(d_i)-cell IBLT for larger differences
-///     (Corollary 2.2), or the raw child when it is small enough that
-///     sketching would cost more.
+///     Bob's (smallest estimated difference d_i, the first such on a tie)
+///     and sends a per-child payload: a characteristic-polynomial
+///     transcript when d_i < sqrt(d) (Theorem 2.3), an O(d_i)-cell IBLT for
+///     larger differences (Corollary 2.2), or the raw child when it is
+///     small enough that sketching would cost more. Each pair's estimate
+///     is L0Estimator::PairEstimate: one pass over the two estimators'
+///     words with no merged copy, each replica's corrected estimate read
+///     from one table built per attempt.
 ///  4. Bob applies each payload to the matched child and verifies per-child
 ///     and whole-parent fingerprints.
 ///

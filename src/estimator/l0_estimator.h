@@ -1,6 +1,7 @@
 #ifndef SETREC_ESTIMATOR_L0_ESTIMATOR_H_
 #define SETREC_ESTIMATOR_L0_ESTIMATOR_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -19,8 +20,10 @@ namespace setrec {
 ///  * Counters are stored as 3-bit fields (one always-zero padding bit), so
 ///    Merge is word-parallel: add the raw words, then mask the padding bits
 ///    — exactly the word-RAM trick described in Appendix A.
-///  * The estimate is derived from the deepest level whose count of nonzero
-///    buckets exceeds a threshold (8, as in Appendix A / KNW'10); when no
+///  * The estimate is derived from the deepest level whose count c of
+///    nonzero buckets exceeds a threshold (8, as in Appendix A / KNW'10).
+///    Only that level is corrected for bucket collisions, to
+///    -B·log1p(-c/B)·2^(level+1) with B buckets (c capped at B-1). When no
 ///    level reaches the threshold, the levels partition the difference, so
 ///    summing nonzero buckets across levels is (near) exact.
 ///  * Replicated kReplicas times; Estimate() returns the median.
@@ -43,6 +46,29 @@ class L0Estimator {
     uint64_t seed = 0;
   };
 
+  /// The replica estimate of every (level, count) pair for estimators of
+  /// one Params: the exact values Estimate() computes for a replica whose
+  /// deepest level past the threshold is `level`, with `count` nonzero
+  /// buckets there. Built once for a run of PairEstimate calls, so that no
+  /// pair makes a libm call.
+  class Corrections {
+   public:
+    explicit Corrections(const Params& params);
+    uint64_t operator()(int level, uint64_t count) const {
+      return table_[static_cast<size_t>(level) * buckets_ +
+                    std::min<uint64_t>(count, buckets_ - 1)];
+    }
+    bool BuiltFor(const Params& params) const {
+      return params.buckets_per_level == buckets_ &&
+             params.num_levels == num_levels_;
+    }
+
+   private:
+    size_t buckets_;
+    int num_levels_;
+    std::vector<uint64_t> table_;
+  };
+
   explicit L0Estimator(const Params& params);
 
   /// Adds x to side 1 or side 2.
@@ -58,6 +84,14 @@ class L0Estimator {
   /// Median-of-replicas constant-factor estimate of |S1 ⊕ S2|.
   uint64_t Estimate() const;
 
+  /// Estimate() of this estimator merged with `other`, read from both
+  /// estimators' words in one pass (each pair of words added and masked as
+  /// Merge does), with no merged copy. `corrections` must be built from the
+  /// same Params. Rejects mismatched params as Merge does, and never
+  /// allocates with at most 16 replicas.
+  Result<uint64_t> PairEstimate(const L0Estimator& other,
+                                const Corrections& corrections) const;
+
   void Serialize(ByteWriter* writer) const;
   static Result<L0Estimator> Deserialize(ByteReader* reader,
                                          const Params& params);
@@ -69,10 +103,11 @@ class L0Estimator {
   /// Raw storage words for (replica, level).
   size_t LevelOffset(int replica, int level) const;
   void UpdateReplica(int replica, uint64_t x, uint64_t add);
-  uint64_t EstimateReplica(int replica) const;
+  bool SameParams(const Params& other) const;
 
   Params params_;
   size_t words_per_level_;
+  uint64_t bucket_reciprocal_;  // ModReciprocal(buckets_per_level).
   std::vector<uint64_t> words_;
   std::vector<uint64_t> replica_seeds_;
 };

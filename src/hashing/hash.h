@@ -25,6 +25,24 @@ inline uint64_t Mod61(__uint128_t x) {
   return r;
 }
 
+/// M = floor(2^64 / d) for d > 1 (0 otherwise), the reciprocal that
+/// ModByReciprocal multiplies by.
+constexpr uint64_t ModReciprocal(uint64_t d) {
+  return d > 1 ? ~0ull / d + (~0ull % d == d - 1) : 0;
+}
+
+/// Exact x % d without a hardware division (0 for d <= 1), from
+/// m = ModReciprocal(d): q = mulhi(x, m) is floor(x/d) or one less, so one
+/// conditional subtract fixes the remainder. The subtract is a select, not
+/// a branch: it is taken for a large share of hashed x.
+inline uint64_t ModByReciprocal(uint64_t x, uint64_t d, uint64_t m) {
+  if (d <= 1) return 0;
+  const uint64_t q =
+      static_cast<uint64_t>((static_cast<__uint128_t>(x) * m) >> 64);
+  const uint64_t r = x - q * d;
+  return r - (r >= d ? d : 0);
+}
+
 /// A pairwise-independent hash h(x) = (a*x + b) mod (2^61 - 1), with a != 0.
 /// This is the "O(log s)-bit pairwise independent hash" primitive the paper
 /// uses for child-set fingerprints and for the l0-estimator's level hash.

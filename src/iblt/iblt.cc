@@ -131,10 +131,7 @@ IbltCellDerivation::IbltCellDerivation(const IbltConfig& config)
       key_width_(config.key_width),
       cells_per_hash_(config.PaddedCells() /
                       static_cast<size_t>(config.num_hashes)),
-      mod_magic_(cells_per_hash_ > 1
-                     ? ~0ull / cells_per_hash_ +
-                           (~0ull % cells_per_hash_ == cells_per_hash_ - 1)
-                     : 0),
+      mod_magic_(ModReciprocal(cells_per_hash_)),
       num_hashes_(config.num_hashes),
       sketch_check_width_(static_cast<int>(config.SketchCheckWidth())) {}
 

@@ -303,18 +303,10 @@ class IbltCellDerivation {
     const uint64_t sub =
         Mix64(bucket ^ (uint64_t{0x9e3779b97f4a7c15} *
                         static_cast<uint64_t>(index + 1)));
-    // Exact `sub % cells_per_hash_` via the precomputed reciprocal: with
-    // M = floor(2^64 / d), q = mulhi(sub, M) is floor(sub/d) or one less,
-    // so one conditional subtract fixes the remainder. Replaces a hardware
-    // division on the hot path; bit-identical to the plain modulo.
-    uint64_t r = 0;
-    if (cells_per_hash_ > 1) {
-      const uint64_t q = static_cast<uint64_t>(
-          (static_cast<__uint128_t>(sub) * mod_magic_) >> 64);
-      r = sub - q * cells_per_hash_;
-      if (r >= cells_per_hash_) r -= cells_per_hash_;
-    }
-    return static_cast<size_t>(index) * cells_per_hash_ + r;
+    // Exact `sub % cells_per_hash_` via the precomputed reciprocal, with no
+    // hardware division on the hot path.
+    return static_cast<size_t>(index) * cells_per_hash_ +
+           ModByReciprocal(sub, cells_per_hash_, mod_magic_);
   }
   // LINT(end)
 

@@ -1,9 +1,11 @@
 // The AVX-512 bodies of the IBLT block step, the child-sketch writer and
-// SetFingerprint's element sum against their scalar bodies, on random keys.
-// The protocols run whichever body the CPU supports (CpuHasAvx512), so on an
-// AVX-512 host this is the one place the scalar bodies still meet the
-// vector ones. Keys sit at the very end of a readable page, with an
-// unreadable page after them, so a body that reads past its span faults
+// SetFingerprint's element sum against their scalar bodies, and the batch
+// cell updates against per-key inserts, on random keys. The protocols run
+// whichever body the CPU supports (CpuHasAvx512), so on an AVX-512 host
+// this is the one place the scalar bodies still meet the vector ones. Keys
+// sit at the very end of a readable page, with an unreadable page after
+// them, so a body that reads past its span faults here: asan cannot see a
+// masked vector access past the end, so every vector body needs a case
 // here.
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "hashing/hash.h"
 #include "hashing/random.h"
 #include "iblt/iblt.h"
+#include "util/serialization.h"
 
 namespace setrec {
 namespace {
@@ -193,6 +196,41 @@ TEST(Avx512BodyTest, ByteKeyBlockStepMatchesScalar) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(Avx512BodyTest, ByteKeyBatchMatchesPerKeyAtGuardPage) {
+  if (!CpuHasAvx512()) GTEST_SKIP() << kNoAvx512;
+  // InsertBatch/EraseBatch of blob keys that end at the unreadable page, so
+  // a masked load past the last key in the batch's cell updates
+  // (UpdateCells) faults. The per-key Insert is the reference.
+  std::vector<size_t> widths;
+  for (size_t w = 1; w <= 17; ++w) widths.push_back(w);
+  widths.insert(widths.end(), {63, 64, 65, 127, 128, 129, 1504});
+  std::vector<size_t> sizes;
+  for (size_t n = 1; n <= 17; ++n) sizes.push_back(n);
+  sizes.push_back(129);
+  GuardedKeys guarded(129 * 1504);
+  ASSERT_TRUE(guarded.ok());
+  Rng rng(41);
+  for (size_t key_width : widths) {
+    for (size_t n : sizes) {
+      SCOPED_TRACE("key_width=" + std::to_string(key_width) +
+                   " n=" + std::to_string(n));
+      const IbltConfig config =
+          IbltConfig::ForDifference(n, rng.NextU64(), key_width);
+      const uint8_t* keys = guarded.Place(RandomBytes(&rng, n * key_width));
+      Iblt per_key(config);
+      for (size_t j = 0; j < n; ++j) per_key.Insert(keys + j * key_width);
+      Iblt batched(config);
+      batched.InsertBatch(keys, n);
+      ByteWriter expected, actual;
+      per_key.SerializeFixed(&expected);
+      batched.SerializeFixed(&actual);
+      ASSERT_EQ(actual.bytes(), expected.bytes());
+      batched.EraseBatch(keys, n);
+      EXPECT_TRUE(batched.IsZero());
     }
   }
 }

@@ -102,6 +102,92 @@ TEST(CharPolyReconcilerTest, BobEmptyRecoversWholeSet) {
   EXPECT_EQ(diff.value().remote_only, alice);
 }
 
+// Decodes against `local` sorted and shuffled: the two must agree on the
+// status and the difference.
+Result<SetDifference> DecodeSortedAndShuffled(
+    const CharPolyReconciler& rec, const std::vector<uint8_t>& message,
+    std::vector<uint64_t> local, uint64_t seed) {
+  std::sort(local.begin(), local.end());
+  Result<SetDifference> sorted = rec.DecodeDifference(message, local);
+  Rng rng(seed);
+  for (size_t i = local.size(); i > 1; --i) {
+    std::swap(local[i - 1], local[rng.UniformU64(i)]);
+  }
+  EXPECT_FALSE(std::is_sorted(local.begin(), local.end()));
+  Result<SetDifference> shuffled = rec.DecodeDifference(message, local);
+  EXPECT_EQ(shuffled.ok(), sorted.ok());
+  EXPECT_EQ(shuffled.status().code(), sorted.status().code());
+  EXPECT_EQ(shuffled.status().message(), sorted.status().message());
+  if (sorted.ok() && shuffled.ok()) {
+    EXPECT_EQ(shuffled.value().remote_only, sorted.value().remote_only);
+    EXPECT_EQ(shuffled.value().local_only, sorted.value().local_only);
+  }
+  return sorted;
+}
+
+TEST(CharPolyReconcilerTest, UnsortedLocalSetDecodesAsSorted) {
+  Rng rng(13);
+  const std::vector<uint64_t> pool = RandomSet(&rng, 46);
+  const std::vector<uint64_t> shared(pool.begin(), pool.begin() + 40);
+  std::vector<uint64_t> alice = shared;
+  alice.insert(alice.end(), pool.begin() + 40, pool.begin() + 43);
+  std::vector<uint64_t> bob = shared;
+  bob.insert(bob.end(), pool.begin() + 43, pool.end());
+  std::sort(alice.begin(), alice.end());
+  CharPolyReconciler rec(6, 14);
+  Result<std::vector<uint8_t>> msg = rec.BuildMessage(alice);
+  ASSERT_TRUE(msg.ok());
+  Result<SetDifference> diff =
+      DecodeSortedAndShuffled(rec, msg.value(), bob, 15);
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  EXPECT_EQ(diff.value().remote_only,
+            std::vector<uint64_t>(pool.begin() + 40, pool.begin() + 43));
+  EXPECT_EQ(diff.value().local_only,
+            std::vector<uint64_t>(pool.begin() + 43, pool.end()));
+}
+
+TEST(CharPolyReconcilerTest, UnsortedLocalSetFailsAsSorted) {
+  Rng rng(16);
+  const std::vector<uint64_t> bob = RandomSet(&rng, 30);
+  CharPolyReconciler rec(3, 17);
+  // A recovered remote-only element Bob already holds: Alice's message
+  // counts one of his elements twice, so chi_A / chi_B = (z - e).
+  std::vector<uint64_t> doubled = bob;
+  doubled.push_back(bob[7]);
+  Result<std::vector<uint8_t>> msg = rec.BuildMessage(doubled);
+  ASSERT_TRUE(msg.ok());
+  Result<SetDifference> implausible =
+      DecodeSortedAndShuffled(rec, msg.value(), bob, 18);
+  ASSERT_FALSE(implausible.ok());
+  EXPECT_EQ(implausible.status().code(), StatusCode::kVerificationFailure);
+  EXPECT_EQ(implausible.status().message(),
+            "recovered remote-only element implausible");
+
+  // A recovered local-only element Bob lacks: the message is chi_B / (z - y)
+  // for a y outside his set, the quotient of two messages of one reconciler.
+  const uint64_t y = 1ull << 56;
+  Result<std::vector<uint8_t>> whole = rec.BuildMessage(bob);
+  Result<std::vector<uint8_t>> single = rec.BuildMessage({y});
+  ASSERT_TRUE(whole.ok() && single.ok());
+  ByteReader whole_reader(whole.value());
+  ByteReader single_reader(single.value());
+  uint64_t size = 0, one = 0;
+  ASSERT_TRUE(whole_reader.GetU64(&size) && single_reader.GetU64(&one));
+  ByteWriter quotient;
+  quotient.PutU64(size - one);
+  for (size_t i = 0; i < rec.max_diff(); ++i) {
+    uint64_t num = 0, den = 0;
+    ASSERT_TRUE(whole_reader.GetU64(&num) && single_reader.GetU64(&den));
+    quotient.PutU64(gf::Mul(num, gf::Inv(den)));
+  }
+  Result<SetDifference> not_local =
+      DecodeSortedAndShuffled(rec, quotient.bytes(), bob, 19);
+  ASSERT_FALSE(not_local.ok());
+  EXPECT_EQ(not_local.status().code(), StatusCode::kVerificationFailure);
+  EXPECT_EQ(not_local.status().message(),
+            "recovered local-only element not local");
+}
+
 struct CpCase {
   size_t shared;
   size_t alice_only;

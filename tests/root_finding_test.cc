@@ -25,6 +25,28 @@ TEST(FindRootsTest, Linear) {
   EXPECT_EQ(roots.value(), (std::vector<uint64_t>{42}));
 }
 
+TEST(FindRootsTest, LinearRootsNeedNoCertificate) {
+  // A degree-1 input returns its root with no x^p certificate: for monic
+  // and non-monic x + c the root is -c / lead, as the certified path gave,
+  // and the certificate it skips (gcd(x^p - x, f) of degree 1) holds.
+  Rng rng(11);
+  for (int trial = 0; trial < 40; ++trial) {
+    const uint64_t c = trial == 0 ? 0 : rng.NextU64() % gf::kP;
+    const uint64_t lead =
+        trial % 2 == 0 ? 1 : 1 + rng.NextU64() % (gf::kP - 1);
+    const Poly f({c, lead});
+    Result<std::vector<uint64_t>> roots =
+        FindRoots(f, 100 + static_cast<uint64_t>(trial));
+    ASSERT_TRUE(roots.ok());
+    const uint64_t root = gf::Mul(gf::Neg(c), gf::Inv(lead));
+    EXPECT_EQ(roots.value(), (std::vector<uint64_t>{root}));
+    EXPECT_EQ(f.Eval(root), 0u);
+    const Poly monic = f.Monic();
+    const Poly xp = PolyPowMod(Poly::X(), gf::kP, monic);
+    EXPECT_EQ(PolyGcd(xp.Sub(Poly::X()), monic), monic);
+  }
+}
+
 TEST(FindRootsTest, Quadratic) {
   Poly p = Poly::FromRoots({7, 9});
   Result<std::vector<uint64_t>> roots = FindRoots(p, 2);

@@ -441,5 +441,40 @@ TEST(SsrProtocolsTest, GoldenSparseSsruTranscripts) {
   }
 }
 
+// A multiround SSRU session large enough to exercise its pairing and
+// char-poly decode: 128 children of 16 with 64 changes makes Alice rank
+// thousands of (Alice child, Bob child) estimator pairs and send 47
+// char-poly payloads, where the instance above sends 6. The constants
+// were pinned on the code before the pair estimate and the degree-1 root
+// shortcut, so any estimate, partner or payload they changed shows here.
+TEST(SsrProtocolsTest, GoldenSparseSsruMultiroundLarge) {
+  SsrWorkloadSpec spec;
+  spec.num_children = 128;
+  spec.child_size = 16;
+  spec.changes = 64;
+  spec.seed = 2018;
+  SsrWorkload w = MakeSsrWorkload(spec);
+  size_t h = 0;
+  for (const SetOfSets* side : {&w.alice, &w.bob}) {
+    for (const ChildSet& child : *side) h = std::max(h, child.size());
+  }
+
+  SsrParams params;
+  params.max_child_size = h;
+  params.max_children = spec.num_children;
+  params.seed = 2019;
+  params.wire_codec = WireCodec::kSparse;
+
+  MultiRoundProtocol protocol(params);
+  Channel channel;
+  Result<SsrOutcome> outcome =
+      protocol.Reconcile(w.alice, w.bob, std::nullopt, &channel);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome.value().recovered, Canonicalize(w.alice));
+  EXPECT_EQ(HashTranscript(channel), 12426433928824592693ull);
+  EXPECT_EQ(channel.total_bytes(), 40533u);
+  EXPECT_EQ(channel.rounds(), 5u);
+}
+
 }  // namespace
 }  // namespace setrec

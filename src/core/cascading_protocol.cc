@@ -31,14 +31,16 @@ size_t CeilLog2(size_t x) {
 /// Child-IBLT config for level i: O(2^i) cells sized to decode child
 /// differences of up to 2^i elements. A child's difference from its match
 /// never exceeds d, so cells are capped at ~2.2(d+1) even at deep levels.
-IbltConfig LevelChildConfig(size_t level, size_t d, uint64_t seed) {
+/// Every rung of an SSRU ladder has d >= 2^t, so a level's config is the
+/// same in every rung that has the level (under the ladder's child seed).
+IbltConfig LevelChildConfig(size_t level, size_t d, uint64_t child_seed) {
   IbltConfig config;
   const double target =
       static_cast<double>(std::min<uint64_t>(1ull << level, d + 1));
   config.cells = std::max<size_t>(6, static_cast<size_t>(2.2 * target));
   config.num_hashes = 4;
   config.key_width = 8;
-  config.seed = DeriveSeed(seed, 0x6c63686cull + level);  // "lchl"
+  config.seed = DeriveSeed(child_seed, 0x6c63686cull + level);  // "lchl"
   return config;
 }
 
@@ -67,7 +69,9 @@ IbltConfig LevelOuterConfig(size_t level, size_t d, size_t d_hat,
 }
 
 /// The full per-attempt table plan — levels 1..t plus the optional direct
-/// table T*. Derived identically by both parties from shared knowledge.
+/// table T*. Derived identically by both parties from shared knowledge:
+/// child configs from the attempt's child seed, outer tables and T* from
+/// its seed.
 struct CascadePlan {
   size_t t = 0;
   bool has_star = false;
@@ -76,13 +80,14 @@ struct CascadePlan {
   IbltConfig star_config;
 };
 
-CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed) {
+CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed,
+                     uint64_t child_seed) {
   CascadePlan plan;
   const size_t dm = std::min(d, h);
   plan.t = std::max<size_t>(1, CeilLog2(dm));
   plan.has_star = h <= d;  // t == log2 h: append the direct table T*.
   for (size_t i = 1; i <= plan.t; ++i) {
-    plan.child_configs.push_back(LevelChildConfig(i, d, seed));
+    plan.child_configs.push_back(LevelChildConfig(i, d, child_seed));
     plan.outer_configs.push_back(LevelOuterConfig(
         i, d, d_hat, ChildIbltBlobWidth(plan.child_configs.back()), seed));
   }
@@ -101,44 +106,42 @@ CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed) {
 
 }  // namespace
 
-Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
-                                             size_t d_hat, uint64_t seed,
-                                             size_t* next,
-                                             AttemptTables* lineage,
-                                             Channel* channel,
-                                             ProtocolContext* ctx) const {
+Task<Status> CascadingProtocol::AttemptAlice(
+    const SetOfSets& alice, size_t d, size_t d_hat, uint64_t seed,
+    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
+    AttemptTables* lineage, Channel* channel, ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
-  HashFamily fp_family(seed, /*tag=*/0x66706373ull);
-  const CascadePlan plan = MakePlan(h, d, d_hat, seed);
+  HashFamily fp_family(child_seed, /*tag=*/0x66706373ull);
+  const CascadePlan plan = MakePlan(h, d, d_hat, seed, child_seed);
+  // An SSRK trial's child coins are its own and die with it.
+  ChildCoins trial_coins;
+  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
+  coins.Begin(alice, fp_family, plan.t);
 
   // Every child encoded into every level (and T*). One message, memoized
   // across sessions sharing Alice's set; each level's child blobs are
-  // written straight into one packed buffer, and the outer-table updates
-  // run through the deferred planner passes. The wire codec is part of the
-  // key (dense/sparse sessions must not replay each other's bytes).
+  // packed into one buffer the first time the ladder sketches that level,
+  // and the outer-table updates run through the deferred planner passes.
+  // The wire codec is part of the key (dense/sparse sessions must not
+  // replay each other's bytes).
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
-      {kAttemptTag, d, d_hat, seed, h,
+      {kAttemptTag, d, d_hat, seed, child_seed, h,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    std::vector<uint64_t> fps(alice.size());
-    for (size_t i = 0; i < alice.size(); ++i) {
-      fps[i] = ChildFingerprint(alice[i], fp_family);
-    }
     // ParentFingerprint(alice), from the child fingerprints in hand.
-    writer->PutU64(SetFingerprint(fps, fp_family));
+    writer->PutU64(SetFingerprint(coins.Fingerprints(), fp_family));
     AttemptTables built;  // This attempt's tables, kept only when sparse.
     for (size_t level = 0; level < plan.t; ++level) {
-      ByteWriter packed;
-      AppendChildIbltBlobs(alice, plan.child_configs[level], fps, &packed);
+      const uint8_t* packed = coins.Blobs(level, plan.child_configs[level]);
       Iblt outer(plan.outer_configs[level]);
-      ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
+      ctx->QueueInsertBytes(&outer, packed, alice.size());
       co_await ctx->FlushBuilds();
-      // Delta vs. the previous attempt's table at this level when the
-      // config repeats (a doubling retry changes the seed today, so this
-      // mostly degrades to a full sparse frame — the lineage hook is what
-      // makes any future same-config retransmission nearly free).
+      // Delta vs. the previous attempt's table at this level when its
+      // config repeats. Outer tables take each attempt's own seed, so no
+      // config repeats across a ladder and this writes a full sparse
+      // frame; the lineage hook serves a schedule that resends a table.
       TableLineage parent{level < lineage->outers.size()
                               ? &lineage->outers[level]
                               : nullptr};
@@ -157,7 +160,10 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
           TableLineage{lineage->star ? &*lineage->star : nullptr});
       if (sparse) built.star = std::move(star);
     }
-    if (sparse) *lineage = std::move(built);
+    if (sparse) {
+      lineage->outers = std::move(built.outers);
+      lineage->star = std::move(built.star);
+    }
     co_return Status::Ok();
   };
   Result<size_t> sent =
@@ -169,16 +175,20 @@ Task<Status> CascadingProtocol::AttemptAlice(const SetOfSets& alice, size_t d,
 }
 
 Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
-    const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed, size_t* next,
+    const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed,
+    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
     AttemptTables* lineage, bool* peer_aborted, Channel* channel,
     ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
-  HashFamily fp_family(seed, /*tag=*/0x66706373ull);
-  const CascadePlan plan = MakePlan(h, d, d_hat, seed);
+  HashFamily fp_family(child_seed, /*tag=*/0x66706373ull);
+  const CascadePlan plan = MakePlan(h, d, d_hat, seed, child_seed);
+  ChildCoins trial_coins;
+  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
+  coins.Begin(bob, fp_family, plan.t);
   uint64_t cache_key = ProtocolCacheKey(
       ctx->PeerSetIdentity(),
-      {kAttemptTag, d, d_hat, seed, h,
+      {kAttemptTag, d, d_hat, seed, child_seed, h,
        static_cast<uint64_t>(params_.wire_codec)});
 
   const Channel::Message& m = co_await ctx->Receive(channel, *next);
@@ -226,13 +236,10 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   auto recovered_before = [&da_fps](uint64_t fp) {
     return std::find(da_fps.begin(), da_fps.end(), fp) != da_fps.end();
   };
-  std::vector<uint64_t> bob_fps(bob.size());
-  for (size_t j = 0; j < bob.size(); ++j) {
-    bob_fps[j] = ChildFingerprint(bob[j], fp_family);
-  }
+  const std::vector<uint64_t>& bob_fps = coins.Fingerprints();
   // Every level's blob ends in the same child fingerprint, so one index
   // maps each level's decoded negatives back to Bob's children.
-  const ChildFingerprintIndex bob_index(bob_fps);
+  const ChildFingerprintIndex& bob_index = coins.Index();
   // Outer/star decode views live in the pooled slot-0 scratch and are
   // iterated while the nested per-child decodes churn slot 1; the split
   // keeps the views valid (one scratch would be invalidated by the first
@@ -270,10 +277,8 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     Iblt& outer = outer_tables[level];
 
     // Bob's level-i encodings (all children, for the index lookups and the
-    // partners below).
-    ByteWriter bob_packed;
-    AppendChildIbltBlobs(bob, child_config, bob_fps, &bob_packed);
-    const uint8_t* bob_blobs = bob_packed.bytes().data();
+    // partners below), written the first time the ladder reaches level i.
+    const uint8_t* bob_blobs = coins.Blobs(level, child_config);
     // Delete Bob's children not yet known to differ (level 1: all of them)
     // straight from his packed blobs, one batch per run of adjacent ones,
     // then every already-recovered child of Alice's. Erasures commute, so
@@ -380,19 +385,21 @@ Task<Status> CascadingProtocol::ReconcileAsyncAlice(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  AttemptTables lineage;  // Previous attempt's tables (sparse delta frames).
+  // The previous attempt's tables (sparse delta frames) and an SSRU
+  // ladder's child coins.
+  AttemptTables lineage;
   co_return co_await RunAliceTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
-        return DeriveSeed(
-            params_.seed,
-            kAttemptTag +
-                static_cast<uint64_t>(known_d.has_value() ? trial : 1000 + trial));
+        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
       },
       [&](int, uint64_t seed) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptAlice(alice, d, d_hat, seed, &next, &lineage, channel,
-                            ctx);
+        return AttemptAlice(
+            alice, d, d_hat, seed,
+            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+            known_d.has_value() ? nullptr : &lineage.children, &next,
+            &lineage, channel, ctx);
       },
       [&] {
         // Clamped identically in both halves: a remote peer's fail
@@ -424,19 +431,21 @@ Task<Result<SsrOutcome>> CascadingProtocol::ReconcileAsyncBob(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  AttemptTables lineage;  // Previous attempt's tables (sparse delta frames).
+  // The previous attempt's tables (sparse delta frames) and an SSRU
+  // ladder's child coins.
+  AttemptTables lineage;
   co_return co_await RunBobTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
-        return DeriveSeed(
-            params_.seed,
-            kAttemptTag +
-                static_cast<uint64_t>(known_d.has_value() ? trial : 1000 + trial));
+        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
       },
       [&](int, uint64_t seed, bool* peer_aborted) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptBob(bob, d, d_hat, seed, &next, &lineage, peer_aborted,
-                          channel, ctx);
+        return AttemptBob(
+            bob, d, d_hat, seed,
+            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+            known_d.has_value() ? nullptr : &lineage.children, &next,
+            &lineage, peer_aborted, channel, ctx);
       },
       [&] {
         if (!known_d.has_value()) {

@@ -1,6 +1,7 @@
 #ifndef SETREC_CORE_CASCADING_PROTOCOL_H_
 #define SETREC_CORE_CASCADING_PROTOCOL_H_
 
+#include "core/encoding.h"
 #include "core/protocol.h"
 
 namespace setrec {
@@ -24,6 +25,18 @@ namespace setrec {
 ///         O(n log min(d,h) + d-hat d log d-hat) time, success >= 2/3
 ///         per attempt (amplified by retries).
 ///   SSRU: O(log d) rounds by repeated doubling (Corollary 3.8).
+///
+/// Coins. Each attempt's outer tables T_i and T* are seeded by the attempt.
+/// The level child configs and the child (and parent) fingerprint family
+/// come from the attempt's child seed (ChildCoinSeed, core/split_party.h):
+/// under SSRU that is the doubling ladder's first seed for every rung, and
+/// level i's child config is the same in every rung that has the level,
+/// so each half writes each level's child blobs, its fingerprints and
+/// (Bob) their index once per ladder (ChildCoins) instead of once per
+/// rung. A child whose sketch fails at a reused level is caught at the
+/// larger level, or T*, the next rung adds. Under SSRK every trial retries
+/// the same d, so each trial draws its child coins afresh from its own
+/// seed, as the amplification needs.
 class CascadingProtocol : public SetsOfSetsProtocol {
  public:
   explicit CascadingProtocol(const SsrParams& params) : params_(params) {}
@@ -41,28 +54,41 @@ class CascadingProtocol : public SetsOfSetsProtocol {
       const override;
 
  private:
-  /// The previous attempt's wire tables, retained across the trial loop
+  /// What one half carries from attempt to attempt.
+  ///
+  /// `outers` and `star`: the previous attempt's wire tables, retained
   /// under WireCodec::kSparse so a retry can send delta frames for any
   /// level whose config repeats (TableLineage). Both halves keep their own
   /// copy — Alice the tables she built, Bob the tables he parsed — and the
   /// two agree bit-for-bit whenever a config repeats, because an attempt
-  /// table is a deterministic function of (sender set, config). Stays
-  /// empty under kDense.
+  /// table is a deterministic function of (sender set, config). Outer
+  /// configs take each attempt's own seed, so none repeats across a
+  /// ladder and these seed full frames only. Empty under kDense.
+  ///
+  /// `children`: an SSRU ladder's child coins, one slot per level, so each
+  /// level's child blobs are written once per ladder. SSRK trials keep
+  /// theirs for one attempt instead (see the class comment).
   struct AttemptTables {
     std::vector<Iblt> outers;
     std::optional<Iblt> star;
+    ChildCoins children;
   };
 
   /// Builds and sends one attempt's cascade message (all t levels + T*);
   /// the verdict is received by the caller. Level configs derive from the
-  /// shared (params, d, d_hat, seed) on both sides.
+  /// shared (params, d, d_hat, seed, child_seed) on both sides.
+  /// `ladder_coins` is `lineage->children` under SSRU, and null under SSRK,
+  /// whose trials keep their child coins for one attempt.
   Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t d_hat,
-                            uint64_t seed, size_t* next,
+                            uint64_t seed, uint64_t child_seed,
+                            ChildCoins* ladder_coins, size_t* next,
                             AttemptTables* lineage, Channel* channel,
                             ProtocolContext* ctx) const;
   Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t d,
                                      size_t d_hat, uint64_t seed,
-                                     size_t* next, AttemptTables* lineage,
+                                     uint64_t child_seed,
+                                     ChildCoins* ladder_coins, size_t* next,
+                                     AttemptTables* lineage,
                                      bool* peer_aborted, Channel* channel,
                                      ProtocolContext* ctx) const;
 

@@ -91,6 +91,45 @@ void AppendChildIbltBlobs(const SetOfSets& children,
   }
 }
 
+void ChildCoins::Begin(const SetOfSets& children, const HashFamily& fp_family,
+                       size_t slots) {
+  assert(children_ == nullptr || children_ == &children);
+  if (fp_family_ && fp_family_->seed() != fp_family.seed()) {
+    *this = ChildCoins();  // Another child seed: nothing held is valid.
+  }
+  children_ = &children;
+  fp_family_ = fp_family;
+  slots_ = slots;
+}
+
+const std::vector<uint64_t>& ChildCoins::Fingerprints() {
+  if (!fingerprints_) {
+    fingerprints_.emplace(children_->size());
+    for (size_t i = 0; i < children_->size(); ++i) {
+      (*fingerprints_)[i] = ChildFingerprint((*children_)[i], *fp_family_);
+    }
+  }
+  return *fingerprints_;
+}
+
+const ChildFingerprintIndex& ChildCoins::Index() {
+  if (!index_) index_.emplace(Fingerprints());
+  return *index_;
+}
+
+const uint8_t* ChildCoins::Blobs(size_t slot, const IbltConfig& config) {
+  assert(slot < slots_);
+  // Sized on first use, so a half that never writes allocates no slots.
+  if (slot > later_slots_.size()) later_slots_.resize(slots_ - 1);
+  Slot& held = slot == 0 ? first_slot_ : later_slots_[slot - 1];
+  if (held.config != config) {
+    held.packed = ByteWriter();
+    AppendChildIbltBlobs(*children_, config, Fingerprints(), &held.packed);
+    held.config = config;
+  }
+  return held.packed.bytes().data();
+}
+
 namespace {
 
 /// The candidate `decoded` makes of `base`, when its fingerprint is

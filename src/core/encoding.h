@@ -2,6 +2,7 @@
 #define SETREC_CORE_ENCODING_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -71,6 +72,58 @@ void AppendChildIbltBlobs(const SetOfSets& children,
                           const IbltConfig& child_config,
                           std::span<const uint64_t> fingerprints,
                           ByteWriter* out);
+
+/// One party's child coins over the attempts that share one child seed (an
+/// SSRU ladder's; see ChildCoinSeed in core/split_party.h): the
+/// fingerprints of its children under that seed's fingerprint family, the
+/// index over them (Bob maps decoded negatives back through it), and the
+/// packed (child IBLT, fingerprint) blobs of each child config slot (one
+/// per cascade level; iblt2 has one). Each is made the first time an
+/// attempt asks for it and kept while the slot's config stays the same, so
+/// a child config's blobs are written once however many attempts sketch
+/// it; a config and the family derive from the one child seed, so a kept
+/// slot holds the bytes a fresh write would make. An SSRK trial, whose
+/// child seed is its own, keeps its own ChildCoins, which die with the
+/// attempt.
+class ChildCoins {
+ public:
+  /// Starts an attempt over `children` (the same set every attempt) whose
+  /// child fingerprints come from `fp_family` and whose child configs fill
+  /// `slots` slots. Another family than the held one means another child
+  /// seed, and drops everything held. Computes nothing: a half that never
+  /// asks (Alice replaying a memoized message) pays nothing.
+  void Begin(const SetOfSets& children, const HashFamily& fp_family,
+             size_t slots);
+
+  /// ChildFingerprint of every child, in child order.
+  const std::vector<uint64_t>& Fingerprints();
+
+  /// The index over Fingerprints().
+  const ChildFingerprintIndex& Index();
+
+  /// Slot `slot`'s packed blobs of the children under `config`
+  /// (AppendChildIbltBlobs' layout, ChildIbltBlobWidth(config) bytes a
+  /// child), `slot` below Begin's `slots`: written when the slot holds
+  /// none or another config's, else the bytes already there. Valid until
+  /// the slot is written again.
+  const uint8_t* Blobs(size_t slot, const IbltConfig& config);
+
+ private:
+  struct Slot {
+    std::optional<IbltConfig> config;
+    ByteWriter packed;
+  };
+
+  const SetOfSets* children_ = nullptr;
+  std::optional<HashFamily> fp_family_;
+  std::optional<std::vector<uint64_t>> fingerprints_;
+  std::optional<ChildFingerprintIndex> index_;
+  size_t slots_ = 0;
+  // Slot 0 (iblt2's only one) is held inline, so a one-slot half
+  // allocates for its blobs, fingerprints and index only.
+  Slot first_slot_;
+  std::vector<Slot> later_slots_;
+};
 
 /// Recovers the child behind one of Alice's child-IBLT blobs: `blob`,
 /// ending in `fingerprint` (ChildIbltBlobFingerprint), whose sketch has

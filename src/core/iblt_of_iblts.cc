@@ -17,16 +17,18 @@ constexpr uint64_t kAttemptTag = 0x69626c32ull;  // "ibl2"
 constexpr int kMaxDoublings = 40;  // SSRU: d = 1, 2, 4, ... (Corollary 3.6).
 
 /// Child/outer table configs for one attempt, derived identically by both
-/// parties from shared knowledge (params, d, d_hat, seed).
+/// parties from shared knowledge (params, d, d_hat, the attempt's seed and
+/// its child seed).
 struct AttemptConfigs {
   IbltConfig child;
   IbltConfig outer;
 };
 
-AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed) {
+AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed,
+                           uint64_t child_seed) {
   AttemptConfigs configs;
   configs.child = IbltConfig::ForDifference(
-      d, DeriveSeed(seed, /*tag=*/0x63686c64ull), /*key_width=*/8);
+      d, DeriveSeed(child_seed, /*tag=*/0x63686c64ull), /*key_width=*/8);
   configs.outer = IbltConfig::ForDifference(
       2 * d_hat, seed, ChildIbltBlobWidth(configs.child));
   return configs;
@@ -34,34 +36,33 @@ AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed) {
 
 }  // namespace
 
-Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
-                                               size_t d, size_t d_hat,
-                                               uint64_t seed, size_t* next,
-                                               Channel* channel,
-                                               ProtocolContext* ctx) const {
-  HashFamily fp_family(seed, /*tag=*/0x66703262ull);
-  const AttemptConfigs configs = MakeConfigs(d, d_hat, seed);
+Task<Status> IbltOfIbltsProtocol::AttemptAlice(
+    const SetOfSets& alice, size_t d, size_t d_hat, uint64_t seed,
+    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
+    Channel* channel, ProtocolContext* ctx) const {
+  HashFamily fp_family(child_seed, /*tag=*/0x66703262ull);
+  const AttemptConfigs configs = MakeConfigs(d, d_hat, seed, child_seed);
+  // An SSRK trial's child coins are its own and die with it.
+  ChildCoins trial_coins;
+  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
+  coins.Begin(alice, fp_family, /*slots=*/1);
 
   // Encode every child, insert encodings into the outer table. The child
-  // blobs are written straight into one packed buffer, then land in the
-  // outer table as one batch (deferred to the planner under the service).
-  // The whole message is memoized across sessions sharing Alice's set.
+  // blobs, packed into one buffer the first time the ladder sketches this
+  // child config, land in the outer table as one batch (deferred to the
+  // planner under the service). The whole message is memoized across
+  // sessions sharing Alice's set.
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
-      {kAttemptTag, d, d_hat, seed,
+      {kAttemptTag, d, d_hat, seed, child_seed,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    std::vector<uint64_t> fps(alice.size());
-    for (size_t i = 0; i < alice.size(); ++i) {
-      fps[i] = ChildFingerprint(alice[i], fp_family);
-    }
-    ByteWriter packed;
-    AppendChildIbltBlobs(alice, configs.child, fps, &packed);
+    const uint8_t* packed = coins.Blobs(0, configs.child);
     Iblt outer(configs.outer);
-    ctx->QueueInsertBytes(&outer, packed.bytes().data(), alice.size());
+    ctx->QueueInsertBytes(&outer, packed, alice.size());
     co_await ctx->FlushBuilds();
     // ParentFingerprint(alice), from the child fingerprints in hand.
-    writer->PutU64(SetFingerprint(fps, fp_family));
+    writer->PutU64(SetFingerprint(coins.Fingerprints(), fp_family));
     outer.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
   };
@@ -74,15 +75,19 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
 }
 
 Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
-    const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed, size_t* next,
+    const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed,
+    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
     bool* peer_aborted, Channel* channel, ProtocolContext* ctx) const {
-  HashFamily fp_family(seed, /*tag=*/0x66703262ull);
-  const AttemptConfigs configs = MakeConfigs(d, d_hat, seed);
+  HashFamily fp_family(child_seed, /*tag=*/0x66703262ull);
+  const AttemptConfigs configs = MakeConfigs(d, d_hat, seed, child_seed);
   const IbltConfig& child_config = configs.child;
   const IbltConfig& outer_config = configs.outer;
+  ChildCoins trial_coins;
+  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
+  coins.Begin(bob, fp_family, /*slots=*/1);
   uint64_t cache_key = ProtocolCacheKey(
       ctx->PeerSetIdentity(),
-      {kAttemptTag, d, d_hat, seed,
+      {kAttemptTag, d, d_hat, seed, child_seed,
        static_cast<uint64_t>(params_.wire_codec)});
 
   const Channel::Message& m = co_await ctx->Receive(channel, *next);
@@ -102,20 +107,15 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   if (!received.ok()) co_return received.status();
   Iblt remote = std::move(received).value();
 
-  // Bob's own encodings, packed the same way as Alice's, erased from the
-  // outer table as one batch.
-  std::vector<uint64_t> bob_fps(bob.size());
-  for (size_t i = 0; i < bob.size(); ++i) {
-    bob_fps[i] = ChildFingerprint(bob[i], fp_family);
-  }
-  ByteWriter bob_packed;
-  AppendChildIbltBlobs(bob, child_config, bob_fps, &bob_packed);
-  ctx->QueueEraseBytes(&remote, bob_packed.bytes().data(), bob.size());
+  // Bob's own encodings, packed the same way as Alice's (once per child
+  // config in a ladder), erased from the outer table as one batch.
+  const uint8_t* bob_blobs = coins.Blobs(0, child_config);
+  ctx->QueueEraseBytes(&remote, bob_blobs, bob.size());
   co_await ctx->FlushBuilds();
 
   // Decoded negatives map back to Bob's concrete children through the
   // fingerprints every blob ends in, confirmed against Bob's packed blobs.
-  const ChildFingerprintIndex bob_index(bob_fps);
+  const ChildFingerprintIndex& bob_index = coins.Index();
 
   // Two pooled scratches: slot 0 owns the outer-table decode views, which
   // must stay valid while the child decodes below churn slot 1 (one scratch
@@ -132,8 +132,7 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   std::vector<const ChildSet*> partners;
   std::vector<bool> in_db(bob.size(), false);
   for (const IbltKeyView& blob : decoded.value().negative) {
-    std::optional<size_t> j =
-        bob_index.FindBlob(blob, bob_packed.bytes().data());
+    std::optional<size_t> j = bob_index.FindBlob(blob, bob_blobs);
     if (!j) co_return VerificationFailure("iblt2: unknown negative encoding");
     in_db[*j] = true;
     partners.push_back(&bob[*j]);
@@ -155,8 +154,8 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
     recovered.push_back({std::move(child).value(), fingerprint});
   }
 
-  AssembledParent assembled =
-      AssembleParent(bob, bob_fps, in_db, std::move(recovered), fp_family);
+  AssembledParent assembled = AssembleParent(
+      bob, coins.Fingerprints(), in_db, std::move(recovered), fp_family);
   if (assembled.fingerprint != alice_parent_fp) {
     co_return VerificationFailure("iblt2: parent fingerprint mismatch");
   }
@@ -176,17 +175,19 @@ Task<Status> IbltOfIbltsProtocol::ReconcileAsyncAlice(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 1;
+  ChildCoins ladder_coins;  // SSRU: shared by every rung of the ladder.
   co_return co_await RunAliceTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
-        return DeriveSeed(
-            params_.seed,
-            kAttemptTag +
-                static_cast<uint64_t>(known_d.has_value() ? trial : 1000 + trial));
+        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
       },
       [&](int, uint64_t seed) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptAlice(alice, d, d_hat, seed, &next, channel, ctx);
+        return AttemptAlice(
+            alice, d, d_hat, seed,
+            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+            known_d.has_value() ? nullptr : &ladder_coins, &next, channel,
+            ctx);
       },
       [&] {
         // Doubling stays clamped (both halves identically, so configs keep
@@ -216,18 +217,19 @@ Task<Result<SsrOutcome>> IbltOfIbltsProtocol::ReconcileAsyncBob(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 1;
+  ChildCoins ladder_coins;  // SSRU: shared by every rung of the ladder.
   co_return co_await RunBobTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
-        return DeriveSeed(
-            params_.seed,
-            kAttemptTag +
-                static_cast<uint64_t>(known_d.has_value() ? trial : 1000 + trial));
+        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
       },
       [&](int, uint64_t seed, bool* peer_aborted) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptBob(bob, d, d_hat, seed, &next, peer_aborted, channel,
-                          ctx);
+        return AttemptBob(
+            bob, d, d_hat, seed,
+            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+            known_d.has_value() ? nullptr : &ladder_coins, &next,
+            peer_aborted, channel, ctx);
       },
       [&] {
         if (!known_d.has_value()) {

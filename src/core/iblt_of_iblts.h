@@ -5,6 +5,8 @@
 
 namespace setrec {
 
+class ChildCoins;
+
 /// Algorithm 1 of the paper ("IBLTs of IBLTs", Theorem 3.5 / Corollary
 /// 3.6). Each child set is encoded as an O(d)-cell child IBLT plus a child
 /// fingerprint; the encodings are reconciled through an O(d-hat)-cell outer
@@ -24,6 +26,17 @@ namespace setrec {
 ///   SSRK: 1 round,       O(d-hat * d log u + d-hat log s) bits,
 ///                        O(n + d-hat^2 d) time.
 ///   SSRU: O(log d) rounds by repeated doubling of d (Corollary 3.6).
+///
+/// Coins. Each attempt's outer table is seeded by the attempt. The child
+/// sketch config and the child (and parent) fingerprint family come from
+/// the attempt's child seed (ChildCoinSeed, core/split_party.h): under SSRU
+/// that is the doubling ladder's first seed for every rung, so d = 1, 2
+/// and 4, which share the 16-cell child config, sketch each child with the
+/// same coins, and each half writes those blobs, its fingerprints and
+/// (Bob) their index once per ladder (ChildCoins); a child sketch that
+/// fails there is caught once d = 8 grows the child table. Under SSRK every
+/// trial retries the same d, so each trial draws its child coins afresh
+/// from its own seed, as the amplification needs.
 class IbltOfIbltsProtocol : public SetsOfSetsProtocol {
  public:
   explicit IbltOfIbltsProtocol(const SsrParams& params) : params_(params) {}
@@ -42,16 +55,20 @@ class IbltOfIbltsProtocol : public SetsOfSetsProtocol {
 
  private:
   /// Builds and sends one attempt's outer-table message; the verdict is
-  /// received by the caller. Both sides derive (d, d_hat, seed) from the
-  /// shared params and the lockstep attempt/doubling schedule, so nothing
-  /// extra crosses the wire.
+  /// received by the caller. Both sides derive (d, d_hat, seed,
+  /// child_seed) from the shared params and the lockstep attempt/doubling
+  /// schedule, so nothing extra crosses the wire. `ladder_coins` is the
+  /// half's ChildCoins under SSRU, and null under SSRK, whose trials keep
+  /// theirs for one attempt.
   Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t d_hat,
-                            uint64_t seed, size_t* next, Channel* channel,
-                            ProtocolContext* ctx) const;
+                            uint64_t seed, uint64_t child_seed,
+                            ChildCoins* ladder_coins, size_t* next,
+                            Channel* channel, ProtocolContext* ctx) const;
   Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t d,
                                      size_t d_hat, uint64_t seed,
-                                     size_t* next, bool* peer_aborted,
-                                     Channel* channel,
+                                     uint64_t child_seed,
+                                     ChildCoins* ladder_coins, size_t* next,
+                                     bool* peer_aborted, Channel* channel,
                                      ProtocolContext* ctx) const;
 
   SsrParams params_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/build_context.h"
+#include "hashing/random.h"
 
 namespace setrec {
 
@@ -74,6 +75,19 @@ Task<Result<AttemptVerdict>> ReceiveVerdict(ProtocolContext* ctx,
   ++*next;
   if (std::optional<Status> abort = PeerAbort(v)) co_return *abort;
   co_return ParseVerdict(v);
+}
+
+uint64_t DoublingTrialSeed(const SsrParams& params, uint64_t attempt_tag,
+                           std::optional<size_t> known_d, int trial) {
+  const uint64_t rung = static_cast<uint64_t>(trial);
+  return DeriveSeed(params.seed,
+                    attempt_tag + (known_d.has_value() ? rung : 1000 + rung));
+}
+
+uint64_t ChildCoinSeed(const SsrParams& params, uint64_t attempt_tag,
+                       std::optional<size_t> known_d, uint64_t attempt_seed) {
+  if (known_d.has_value()) return attempt_seed;
+  return DoublingTrialSeed(params, attempt_tag, known_d, /*trial=*/0);
 }
 
 Result<AttemptVerdict> ParseVerdict(const Channel::Message& m) {

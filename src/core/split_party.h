@@ -144,6 +144,29 @@ enum class AttemptEnd { kOk, kRetry, kTerminal };
 // reference captures point into the protocol half's own frame, which stays
 // alive (suspended, not destroyed) while it awaits the driver.
 
+/// The seed of trial `trial` of a doubling protocol (iblt2, cascade;
+/// `attempt_tag` names it): SSRK trials (`known_d` set) count up from the
+/// tag, the rungs of an SSRU doubling ladder from the tag + 1000. Both
+/// halves derive it from the shared params, so it never crosses the wire.
+uint64_t DoublingTrialSeed(const SsrParams& params, uint64_t attempt_tag,
+                           std::optional<size_t> known_d, int trial);
+
+/// The seed of an attempt's child coins: its child sketch configs and the
+/// family of its child and parent fingerprints. An SSRU ladder draws them
+/// once, from its first rung's seed, so a later rung sketches every child
+/// config it shares with an earlier one with the same coins and each half
+/// writes those child blobs once (ChildCoins, core/encoding.h). The ladder
+/// stays sound because each rung's outer tables (and cascade's T*) keep
+/// `attempt_seed`, and a child that one child config fails to decode is
+/// caught by the larger child config a later rung adds. An SSRK trial
+/// (`known_d` set) draws them from its own `attempt_seed`: its retries
+/// repeat one d, and only fresh child coins amplify the per-attempt
+/// success probability. Only hostile fail verdicts drive a ladder to the
+/// MaxWireDHat clamp, where its rungs repeat one d too; there only the
+/// outer coins stay fresh.
+uint64_t ChildCoinSeed(const SsrParams& params, uint64_t attempt_tag,
+                       std::optional<size_t> known_d, uint64_t attempt_seed);
+
 /// Alice's trial loop for single-data-message protocols. `attempt(trial,
 /// seed)` sends Alice's attempt message (returning a failed Status only
 /// for local errors, which the driver converts into an abort in her slot).

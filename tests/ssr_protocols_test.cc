@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/cascading_protocol.h"
 #include "core/iblt_of_iblts.h"
@@ -381,31 +382,55 @@ TEST(SsrProtocolsTest, PartnerRankingRecoversReversedDifferingChildren) {
 
 // --- Golden transcripts ---
 
-// One SSRU session per protocol over a fixed instance, with the sparse
-// codec. A change that only alters how the bytes are produced must leave
-// transcripts, byte counts and rounds where they are; a deliberate change to
-// a protocol's messages updates these constants. iblt2's and cascade's were
-// last re-pinned when child sketches moved to the child-sketch form
-// (one-byte counts, checksums cut to IbltConfig::SketchCheckWidth()): 52,730
-// -> 29,901 and 44,228 -> 26,285 bytes, rounds unchanged. Naive and
-// multiround send no child sketch, so that change left theirs untouched.
-TEST(SsrProtocolsTest, GoldenSparseSsruTranscripts) {
+// The instance both golden tables below run on: 32 children of 4 elements,
+// 24 changes, the sparse codec.
+struct GoldenInstance {
+  SsrWorkload w;
+  SsrParams params;
+};
+
+GoldenInstance MakeGoldenInstance() {
   SsrWorkloadSpec spec;
   spec.num_children = 32;
   spec.child_size = 4;
   spec.changes = 24;
   spec.seed = 2018;
-  SsrWorkload w = MakeSsrWorkload(spec);
+  GoldenInstance golden{MakeSsrWorkload(spec), {}};
   size_t h = 0;
-  for (const SetOfSets* side : {&w.alice, &w.bob}) {
+  for (const SetOfSets* side : {&golden.w.alice, &golden.w.bob}) {
     for (const ChildSet& child : *side) h = std::max(h, child.size());
   }
+  golden.params.max_child_size = h;
+  golden.params.max_children = spec.num_children;
+  golden.params.seed = 2019;
+  golden.params.wire_codec = WireCodec::kSparse;
+  return golden;
+}
 
-  SsrParams params;
-  params.max_child_size = h;
-  params.max_children = spec.num_children;
-  params.seed = 2019;
-  params.wire_codec = WireCodec::kSparse;
+/// HashTranscript of a transcript holding only `channel`'s first message.
+uint64_t HashFirstMessage(const Channel& channel) {
+  const Channel::Message& first = channel.Receive(0);
+  Channel alone;
+  alone.Send(first.from, first.payload, first.label);
+  return HashTranscript(alone);
+}
+
+// One SSRU session per protocol over a fixed instance, with the sparse
+// codec. A change that only alters how the bytes are produced must leave
+// transcripts, byte counts and rounds where they are; a deliberate change to
+// a protocol's messages updates these constants. iblt2's and cascade's were
+// re-pinned when child sketches moved to the child-sketch form (one-byte
+// counts, checksums cut to IbltConfig::SketchCheckWidth()): 52,730 -> 29,901
+// and 44,228 -> 26,285 bytes. They were re-pinned again when an SSRU
+// ladder's rungs began sharing the first rung's child coins (ChildCoinSeed):
+// the later rungs sketch children with other coins, so 29,901 -> 29,598 and
+// 26,285 -> 26,551 bytes. Rounds stayed 10 and 8 both times. Naive and
+// multiround send no child sketch, so neither change touched theirs.
+TEST(SsrProtocolsTest, GoldenSparseSsruTranscripts) {
+  const GoldenInstance golden_instance = MakeGoldenInstance();
+  const SsrWorkload& w = golden_instance.w;
+  const SsrParams& params = golden_instance.params;
+  const size_t h = params.max_child_size;
 
   struct Golden {
     ProtocolKind kind;
@@ -415,9 +440,17 @@ TEST(SsrProtocolsTest, GoldenSparseSsruTranscripts) {
   };
   const Golden kGolden[] = {
       {ProtocolKind::kNaive, 1684792592362673015ull, 12076, 3},
-      {ProtocolKind::kIblt2, 5648450282076895120ull, 29901, 10},
-      {ProtocolKind::kCascade, 13231821733046062794ull, 26285, 8},
+      {ProtocolKind::kIblt2, 3042469355808939316ull, 29598, 10},
+      {ProtocolKind::kCascade, 933889298234429532ull, 26551, 8},
       {ProtocolKind::kMultiRound, 17879780650982821592ull, 19210, 5},
+  };
+  // The first attempt of each doubling ladder: Alice's first message,
+  // hashed alone, as the code that seeded every attempt's child sketches
+  // afresh sent it. A ladder's child coins are its first attempt's, so
+  // this message must not move.
+  const std::pair<ProtocolKind, uint64_t> kFirstAttempt[] = {
+      {ProtocolKind::kIblt2, 15335830935770731346ull},
+      {ProtocolKind::kCascade, 14896543338651920958ull},
   };
   for (const Golden& golden : kGolden) {
     SCOPED_TRACE(KindName(golden.kind));
@@ -435,6 +468,69 @@ TEST(SsrProtocolsTest, GoldenSparseSsruTranscripts) {
                             << (outcome.value().stats.attempts - 1);
       EXPECT_GE(last_d, h);
     }
+    EXPECT_EQ(HashTranscript(channel), golden.transcript_hash);
+    EXPECT_EQ(channel.total_bytes(), golden.bytes);
+    EXPECT_EQ(channel.rounds(), golden.rounds);
+    for (const auto& [kind, first_message_hash] : kFirstAttempt) {
+      if (kind == golden.kind) {
+        EXPECT_EQ(HashFirstMessage(channel), first_message_hash);
+      }
+    }
+  }
+}
+
+// The same instance with d known (SSRK, d = 24): one attempt of one data
+// message and one verdict per protocol (multiround's three rounds and a
+// verdict). SSRK trials draw every coin from their own trial seed; only
+// SSRU ladders share child coins across attempts. These constants were
+// taken from the code before that sharing, and pin the sessions every
+// service workload runs.
+TEST(SsrProtocolsTest, GoldenSparseSsrkTranscripts) {
+  const GoldenInstance golden_instance = MakeGoldenInstance();
+  const SsrWorkload& w = golden_instance.w;
+
+  struct Golden {
+    ProtocolKind kind;
+    uint64_t transcript_hash;
+    size_t bytes;
+    size_t rounds;
+  };
+  const Golden kGolden[] = {
+      {ProtocolKind::kNaive, 11215388795519044123ull, 2573, 2},
+      {ProtocolKind::kIblt2, 10045329537092846840ull, 18226, 2},
+      {ProtocolKind::kCascade, 13754098638103064545ull, 18451, 2},
+      {ProtocolKind::kMultiRound, 5320000434025228384ull, 10049, 4},
+  };
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(KindName(golden.kind));
+    std::unique_ptr<SetsOfSetsProtocol> protocol =
+        MakeProtocol(golden.kind, golden_instance.params);
+    Channel channel;
+    Result<SsrOutcome> outcome =
+        protocol->Reconcile(w.alice, w.bob, w.applied_changes, &channel);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome.value().recovered, Canonicalize(w.alice));
+    EXPECT_EQ(HashTranscript(channel), golden.transcript_hash);
+    EXPECT_EQ(channel.total_bytes(), golden.bytes);
+    EXPECT_EQ(channel.rounds(), golden.rounds);
+  }
+
+  // A d known too low (6 of 24) makes iblt2 and cascade retry at the same
+  // d until their four trials run out, each trial on its own coins, child
+  // sketches included: a retry that reused a trial's child sketches would
+  // send other bytes.
+  const Golden kRetryGolden[] = {
+      {ProtocolKind::kIblt2, 7353626182701716368ull, 21975, 8},
+      {ProtocolKind::kCascade, 2233170899714213826ull, 26577, 8},
+  };
+  for (const Golden& golden : kRetryGolden) {
+    SCOPED_TRACE(KindName(golden.kind));
+    std::unique_ptr<SetsOfSetsProtocol> protocol =
+        MakeProtocol(golden.kind, golden_instance.params);
+    Channel channel;
+    Result<SsrOutcome> outcome =
+        protocol->Reconcile(w.alice, w.bob, size_t{6}, &channel);
+    EXPECT_EQ(outcome.status().code(), StatusCode::kExhausted);
     EXPECT_EQ(HashTranscript(channel), golden.transcript_hash);
     EXPECT_EQ(channel.total_bytes(), golden.bytes);
     EXPECT_EQ(channel.rounds(), golden.rounds);

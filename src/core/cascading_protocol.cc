@@ -108,15 +108,13 @@ CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed,
 
 Task<Status> CascadingProtocol::AttemptAlice(
     const SetOfSets& alice, size_t d, size_t d_hat, uint64_t seed,
-    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
-    AttemptTables* lineage, Channel* channel, ProtocolContext* ctx) const {
+    uint64_t child_seed, size_t* next, AttemptTables* lineage,
+    Channel* channel, ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(child_seed, /*tag=*/0x66706373ull);
   const CascadePlan plan = MakePlan(h, d, d_hat, seed, child_seed);
-  // An SSRK trial's child coins are its own and die with it.
-  ChildCoins trial_coins;
-  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
+  ChildCoins& coins = lineage->children;
   coins.Begin(alice, fp_family, plan.t);
 
   // Every child encoded into every level (and T*). One message, memoized
@@ -176,15 +174,13 @@ Task<Status> CascadingProtocol::AttemptAlice(
 
 Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
     const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed,
-    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
-    AttemptTables* lineage, bool* peer_aborted, Channel* channel,
-    ProtocolContext* ctx) const {
+    uint64_t child_seed, size_t* next, AttemptTables* lineage,
+    bool* peer_aborted, Channel* channel, ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(child_seed, /*tag=*/0x66706373ull);
   const CascadePlan plan = MakePlan(h, d, d_hat, seed, child_seed);
-  ChildCoins trial_coins;
-  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
+  ChildCoins& coins = lineage->children;
   coins.Begin(bob, fp_family, plan.t);
   uint64_t cache_key = ProtocolCacheKey(
       ctx->PeerSetIdentity(),
@@ -385,8 +381,7 @@ Task<Status> CascadingProtocol::ReconcileAsyncAlice(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  // The previous attempt's tables (sparse delta frames) and an SSRU
-  // ladder's child coins.
+  // The previous attempt's tables (sparse delta frames) and child coins.
   AttemptTables lineage;
   co_return co_await RunAliceTrials(
       ctx, channel, &next, trials,
@@ -395,11 +390,9 @@ Task<Status> CascadingProtocol::ReconcileAsyncAlice(
       },
       [&](int, uint64_t seed) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptAlice(
-            alice, d, d_hat, seed,
-            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-            known_d.has_value() ? nullptr : &lineage.children, &next,
-            &lineage, channel, ctx);
+        return AttemptAlice(alice, d, d_hat, seed,
+                            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+                            &next, &lineage, channel, ctx);
       },
       [&] {
         // Clamped identically in both halves: a remote peer's fail
@@ -431,8 +424,7 @@ Task<Result<SsrOutcome>> CascadingProtocol::ReconcileAsyncBob(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  // The previous attempt's tables (sparse delta frames) and an SSRU
-  // ladder's child coins.
+  // The previous attempt's tables (sparse delta frames) and child coins.
   AttemptTables lineage;
   co_return co_await RunBobTrials(
       ctx, channel, &next, trials,
@@ -441,11 +433,9 @@ Task<Result<SsrOutcome>> CascadingProtocol::ReconcileAsyncBob(
       },
       [&](int, uint64_t seed, bool* peer_aborted) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptBob(
-            bob, d, d_hat, seed,
-            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-            known_d.has_value() ? nullptr : &lineage.children, &next,
-            &lineage, peer_aborted, channel, ctx);
+        return AttemptBob(bob, d, d_hat, seed,
+                          ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+                          &next, &lineage, peer_aborted, channel, ctx);
       },
       [&] {
         if (!known_d.has_value()) {

@@ -33,10 +33,11 @@ namespace setrec {
 /// level i's child config is the same in every rung that has the level,
 /// so each half writes each level's child blobs, its fingerprints and
 /// (Bob) their index once per ladder (ChildCoins) instead of once per
-/// rung. A child whose sketch fails at a reused level is caught at the
-/// larger level, or T*, the next rung adds. Under SSRK every trial retries
-/// the same d, so each trial draws its child coins afresh from its own
-/// seed, as the amplification needs.
+/// rung. Each level salts its config's seed with the level, so a child
+/// whose sketch fails at a reused level is caught by independent coins at
+/// the larger level, or T*, the next rung adds. Under SSRK every trial
+/// retries the same d, so each trial draws its child coins afresh from its
+/// own seed, as the amplification needs.
 class CascadingProtocol : public SetsOfSetsProtocol {
  public:
   explicit CascadingProtocol(const SsrParams& params) : params_(params) {}
@@ -65,9 +66,10 @@ class CascadingProtocol : public SetsOfSetsProtocol {
   /// configs take each attempt's own seed, so none repeats across a
   /// ladder and these seed full frames only. Empty under kDense.
   ///
-  /// `children`: an SSRU ladder's child coins, one slot per level, so each
-  /// level's child blobs are written once per ladder. SSRK trials keep
-  /// theirs for one attempt instead (see the class comment).
+  /// `children`: the half's child coins, one slot per level, held while
+  /// attempts share a child seed: an SSRU ladder writes each level's child
+  /// blobs once, and an SSRK trial, whose child seed is its own, drops
+  /// the previous trial's (see the class comment).
   struct AttemptTables {
     std::vector<Iblt> outers;
     std::optional<Iblt> star;
@@ -77,17 +79,13 @@ class CascadingProtocol : public SetsOfSetsProtocol {
   /// Builds and sends one attempt's cascade message (all t levels + T*);
   /// the verdict is received by the caller. Level configs derive from the
   /// shared (params, d, d_hat, seed, child_seed) on both sides.
-  /// `ladder_coins` is `lineage->children` under SSRU, and null under SSRK,
-  /// whose trials keep their child coins for one attempt.
   Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t d_hat,
-                            uint64_t seed, uint64_t child_seed,
-                            ChildCoins* ladder_coins, size_t* next,
+                            uint64_t seed, uint64_t child_seed, size_t* next,
                             AttemptTables* lineage, Channel* channel,
                             ProtocolContext* ctx) const;
   Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t d,
                                      size_t d_hat, uint64_t seed,
-                                     uint64_t child_seed,
-                                     ChildCoins* ladder_coins, size_t* next,
+                                     uint64_t child_seed, size_t* next,
                                      AttemptTables* lineage,
                                      bool* peer_aborted, Channel* channel,
                                      ProtocolContext* ctx) const;

@@ -82,9 +82,10 @@ void AppendChildIbltBlobs(const SetOfSets& children,
 /// attempt asks for it and kept while the slot's config stays the same, so
 /// a child config's blobs are written once however many attempts sketch
 /// it; a config and the family derive from the one child seed, so a kept
-/// slot holds the bytes a fresh write would make. An SSRK trial, whose
-/// child seed is its own, keeps its own ChildCoins, which die with the
-/// attempt.
+/// slot holds the bytes a fresh write would make. Each half keeps one for
+/// its whole run; under SSRK every trial has a child seed of its own, so
+/// Begin drops the previous trial's coins, and the last trial's live until
+/// the half's run ends.
 class ChildCoins {
  public:
   /// Starts an attempt over `children` (the same set every attempt) whose

@@ -18,17 +18,26 @@ constexpr int kMaxDoublings = 40;  // SSRU: d = 1, 2, 4, ... (Corollary 3.6).
 
 /// Child/outer table configs for one attempt, derived identically by both
 /// parties from shared knowledge (params, d, d_hat, the attempt's seed and
-/// its child seed).
+/// its child seed, and `first_d`, the d of the run's first attempt).
 struct AttemptConfigs {
   IbltConfig child;
   IbltConfig outer;
 };
 
-AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed,
-                           uint64_t child_seed) {
+AttemptConfigs MakeConfigs(size_t d, size_t first_d, size_t d_hat,
+                           uint64_t seed, uint64_t child_seed) {
   AttemptConfigs configs;
-  configs.child = IbltConfig::ForDifference(
-      d, DeriveSeed(child_seed, /*tag=*/0x63686c64ull), /*key_width=*/8);
+  // The child table's seed is salted with the cells it has grown past the
+  // run's first child table, so an SSRU ladder's rungs share coins only
+  // while they share a table size (d = 1, 2 and 4), and each larger table
+  // draws its own: under one seed, two keys that share a cell in a smaller
+  // table would be likelier to share one in the larger, as Cell() only
+  // reduces one mix by the partition width. SSRK trials never grow the
+  // table, so their salt is 0.
+  configs.child = IbltConfig::ForDifference(d, 0, /*key_width=*/8);
+  const size_t grown =
+      configs.child.cells - IbltConfig::ForDifference(first_d, 0, 8).cells;
+  configs.child.seed = DeriveSeed(child_seed, /*tag=*/0x63686c64ull + grown);
   configs.outer = IbltConfig::ForDifference(
       2 * d_hat, seed, ChildIbltBlobWidth(configs.child));
   return configs;
@@ -37,15 +46,13 @@ AttemptConfigs MakeConfigs(size_t d, size_t d_hat, uint64_t seed,
 }  // namespace
 
 Task<Status> IbltOfIbltsProtocol::AttemptAlice(
-    const SetOfSets& alice, size_t d, size_t d_hat, uint64_t seed,
-    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
+    const SetOfSets& alice, size_t d, size_t first_d, size_t d_hat,
+    uint64_t seed, uint64_t child_seed, ChildCoins* coins, size_t* next,
     Channel* channel, ProtocolContext* ctx) const {
   HashFamily fp_family(child_seed, /*tag=*/0x66703262ull);
-  const AttemptConfigs configs = MakeConfigs(d, d_hat, seed, child_seed);
-  // An SSRK trial's child coins are its own and die with it.
-  ChildCoins trial_coins;
-  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
-  coins.Begin(alice, fp_family, /*slots=*/1);
+  const AttemptConfigs configs =
+      MakeConfigs(d, first_d, d_hat, seed, child_seed);
+  coins->Begin(alice, fp_family, /*slots=*/1);
 
   // Encode every child, insert encodings into the outer table. The child
   // blobs, packed into one buffer the first time the ladder sketches this
@@ -54,15 +61,15 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(
   // sessions sharing Alice's set.
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
-      {kAttemptTag, d, d_hat, seed, child_seed,
+      {kAttemptTag, d, first_d, d_hat, seed, child_seed,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    const uint8_t* packed = coins.Blobs(0, configs.child);
+    const uint8_t* packed = coins->Blobs(0, configs.child);
     Iblt outer(configs.outer);
     ctx->QueueInsertBytes(&outer, packed, alice.size());
     co_await ctx->FlushBuilds();
     // ParentFingerprint(alice), from the child fingerprints in hand.
-    writer->PutU64(SetFingerprint(coins.Fingerprints(), fp_family));
+    writer->PutU64(SetFingerprint(coins->Fingerprints(), fp_family));
     outer.SerializeWith(params_.wire_codec, writer);
     co_return Status::Ok();
   };
@@ -75,19 +82,18 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(
 }
 
 Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
-    const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed,
-    uint64_t child_seed, ChildCoins* ladder_coins, size_t* next,
+    const SetOfSets& bob, size_t d, size_t first_d, size_t d_hat,
+    uint64_t seed, uint64_t child_seed, ChildCoins* coins, size_t* next,
     bool* peer_aborted, Channel* channel, ProtocolContext* ctx) const {
   HashFamily fp_family(child_seed, /*tag=*/0x66703262ull);
-  const AttemptConfigs configs = MakeConfigs(d, d_hat, seed, child_seed);
+  const AttemptConfigs configs =
+      MakeConfigs(d, first_d, d_hat, seed, child_seed);
   const IbltConfig& child_config = configs.child;
   const IbltConfig& outer_config = configs.outer;
-  ChildCoins trial_coins;
-  ChildCoins& coins = ladder_coins != nullptr ? *ladder_coins : trial_coins;
-  coins.Begin(bob, fp_family, /*slots=*/1);
+  coins->Begin(bob, fp_family, /*slots=*/1);
   uint64_t cache_key = ProtocolCacheKey(
       ctx->PeerSetIdentity(),
-      {kAttemptTag, d, d_hat, seed, child_seed,
+      {kAttemptTag, d, first_d, d_hat, seed, child_seed,
        static_cast<uint64_t>(params_.wire_codec)});
 
   const Channel::Message& m = co_await ctx->Receive(channel, *next);
@@ -109,13 +115,13 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
 
   // Bob's own encodings, packed the same way as Alice's (once per child
   // config in a ladder), erased from the outer table as one batch.
-  const uint8_t* bob_blobs = coins.Blobs(0, child_config);
+  const uint8_t* bob_blobs = coins->Blobs(0, child_config);
   ctx->QueueEraseBytes(&remote, bob_blobs, bob.size());
   co_await ctx->FlushBuilds();
 
   // Decoded negatives map back to Bob's concrete children through the
   // fingerprints every blob ends in, confirmed against Bob's packed blobs.
-  const ChildFingerprintIndex& bob_index = coins.Index();
+  const ChildFingerprintIndex& bob_index = coins->Index();
 
   // Two pooled scratches: slot 0 owns the outer-table decode views, which
   // must stay valid while the child decodes below churn slot 1 (one scratch
@@ -155,7 +161,7 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
   }
 
   AssembledParent assembled = AssembleParent(
-      bob, coins.Fingerprints(), in_db, std::move(recovered), fp_family);
+      bob, coins->Fingerprints(), in_db, std::move(recovered), fp_family);
   if (assembled.fingerprint != alice_parent_fp) {
     co_return VerificationFailure("iblt2: parent fingerprint mismatch");
   }
@@ -175,7 +181,8 @@ Task<Status> IbltOfIbltsProtocol::ReconcileAsyncAlice(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 1;
-  ChildCoins ladder_coins;  // SSRU: shared by every rung of the ladder.
+  const size_t first_d = d;
+  ChildCoins coins;  // Held while attempts share a child seed.
   co_return co_await RunAliceTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
@@ -183,11 +190,9 @@ Task<Status> IbltOfIbltsProtocol::ReconcileAsyncAlice(
       },
       [&](int, uint64_t seed) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptAlice(
-            alice, d, d_hat, seed,
-            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-            known_d.has_value() ? nullptr : &ladder_coins, &next, channel,
-            ctx);
+        return AttemptAlice(alice, d, first_d, d_hat, seed,
+                            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+                            &coins, &next, channel, ctx);
       },
       [&] {
         // Doubling stays clamped (both halves identically, so configs keep
@@ -217,7 +222,8 @@ Task<Result<SsrOutcome>> IbltOfIbltsProtocol::ReconcileAsyncBob(
   const int trials = known_d.has_value() ? params_.max_attempts
                                          : kMaxDoublings;
   size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 1;
-  ChildCoins ladder_coins;  // SSRU: shared by every rung of the ladder.
+  const size_t first_d = d;
+  ChildCoins coins;  // Held while attempts share a child seed.
   co_return co_await RunBobTrials(
       ctx, channel, &next, trials,
       [&](int trial) {
@@ -225,11 +231,9 @@ Task<Result<SsrOutcome>> IbltOfIbltsProtocol::ReconcileAsyncBob(
       },
       [&](int, uint64_t seed, bool* peer_aborted) {
         size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptBob(
-            bob, d, d_hat, seed,
-            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-            known_d.has_value() ? nullptr : &ladder_coins, &next,
-            peer_aborted, channel, ctx);
+        return AttemptBob(bob, d, first_d, d_hat, seed,
+                          ChildCoinSeed(params_, kAttemptTag, known_d, seed),
+                          &coins, &next, peer_aborted, channel, ctx);
       },
       [&] {
         if (!known_d.has_value()) {

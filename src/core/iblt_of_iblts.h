@@ -33,10 +33,12 @@ class ChildCoins;
 /// that is the doubling ladder's first seed for every rung, so d = 1, 2
 /// and 4, which share the 16-cell child config, sketch each child with the
 /// same coins, and each half writes those blobs, its fingerprints and
-/// (Bob) their index once per ladder (ChildCoins); a child sketch that
-/// fails there is caught once d = 8 grows the child table. Under SSRK every
-/// trial retries the same d, so each trial draws its child coins afresh
-/// from its own seed, as the amplification needs.
+/// (Bob) their index once per ladder (ChildCoins). Each larger child table
+/// (d = 8, 16, ...) salts its seed with its size, so a child sketch that
+/// fails in the 16-cell table is caught by an independent one once d = 8
+/// grows the table. Under SSRK every trial retries the same d, so each
+/// trial draws its child coins afresh from its own seed, as the
+/// amplification needs.
 class IbltOfIbltsProtocol : public SetsOfSetsProtocol {
  public:
   explicit IbltOfIbltsProtocol(const SsrParams& params) : params_(params) {}
@@ -55,19 +57,19 @@ class IbltOfIbltsProtocol : public SetsOfSetsProtocol {
 
  private:
   /// Builds and sends one attempt's outer-table message; the verdict is
-  /// received by the caller. Both sides derive (d, d_hat, seed,
+  /// received by the caller. Both sides derive (d, first_d, d_hat, seed,
   /// child_seed) from the shared params and the lockstep attempt/doubling
-  /// schedule, so nothing extra crosses the wire. `ladder_coins` is the
-  /// half's ChildCoins under SSRU, and null under SSRK, whose trials keep
-  /// theirs for one attempt.
-  Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t d_hat,
-                            uint64_t seed, uint64_t child_seed,
-                            ChildCoins* ladder_coins, size_t* next,
-                            Channel* channel, ProtocolContext* ctx) const;
+  /// schedule, so nothing extra crosses the wire; `first_d` is the d of
+  /// the half's first attempt. `coins` is the half's ChildCoins, which
+  /// keeps what it wrote while attempts share a child seed.
+  Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t first_d,
+                            size_t d_hat, uint64_t seed, uint64_t child_seed,
+                            ChildCoins* coins, size_t* next, Channel* channel,
+                            ProtocolContext* ctx) const;
   Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t d,
-                                     size_t d_hat, uint64_t seed,
-                                     uint64_t child_seed,
-                                     ChildCoins* ladder_coins, size_t* next,
+                                     size_t first_d, size_t d_hat,
+                                     uint64_t seed, uint64_t child_seed,
+                                     ChildCoins* coins, size_t* next,
                                      bool* peer_aborted, Channel* channel,
                                      ProtocolContext* ctx) const;
 

@@ -158,12 +158,14 @@ uint64_t DoublingTrialSeed(const SsrParams& params, uint64_t attempt_tag,
 /// writes those child blobs once (ChildCoins, core/encoding.h). The ladder
 /// stays sound because each rung's outer tables (and cascade's T*) keep
 /// `attempt_seed`, and a child that one child config fails to decode is
-/// caught by the larger child config a later rung adds. An SSRK trial
-/// (`known_d` set) draws them from its own `attempt_seed`: its retries
-/// repeat one d, and only fresh child coins amplify the per-attempt
-/// success probability. Only hostile fail verdicts drive a ladder to the
-/// MaxWireDHat clamp, where its rungs repeat one d too; there only the
-/// outer coins stay fresh.
+/// caught by the larger child config a later rung adds, whose seed is
+/// salted apart from every smaller config's (iblt2 by its size, cascade
+/// by its level). An SSRK trial (`known_d` set) draws them from its own
+/// `attempt_seed`: its retries repeat one d, and only fresh child coins
+/// amplify the per-attempt success probability. Only fail verdicts no
+/// honest peer of this build gives (a hostile peer's, or a peer's that
+/// runs other coins) drive a ladder to the MaxWireDHat clamp, where its
+/// rungs repeat one d too; there only the outer coins stay fresh.
 uint64_t ChildCoinSeed(const SsrParams& params, uint64_t attempt_tag,
                        std::optional<size_t> known_d, uint64_t attempt_seed);
 

@@ -15,8 +15,9 @@ namespace setrec {
 
 namespace {
 
-constexpr uint64_t kAttemptTag = 0x63736364ull;  // "cscd"
-constexpr int kMaxDoublings = 40;  // SSRU: d = 2, 4, 8, ... (Corollary 3.8).
+/// SSRU doubles d from 2 (Corollary 3.8).
+constexpr LadderSpec kLadder = {
+    .name = "cascade", .attempt_tag = 0x63736364ull /* "cscd" */, .first_d = 2};
 
 size_t CeilLog2(size_t x) {
   size_t level = 0;
@@ -80,14 +81,16 @@ struct CascadePlan {
   IbltConfig star_config;
 };
 
-CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed,
-                     uint64_t child_seed) {
+CascadePlan MakePlan(size_t h, const Rung& rung) {
+  const size_t d = rung.d;
+  const size_t d_hat = rung.d_hat;
+  const uint64_t seed = rung.seed;
   CascadePlan plan;
   const size_t dm = std::min(d, h);
   plan.t = std::max<size_t>(1, CeilLog2(dm));
   plan.has_star = h <= d;  // t == log2 h: append the direct table T*.
   for (size_t i = 1; i <= plan.t; ++i) {
-    plan.child_configs.push_back(LevelChildConfig(i, d, child_seed));
+    plan.child_configs.push_back(LevelChildConfig(i, d, rung.child_seed));
     plan.outer_configs.push_back(LevelOuterConfig(
         i, d, d_hat, ChildIbltBlobWidth(plan.child_configs.back()), seed));
   }
@@ -107,15 +110,13 @@ CascadePlan MakePlan(size_t h, size_t d, size_t d_hat, uint64_t seed,
 }  // namespace
 
 Task<Status> CascadingProtocol::AttemptAlice(
-    const SetOfSets& alice, size_t d, size_t d_hat, uint64_t seed,
-    uint64_t child_seed, size_t* next, AttemptTables* lineage,
-    Channel* channel, ProtocolContext* ctx) const {
+    const SetOfSets& alice, Rung rung, ChildCoins* coins, size_t* next,
+    AttemptTables* lineage, Channel* channel, ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
-  HashFamily fp_family(child_seed, /*tag=*/0x66706373ull);
-  const CascadePlan plan = MakePlan(h, d, d_hat, seed, child_seed);
-  ChildCoins& coins = lineage->children;
-  coins.Begin(alice, fp_family, plan.t);
+  HashFamily fp_family(rung.child_seed, /*tag=*/0x66706373ull);
+  const CascadePlan plan = MakePlan(h, rung);
+  coins->Begin(alice, fp_family, plan.t);
 
   // Every child encoded into every level (and T*). One message, memoized
   // across sessions sharing Alice's set; each level's child blobs are
@@ -125,14 +126,14 @@ Task<Status> CascadingProtocol::AttemptAlice(
   // replay each other's bytes).
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
-      {kAttemptTag, d, d_hat, seed, child_seed, h,
+      {kLadder.attempt_tag, rung.d, rung.d_hat, rung.seed, rung.child_seed, h,
        static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
     // ParentFingerprint(alice), from the child fingerprints in hand.
-    writer->PutU64(SetFingerprint(coins.Fingerprints(), fp_family));
+    writer->PutU64(SetFingerprint(coins->Fingerprints(), fp_family));
     AttemptTables built;  // This attempt's tables, kept only when sparse.
     for (size_t level = 0; level < plan.t; ++level) {
-      const uint8_t* packed = coins.Blobs(level, plan.child_configs[level]);
+      const uint8_t* packed = coins->Blobs(level, plan.child_configs[level]);
       Iblt outer(plan.outer_configs[level]);
       ctx->QueueInsertBytes(&outer, packed, alice.size());
       co_await ctx->FlushBuilds();
@@ -173,18 +174,17 @@ Task<Status> CascadingProtocol::AttemptAlice(
 }
 
 Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
-    const SetOfSets& bob, size_t d, size_t d_hat, uint64_t seed,
-    uint64_t child_seed, size_t* next, AttemptTables* lineage,
-    bool* peer_aborted, Channel* channel, ProtocolContext* ctx) const {
+    const SetOfSets& bob, Rung rung, ChildCoins* coins, size_t* next,
+    AttemptTables* lineage, bool* peer_aborted, Channel* channel,
+    ProtocolContext* ctx) const {
   const size_t h = params_.max_child_size;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
-  HashFamily fp_family(child_seed, /*tag=*/0x66706373ull);
-  const CascadePlan plan = MakePlan(h, d, d_hat, seed, child_seed);
-  ChildCoins& coins = lineage->children;
-  coins.Begin(bob, fp_family, plan.t);
+  HashFamily fp_family(rung.child_seed, /*tag=*/0x66706373ull);
+  const CascadePlan plan = MakePlan(h, rung);
+  coins->Begin(bob, fp_family, plan.t);
   uint64_t cache_key = ProtocolCacheKey(
       ctx->PeerSetIdentity(),
-      {kAttemptTag, d, d_hat, seed, child_seed, h,
+      {kLadder.attempt_tag, rung.d, rung.d_hat, rung.seed, rung.child_seed, h,
        static_cast<uint64_t>(params_.wire_codec)});
 
   const Channel::Message& m = co_await ctx->Receive(channel, *next);
@@ -232,10 +232,10 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   auto recovered_before = [&da_fps](uint64_t fp) {
     return std::find(da_fps.begin(), da_fps.end(), fp) != da_fps.end();
   };
-  const std::vector<uint64_t>& bob_fps = coins.Fingerprints();
+  const std::vector<uint64_t>& bob_fps = coins->Fingerprints();
   // Every level's blob ends in the same child fingerprint, so one index
   // maps each level's decoded negatives back to Bob's children.
-  const ChildFingerprintIndex& bob_index = coins.Index();
+  const ChildFingerprintIndex& bob_index = coins->Index();
   // Outer/star decode views live in the pooled slot-0 scratch and are
   // iterated while the nested per-child decodes churn slot 1; the split
   // keeps the views valid (one scratch would be invalidated by the first
@@ -256,7 +256,7 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
   // fingerprint, every later table (Alice's children minus these) is
   // empty, so the remaining levels and T* cannot change the result.
   std::vector<uint64_t> parent_fps;
-  parent_fps.reserve(bob.size() + d_hat);
+  parent_fps.reserve(bob.size() + rung.d_hat);
   auto parent_matches = [&] {
     parent_fps.clear();
     for (size_t j = 0; j < bob.size(); ++j) {
@@ -274,7 +274,7 @@ Task<Result<SetOfSets>> CascadingProtocol::AttemptBob(
 
     // Bob's level-i encodings (all children, for the index lookups and the
     // partners below), written the first time the ladder reaches level i.
-    const uint8_t* bob_blobs = coins.Blobs(level, child_config);
+    const uint8_t* bob_blobs = coins->Blobs(level, child_config);
     // Delete Bob's children not yet known to differ (level 1: all of them)
     // straight from his packed blobs, one batch per run of adjacent ones,
     // then every already-recovered child of Alice's. Erasures commute, so
@@ -372,38 +372,14 @@ Task<Status> CascadingProtocol::ReconcileAsyncAlice(
   if (params_.max_child_size == 0) {
     co_return InvalidArgument("cascading protocol requires max_child_size (h)");
   }
-  Status valid = ValidateSetOfSetsMemo(alice, params_, ctx);
-  if (!valid.ok()) {
-    co_return co_await SendAbort(ctx, channel, Party::kAlice, valid);
-  }
-  size_t next = 0;
-
-  const int trials = known_d.has_value() ? params_.max_attempts
-                                         : kMaxDoublings;
-  size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  // The previous attempt's tables (sparse delta frames) and child coins.
-  AttemptTables lineage;
+  AttemptLadder ladder(params_, known_d, kLadder);
+  size_t next = 0;  // Index of the next transcript message.
+  AttemptTables lineage;  // The previous attempt's tables (sparse deltas).
   co_return co_await RunAliceTrials(
-      ctx, channel, &next, trials,
-      [&](int trial) {
-        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
-      },
-      [&](int, uint64_t seed) {
-        size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptAlice(alice, d, d_hat, seed,
-                            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-                            &next, &lineage, channel, ctx);
-      },
-      [&] {
-        // Clamped identically in both halves: a remote peer's fail
-        // verdicts must not drive level counts / sketch sizes without
-        // bound.
-        if (!known_d.has_value()) {
-          d = std::min<size_t>(d * 2, MaxWireDHat(/*key_width=*/8));
-        }
-      },
-      std::string("cascade (") + (known_d.has_value() ? "SSRK" : "SSRU") +
-          ") failed: ");
+      &ladder, alice, channel, ctx, &next, [&](const Rung& rung) {
+        return AttemptAlice(alice, rung, ladder.coins(), &next, &lineage,
+                            channel, ctx);
+      });
 }
 
 Task<Result<SsrOutcome>> CascadingProtocol::ReconcileAsyncBob(
@@ -412,38 +388,15 @@ Task<Result<SsrOutcome>> CascadingProtocol::ReconcileAsyncBob(
   if (params_.max_child_size == 0) {
     co_return InvalidArgument("cascading protocol requires max_child_size (h)");
   }
-  Status valid = ValidateSetOfSets(bob, params_);
+  AttemptLadder ladder(params_, known_d, kLadder);
   size_t next = 0;
-  if (!valid.ok()) {
-    const Channel::Message& m = co_await ctx->Receive(channel, next);
-    ++next;
-    if (std::optional<Status> abort = PeerAbort(m)) co_return *abort;
-    co_return co_await SendAbort(ctx, channel, Party::kBob, valid);
-  }
-
-  const int trials = known_d.has_value() ? params_.max_attempts
-                                         : kMaxDoublings;
-  size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 2;
-  // The previous attempt's tables (sparse delta frames) and child coins.
-  AttemptTables lineage;
+  AttemptTables lineage;  // The previous attempt's tables (sparse deltas).
   co_return co_await RunBobTrials(
-      ctx, channel, &next, trials,
-      [&](int trial) {
-        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
-      },
-      [&](int, uint64_t seed, bool* peer_aborted) {
-        size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptBob(bob, d, d_hat, seed,
-                          ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-                          &next, &lineage, peer_aborted, channel, ctx);
-      },
-      [&] {
-        if (!known_d.has_value()) {
-          d = std::min<size_t>(d * 2, MaxWireDHat(/*key_width=*/8));
-        }
-      },
-      std::string("cascade (") + (known_d.has_value() ? "SSRK" : "SSRU") +
-          ") failed: ");
+      &ladder, bob, channel, ctx, &next,
+      [&](const Rung& rung, bool* peer_aborted) {
+        return AttemptBob(bob, rung, ladder.coins(), &next, &lineage,
+                          peer_aborted, channel, ctx);
+      });
 }
 
 }  // namespace setrec

@@ -6,6 +6,8 @@
 
 namespace setrec {
 
+struct Rung;
+
 /// Algorithm 2 of the paper ("Cascading IBLTs of IBLTs", Theorem 3.7 /
 /// Corollary 3.8). Exploits that the total number of element changes is d —
 /// so only O(1) children need Omega(d)-cell sketches, O(sqrt d) need
@@ -26,13 +28,13 @@ namespace setrec {
 ///         per attempt (amplified by retries).
 ///   SSRU: O(log d) rounds by repeated doubling (Corollary 3.8).
 ///
-/// Coins. Each attempt's outer tables T_i and T* are seeded by the attempt.
+/// Coins. Each attempt's outer tables T_i and T* are seeded by its rung.
 /// The level child configs and the child (and parent) fingerprint family
-/// come from the attempt's child seed (ChildCoinSeed, core/split_party.h):
-/// under SSRU that is the doubling ladder's first seed for every rung, and
-/// level i's child config is the same in every rung that has the level,
-/// so each half writes each level's child blobs, its fingerprints and
-/// (Bob) their index once per ladder (ChildCoins) instead of once per
+/// come from the rung's child seed (AttemptLadder, core/split_party.h): on
+/// the SSRU doubling ladder that is the first rung's seed for every rung,
+/// and level i's child config is the same in every rung that has the
+/// level, so each half writes each level's child blobs, its fingerprints
+/// and (Bob) their index once per ladder (ChildCoins) instead of once per
 /// rung. Each level salts its config's seed with the level, so a child
 /// whose sketch fails at a reused level is caught by independent coins at
 /// the larger level, or T*, the next rung adds. Under SSRK every trial
@@ -55,37 +57,30 @@ class CascadingProtocol : public SetsOfSetsProtocol {
       const override;
 
  private:
-  /// What one half carries from attempt to attempt.
-  ///
-  /// `outers` and `star`: the previous attempt's wire tables, retained
-  /// under WireCodec::kSparse so a retry can send delta frames for any
-  /// level whose config repeats (TableLineage). Both halves keep their own
-  /// copy — Alice the tables she built, Bob the tables he parsed — and the
-  /// two agree bit-for-bit whenever a config repeats, because an attempt
-  /// table is a deterministic function of (sender set, config). Outer
-  /// configs take each attempt's own seed, so none repeats across a
-  /// ladder and these seed full frames only. Empty under kDense.
-  ///
-  /// `children`: the half's child coins, one slot per level, held while
-  /// attempts share a child seed: an SSRU ladder writes each level's child
-  /// blobs once, and an SSRK trial, whose child seed is its own, drops
-  /// the previous trial's (see the class comment).
+  /// What one half carries from attempt to attempt: the previous
+  /// attempt's wire tables, retained under WireCodec::kSparse so a retry
+  /// can send delta frames for any level whose config repeats
+  /// (TableLineage). Both halves keep their own copy — Alice the tables she
+  /// built, Bob the tables he parsed — and the two agree bit-for-bit
+  /// whenever a config repeats, because an attempt table is a deterministic
+  /// function of (sender set, config). Outer configs take each attempt's
+  /// own seed, so none repeats across a ladder and these seed full frames
+  /// only. Empty under kDense.
   struct AttemptTables {
     std::vector<Iblt> outers;
     std::optional<Iblt> star;
-    ChildCoins children;
   };
 
   /// Builds and sends one attempt's cascade message (all t levels + T*);
   /// the verdict is received by the caller. Level configs derive from the
-  /// shared (params, d, d_hat, seed, child_seed) on both sides.
-  Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t d_hat,
-                            uint64_t seed, uint64_t child_seed, size_t* next,
+  /// shared params and the rung on both sides. `coins` is the half's
+  /// ChildCoins, one slot per level, kept while rungs share a child seed.
+  Task<Status> AttemptAlice(const SetOfSets& alice, Rung rung,
+                            ChildCoins* coins, size_t* next,
                             AttemptTables* lineage, Channel* channel,
                             ProtocolContext* ctx) const;
-  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t d,
-                                     size_t d_hat, uint64_t seed,
-                                     uint64_t child_seed, size_t* next,
+  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, Rung rung,
+                                     ChildCoins* coins, size_t* next,
                                      AttemptTables* lineage,
                                      bool* peer_aborted, Channel* channel,
                                      ProtocolContext* ctx) const;

@@ -94,9 +94,7 @@ void AppendChildIbltBlobs(const SetOfSets& children,
 void ChildCoins::Begin(const SetOfSets& children, const HashFamily& fp_family,
                        size_t slots) {
   assert(children_ == nullptr || children_ == &children);
-  if (fp_family_ && fp_family_->seed() != fp_family.seed()) {
-    *this = ChildCoins();  // Another child seed: nothing held is valid.
-  }
+  assert(!fp_family_ || fp_family_->seed() == fp_family.seed());
   children_ = &children;
   fp_family_ = fp_family;
   slots_ = slots;

@@ -73,26 +73,27 @@ void AppendChildIbltBlobs(const SetOfSets& children,
                           std::span<const uint64_t> fingerprints,
                           ByteWriter* out);
 
-/// One party's child coins over the attempts that share one child seed (an
-/// SSRU ladder's; see ChildCoinSeed in core/split_party.h): the
-/// fingerprints of its children under that seed's fingerprint family, the
-/// index over them (Bob maps decoded negatives back through it), and the
-/// packed (child IBLT, fingerprint) blobs of each child config slot (one
-/// per cascade level; iblt2 has one). Each is made the first time an
-/// attempt asks for it and kept while the slot's config stays the same, so
-/// a child config's blobs are written once however many attempts sketch
-/// it; a config and the family derive from the one child seed, so a kept
-/// slot holds the bytes a fresh write would make. Each half keeps one for
-/// its whole run; under SSRK every trial has a child seed of its own, so
-/// Begin drops the previous trial's coins, and the last trial's live until
-/// the half's run ends.
+/// One party's child coins over the rungs of its attempt ladder that share
+/// one child seed (an SSRU doubling ladder's; see AttemptLadder in
+/// core/split_party.h): the fingerprints of its children under that seed's
+/// fingerprint family, the index over them (Bob maps decoded negatives back
+/// through it), and the packed (child IBLT, fingerprint) blobs of each child
+/// config slot (one per cascade level; iblt2 has one). Each is made the
+/// first time an attempt asks for it and kept while the slot's config stays
+/// the same, so a child config's blobs are written once however many rungs
+/// sketch it; a config and the family derive from the one child seed, so a
+/// kept slot holds the bytes a fresh write would make. The ladder owns one
+/// per half and is its one lifetime rule: when a rung's data phase ends and
+/// the next rung draws another child seed (every SSRK trial does), the
+/// ladder releases the coins before the half exchanges the verdict.
 class ChildCoins {
  public:
   /// Starts an attempt over `children` (the same set every attempt) whose
   /// child fingerprints come from `fp_family` and whose child configs fill
-  /// `slots` slots. Another family than the held one means another child
-  /// seed, and drops everything held. Computes nothing: a half that never
-  /// asks (Alice replaying a memoized message) pays nothing.
+  /// `slots` slots. Anything held was made under the same family: the
+  /// ladder releases the coins before a rung with another child seed.
+  /// Computes nothing: a half that never asks (Alice replaying a memoized
+  /// message) pays nothing.
   void Begin(const SetOfSets& children, const HashFamily& fp_family,
              size_t slots);
 

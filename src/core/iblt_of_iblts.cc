@@ -1,6 +1,5 @@
 #include "core/iblt_of_iblts.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "core/build_context.h"
@@ -13,45 +12,46 @@
 namespace setrec {
 
 namespace {
-constexpr uint64_t kAttemptTag = 0x69626c32ull;  // "ibl2"
-constexpr int kMaxDoublings = 40;  // SSRU: d = 1, 2, 4, ... (Corollary 3.6).
+/// SSRU doubles d from 1 (Corollary 3.6).
+constexpr LadderSpec kLadder = {
+    .name = "iblt2", .attempt_tag = 0x69626c32ull /* "ibl2" */, .first_d = 1};
 
 /// Child/outer table configs for one attempt, derived identically by both
-/// parties from shared knowledge (params, d, d_hat, the attempt's seed and
-/// its child seed, and `first_d`, the d of the run's first attempt).
+/// parties from its rung (d, d_hat, the attempt's seed and its child seed,
+/// and `first_d`, the d of the ladder's first rung).
 struct AttemptConfigs {
   IbltConfig child;
   IbltConfig outer;
 };
 
-AttemptConfigs MakeConfigs(size_t d, size_t first_d, size_t d_hat,
-                           uint64_t seed, uint64_t child_seed) {
+AttemptConfigs MakeConfigs(const Rung& rung) {
   AttemptConfigs configs;
   // The child table's seed is salted with the cells it has grown past the
-  // run's first child table, so an SSRU ladder's rungs share coins only
+  // ladder's first child table, so an SSRU ladder's rungs share coins only
   // while they share a table size (d = 1, 2 and 4), and each larger table
   // draws its own: under one seed, two keys that share a cell in a smaller
   // table would be likelier to share one in the larger, as Cell() only
   // reduces one mix by the partition width. SSRK trials never grow the
   // table, so their salt is 0.
-  configs.child = IbltConfig::ForDifference(d, 0, /*key_width=*/8);
-  const size_t grown =
-      configs.child.cells - IbltConfig::ForDifference(first_d, 0, 8).cells;
-  configs.child.seed = DeriveSeed(child_seed, /*tag=*/0x63686c64ull + grown);
+  configs.child = IbltConfig::ForDifference(rung.d, 0, /*key_width=*/8);
+  const size_t first_cells =
+      IbltConfig::ForDifference(rung.first_d, 0, /*key_width=*/8).cells;
+  const size_t grown = configs.child.cells - first_cells;
+  configs.child.seed =
+      DeriveSeed(rung.child_seed, /*tag=*/0x63686c64ull + grown);
   configs.outer = IbltConfig::ForDifference(
-      2 * d_hat, seed, ChildIbltBlobWidth(configs.child));
+      2 * rung.d_hat, rung.seed, ChildIbltBlobWidth(configs.child));
   return configs;
 }
 
 }  // namespace
 
-Task<Status> IbltOfIbltsProtocol::AttemptAlice(
-    const SetOfSets& alice, size_t d, size_t first_d, size_t d_hat,
-    uint64_t seed, uint64_t child_seed, ChildCoins* coins, size_t* next,
-    Channel* channel, ProtocolContext* ctx) const {
-  HashFamily fp_family(child_seed, /*tag=*/0x66703262ull);
-  const AttemptConfigs configs =
-      MakeConfigs(d, first_d, d_hat, seed, child_seed);
+Task<Status> IbltOfIbltsProtocol::AttemptAlice(const SetOfSets& alice,
+                                               Rung rung, ChildCoins* coins,
+                                               size_t* next, Channel* channel,
+                                               ProtocolContext* ctx) const {
+  HashFamily fp_family(rung.child_seed, /*tag=*/0x66703262ull);
+  const AttemptConfigs configs = MakeConfigs(rung);
   coins->Begin(alice, fp_family, /*slots=*/1);
 
   // Encode every child, insert encodings into the outer table. The child
@@ -61,8 +61,8 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(
   // sessions sharing Alice's set.
   uint64_t cache_key = ProtocolCacheKey(
       ctx->SetIdentity(&alice),
-      {kAttemptTag, d, first_d, d_hat, seed, child_seed,
-       static_cast<uint64_t>(params_.wire_codec)});
+      {kLadder.attempt_tag, rung.d, rung.first_d, rung.d_hat, rung.seed,
+       rung.child_seed, static_cast<uint64_t>(params_.wire_codec)});
   auto build = [&](ByteWriter* writer) -> Task<Status> {
     const uint8_t* packed = coins->Blobs(0, configs.child);
     Iblt outer(configs.outer);
@@ -82,19 +82,17 @@ Task<Status> IbltOfIbltsProtocol::AttemptAlice(
 }
 
 Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
-    const SetOfSets& bob, size_t d, size_t first_d, size_t d_hat,
-    uint64_t seed, uint64_t child_seed, ChildCoins* coins, size_t* next,
+    const SetOfSets& bob, Rung rung, ChildCoins* coins, size_t* next,
     bool* peer_aborted, Channel* channel, ProtocolContext* ctx) const {
-  HashFamily fp_family(child_seed, /*tag=*/0x66703262ull);
-  const AttemptConfigs configs =
-      MakeConfigs(d, first_d, d_hat, seed, child_seed);
+  HashFamily fp_family(rung.child_seed, /*tag=*/0x66703262ull);
+  const AttemptConfigs configs = MakeConfigs(rung);
   const IbltConfig& child_config = configs.child;
   const IbltConfig& outer_config = configs.outer;
   coins->Begin(bob, fp_family, /*slots=*/1);
   uint64_t cache_key = ProtocolCacheKey(
       ctx->PeerSetIdentity(),
-      {kAttemptTag, d, first_d, d_hat, seed, child_seed,
-       static_cast<uint64_t>(params_.wire_codec)});
+      {kLadder.attempt_tag, rung.d, rung.first_d, rung.d_hat, rung.seed,
+       rung.child_seed, static_cast<uint64_t>(params_.wire_codec)});
 
   const Channel::Message& m = co_await ctx->Receive(channel, *next);
   ++*next;
@@ -171,77 +169,25 @@ Task<Result<SetOfSets>> IbltOfIbltsProtocol::AttemptBob(
 Task<Status> IbltOfIbltsProtocol::ReconcileAsyncAlice(
     const SetOfSets& alice, std::optional<size_t> known_d, Channel* channel,
     ProtocolContext* ctx) const {
-  Status valid = ValidateSetOfSetsMemo(alice, params_, ctx);
-  if (!valid.ok()) {
-    // Alice opens in both modes; abort in her first slot.
-    co_return co_await SendAbort(ctx, channel, Party::kAlice, valid);
-  }
-  size_t next = 0;
-
-  const int trials = known_d.has_value() ? params_.max_attempts
-                                         : kMaxDoublings;
-  size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 1;
-  const size_t first_d = d;
-  ChildCoins coins;  // Held while attempts share a child seed.
+  AttemptLadder ladder(params_, known_d, kLadder);
+  size_t next = 0;  // Index of the next transcript message.
   co_return co_await RunAliceTrials(
-      ctx, channel, &next, trials,
-      [&](int trial) {
-        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
-      },
-      [&](int, uint64_t seed) {
-        size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptAlice(alice, d, first_d, d_hat, seed,
-                            ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-                            &coins, &next, channel, ctx);
-      },
-      [&] {
-        // Doubling stays clamped (both halves identically, so configs keep
-        // matching): a remote peer's fail verdicts must not be able to
-        // drive sketch allocations without bound.
-        if (!known_d.has_value()) {
-          d = std::min<size_t>(d * 2, MaxWireDHat(/*key_width=*/8));
-        }
-      },
-      std::string("iblt2 (") + (known_d.has_value() ? "SSRK" : "SSRU") +
-          ") failed: ");
+      &ladder, alice, channel, ctx, &next, [&](const Rung& rung) {
+        return AttemptAlice(alice, rung, ladder.coins(), &next, channel, ctx);
+      });
 }
 
 Task<Result<SsrOutcome>> IbltOfIbltsProtocol::ReconcileAsyncBob(
     const SetOfSets& bob, std::optional<size_t> known_d, Channel* channel,
     ProtocolContext* ctx) const {
-  Status valid = ValidateSetOfSets(bob, params_);
+  AttemptLadder ladder(params_, known_d, kLadder);
   size_t next = 0;
-  if (!valid.ok()) {
-    // Bob's first slot is the verdict after Alice's opener.
-    const Channel::Message& m = co_await ctx->Receive(channel, next);
-    ++next;
-    if (std::optional<Status> abort = PeerAbort(m)) co_return *abort;
-    co_return co_await SendAbort(ctx, channel, Party::kBob, valid);
-  }
-
-  const int trials = known_d.has_value() ? params_.max_attempts
-                                         : kMaxDoublings;
-  size_t d = known_d.has_value() ? std::max<size_t>(*known_d, 1) : 1;
-  const size_t first_d = d;
-  ChildCoins coins;  // Held while attempts share a child seed.
   co_return co_await RunBobTrials(
-      ctx, channel, &next, trials,
-      [&](int trial) {
-        return DoublingTrialSeed(params_, kAttemptTag, known_d, trial);
-      },
-      [&](int, uint64_t seed, bool* peer_aborted) {
-        size_t d_hat = std::max<size_t>(DHat(d, params_), 1);
-        return AttemptBob(bob, d, first_d, d_hat, seed,
-                          ChildCoinSeed(params_, kAttemptTag, known_d, seed),
-                          &coins, &next, peer_aborted, channel, ctx);
-      },
-      [&] {
-        if (!known_d.has_value()) {
-          d = std::min<size_t>(d * 2, MaxWireDHat(/*key_width=*/8));
-        }
-      },
-      std::string("iblt2 (") + (known_d.has_value() ? "SSRK" : "SSRU") +
-          ") failed: ");
+      &ladder, bob, channel, ctx, &next,
+      [&](const Rung& rung, bool* peer_aborted) {
+        return AttemptBob(bob, rung, ladder.coins(), &next, peer_aborted,
+                          channel, ctx);
+      });
 }
 
 }  // namespace setrec

@@ -6,6 +6,7 @@
 namespace setrec {
 
 class ChildCoins;
+struct Rung;
 
 /// Algorithm 1 of the paper ("IBLTs of IBLTs", Theorem 3.5 / Corollary
 /// 3.6). Each child set is encoded as an O(d)-cell child IBLT plus a child
@@ -27,12 +28,12 @@ class ChildCoins;
 ///                        O(n + d-hat^2 d) time.
 ///   SSRU: O(log d) rounds by repeated doubling of d (Corollary 3.6).
 ///
-/// Coins. Each attempt's outer table is seeded by the attempt. The child
+/// Coins. Each attempt's outer table is seeded by its rung. The child
 /// sketch config and the child (and parent) fingerprint family come from
-/// the attempt's child seed (ChildCoinSeed, core/split_party.h): under SSRU
-/// that is the doubling ladder's first seed for every rung, so d = 1, 2
-/// and 4, which share the 16-cell child config, sketch each child with the
-/// same coins, and each half writes those blobs, its fingerprints and
+/// the rung's child seed (AttemptLadder, core/split_party.h): on the SSRU
+/// doubling ladder that is the first rung's seed for every rung, so d = 1,
+/// 2 and 4, which share the 16-cell child config, sketch each child with
+/// the same coins, and each half writes those blobs, its fingerprints and
 /// (Bob) their index once per ladder (ChildCoins). Each larger child table
 /// (d = 8, 16, ...) salts its seed with its size, so a child sketch that
 /// fails in the 16-cell table is caught by an independent one once d = 8
@@ -57,18 +58,14 @@ class IbltOfIbltsProtocol : public SetsOfSetsProtocol {
 
  private:
   /// Builds and sends one attempt's outer-table message; the verdict is
-  /// received by the caller. Both sides derive (d, first_d, d_hat, seed,
-  /// child_seed) from the shared params and the lockstep attempt/doubling
-  /// schedule, so nothing extra crosses the wire; `first_d` is the d of
-  /// the half's first attempt. `coins` is the half's ChildCoins, which
-  /// keeps what it wrote while attempts share a child seed.
-  Task<Status> AttemptAlice(const SetOfSets& alice, size_t d, size_t first_d,
-                            size_t d_hat, uint64_t seed, uint64_t child_seed,
+  /// received by the caller. Both sides derive every table from the rung
+  /// (its d, first d, d-hat, seed and child seed), so nothing extra crosses
+  /// the wire. `coins` is the half's ChildCoins, which keeps what it wrote
+  /// while rungs share a child seed.
+  Task<Status> AttemptAlice(const SetOfSets& alice, Rung rung,
                             ChildCoins* coins, size_t* next, Channel* channel,
                             ProtocolContext* ctx) const;
-  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t d,
-                                     size_t first_d, size_t d_hat,
-                                     uint64_t seed, uint64_t child_seed,
+  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, Rung rung,
                                      ChildCoins* coins, size_t* next,
                                      bool* peer_aborted, Channel* channel,
                                      ProtocolContext* ctx) const;

@@ -16,7 +16,15 @@ namespace setrec {
 
 namespace {
 
-constexpr uint64_t kAttemptTag = 0x6d726e64ull;  // "mrnd"
+/// Theorem 3.10's ladder: round 0 is an l0 estimate over child
+/// fingerprints, whose d-hat sizes the fingerprint IBLT (8-byte keys).
+constexpr LadderSpec kLadder = {.name = "multiround",
+                                .attempt_tag = 0x6d726e64ull,  // "mrnd"
+                                .shape = LadderShape::kEstimated,
+                                .clamp_width = 8,
+                                .estimator_tag = 0x6d724553ull,
+                                .fingerprint_tag = 0x66706d32ull,
+                                .opener_label = "mr-d-estimator"};
 constexpr uint64_t kNoPartner = ~0ull;
 
 enum class PayloadMode : uint8_t { kDirect = 0, kIblt = 1, kCharPoly = 2 };
@@ -32,12 +40,6 @@ L0Estimator::Params ChildEstimatorParams(uint64_t seed) {
   return params;
 }
 
-L0Estimator::Params RoundZeroEstimatorParams(uint64_t protocol_seed) {
-  L0Estimator::Params params;
-  params.seed = DeriveSeed(protocol_seed, /*tag=*/0x6d724553ull);
-  return params;
-}
-
 IbltConfig ChildPayloadConfig(size_t d_i, uint64_t seed, uint64_t child_fp) {
   return IbltConfig::ForDifference(d_i, DeriveSeed(seed, Mix64(child_fp)));
 }
@@ -50,11 +52,11 @@ IbltConfig FingerprintConfig(size_t d_hat, uint64_t seed) {
 }  // namespace
 
 Task<Status> MultiRoundProtocol::AttemptAlice(
-    const SetOfSets& alice, std::optional<size_t> known_d, size_t d_hat,
-    bool carry_d_hat, uint64_t seed, size_t* next,
-    std::optional<Iblt>* fp_lineage, AttemptEnd* end, Channel* channel,
-    ProtocolContext* ctx) const {
+    const SetOfSets& alice, Rung rung, const AttemptLadder& ladder,
+    size_t* next, std::optional<Iblt>* fp_lineage, AttemptEnd* end,
+    Channel* channel, ProtocolContext* ctx) const {
   *end = AttemptEnd::kRetry;
+  const uint64_t seed = rung.seed;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(seed, /*tag=*/0x66706d72ull);
   const L0Estimator::Params est_params = ChildEstimatorParams(seed);
@@ -62,14 +64,14 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
   // ---- Round 1: the fingerprint IBLT (memoized across sessions sharing
   // Alice's set; the d-hat prefix of estimator mode is part of the cached
   // bytes, keyed by d_hat). ----
-  IbltConfig fp_config = FingerprintConfig(d_hat, seed);
+  IbltConfig fp_config = FingerprintConfig(rung.d_hat, seed);
   // The mode flag is part of the key: estimator-mode messages carry a
   // d-hat prefix, and an SSRK session landing on the same (d_hat, seed)
   // must not replay them. The wire codec is part of the key too.
-  uint64_t cache_key =
-      ProtocolCacheKey(ctx->SetIdentity(&alice),
-                       {kAttemptTag, d_hat, seed, carry_d_hat ? 1u : 0u,
-                        static_cast<uint64_t>(params_.wire_codec)});
+  uint64_t cache_key = ProtocolCacheKey(
+      ctx->SetIdentity(&alice),
+      {kLadder.attempt_tag, rung.d_hat, seed, rung.carries_d_hat() ? 1u : 0u,
+       static_cast<uint64_t>(params_.wire_codec)});
   // Alice's child fingerprints are needed unconditionally (the msg2
   // matching map below), so compute them once and share with the builder.
   std::vector<uint64_t> alice_fps(alice.size());
@@ -77,7 +79,7 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
     alice_fps[i] = ChildFingerprint(alice[i], fp_family);
   }
   auto build = [&](ByteWriter* writer) -> Task<Status> {
-    if (carry_d_hat) writer->PutVarint(d_hat);
+    ladder.PutDHat(rung, writer);
     Iblt ta(fp_config);
     ctx->QueueInsertU64(&ta, alice_fps.data(), alice_fps.size());
     co_await ctx->FlushBuilds();
@@ -209,8 +211,7 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
   // Char-poly below sqrt(d) (Theorem 3.9's split); IBLT above; raw child
   // when the set itself is smaller than the sketch would be.
   const double sqrt_d = std::sqrt(static_cast<double>(
-      known_d.has_value() ? std::max<size_t>(*known_d, 1)
-                          : std::max<size_t>(total_estimated, 1)));
+      rung.carries_d_hat() ? std::max<size_t>(total_estimated, 1) : rung.d));
 
   // Phase 1: pick modes, build the O(d) IBLT payload sketches (inline —
   // below the coalescing grain).
@@ -282,10 +283,11 @@ Task<Status> MultiRoundProtocol::AttemptAlice(
 }
 
 Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
-    const SetOfSets& bob, size_t* d_hat, bool carry_d_hat, uint64_t seed,
+    const SetOfSets& bob, Rung rung, const AttemptLadder& ladder,
     size_t* next, std::optional<Iblt>* fp_lineage, AttemptEnd* end,
     Channel* channel, ProtocolContext* ctx) const {
   *end = AttemptEnd::kRetry;
+  const uint64_t seed = rung.seed;
   const bool sparse = params_.wire_codec == WireCodec::kSparse;
   HashFamily fp_family(seed, /*tag=*/0x66706d72ull);
   const L0Estimator::Params est_params = ChildEstimatorParams(seed);
@@ -298,21 +300,16 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
     co_return *abort;
   }
   ByteReader r1(m1.payload);
-  if (carry_d_hat) {
-    uint64_t wire = 0;
-    if (!r1.GetVarint(&wire) ||
-        !WireDHatPlausible(wire, /*key_width=*/8)) {
-      *end = AttemptEnd::kTerminal;
-      Status fail = ParseError("mr msg1 carries an invalid d-hat");
-      co_return co_await SendAbort(ctx, channel, Party::kBob, fail);
-    }
-    *d_hat = static_cast<size_t>(wire);
+  if (!ladder.GetDHat(&r1, &rung)) {
+    *end = AttemptEnd::kTerminal;
+    Status fail = ParseError("mr msg1 carries an invalid d-hat");
+    co_return co_await SendAbort(ctx, channel, Party::kBob, fail);
   }
-  IbltConfig fp_config = FingerprintConfig(*d_hat, seed);
-  uint64_t cache_key =
-      ProtocolCacheKey(ctx->PeerSetIdentity(),
-                       {kAttemptTag, *d_hat, seed, carry_d_hat ? 1u : 0u,
-                        static_cast<uint64_t>(params_.wire_codec)});
+  IbltConfig fp_config = FingerprintConfig(rung.d_hat, seed);
+  uint64_t cache_key = ProtocolCacheKey(
+      ctx->PeerSetIdentity(),
+      {kLadder.attempt_tag, rung.d_hat, seed, rung.carries_d_hat() ? 1u : 0u,
+       static_cast<uint64_t>(params_.wire_codec)});
   uint64_t alice_parent_fp = 0;
   if (!r1.GetU64(&alice_parent_fp)) {
     *end = AttemptEnd::kTerminal;
@@ -534,133 +531,29 @@ Task<Result<SetOfSets>> MultiRoundProtocol::AttemptBob(
 Task<Status> MultiRoundProtocol::ReconcileAsyncAlice(
     const SetOfSets& alice, std::optional<size_t> known_d, Channel* channel,
     ProtocolContext* ctx) const {
-  Status valid = ValidateSetOfSetsMemo(alice, params_, ctx);
-  const bool estimated = !known_d.has_value();
-  size_t next = 0;
-
-  size_t d_hat = 0;
-  if (!estimated) {
-    if (!valid.ok()) {
-      co_return co_await SendAbort(ctx, channel, Party::kAlice, valid);
-    }
-    d_hat = std::max<size_t>(DHat(std::max<size_t>(*known_d, 1), params_), 1);
-  } else {
-    // SSRU (Theorem 3.10): round 0, Bob opens with an l0 estimator over his
-    // child fingerprints so Alice can size the fingerprint IBLT.
-    const Channel::Message& m = co_await ctx->Receive(channel, next);
-    ++next;
-    if (std::optional<Status> abort = PeerAbort(m)) co_return *abort;
-    if (!valid.ok()) {
-      co_return co_await SendAbort(ctx, channel, Party::kAlice, valid);
-    }
-    const L0Estimator::Params est_params =
-        RoundZeroEstimatorParams(params_.seed);
-    HashFamily fp_family(est_params.seed, /*tag=*/0x66706d32ull);
-    ByteReader reader(m.payload);
-    Result<L0Estimator> merged_r =
-        L0Estimator::Deserialize(&reader, est_params);
-    if (!merged_r.ok()) {
-      co_return co_await SendAbort(ctx, channel, Party::kAlice,
-                                   merged_r.status());
-    }
-    L0Estimator merged = std::move(merged_r).value();
-    L0Estimator alice_est(est_params);
-    std::vector<uint64_t> alice_fps0;
-    alice_fps0.reserve(alice.size());
-    for (const ChildSet& child : alice) {
-      alice_fps0.push_back(ChildFingerprint(child, fp_family));
-    }
-    ctx->QueueL0Update(&alice_est, alice_fps0.data(), alice_fps0.size(), 1);
-    co_await ctx->FlushBuilds();
-    if (Status s = merged.Merge(alice_est); !s.ok()) {
-      co_return co_await SendAbort(ctx, channel, Party::kAlice, s);
-    }
-    // Clamped to the wire bound Bob's side enforces (WireDHatPlausible;
-    // the fingerprint table has 8-byte keys).
-    d_hat = std::min<size_t>(
-        std::max<size_t>(
-            static_cast<size_t>(params_.estimate_slack *
-                                static_cast<double>(merged.Estimate())) /
-                2,
-            2),
-        MaxWireDHat(/*key_width=*/8));
-  }
-
-  // Shared trial driver (AttemptEnd flavor: the verdict exchange is
-  // interleaved with the attempt's own four messages).
+  AttemptLadder ladder(params_, known_d, kLadder);
+  size_t next = 0;  // Index of the next transcript message.
   std::optional<Iblt> fp_lineage;  // Previous attempt's fingerprint table.
   co_return co_await RunAliceEndTrials(
-      ctx, params_.max_attempts,
-      [&](int trial) {
-        return DeriveSeed(params_.seed,
-                          kAttemptTag + static_cast<uint64_t>(trial));
-      },
-      [&](int, uint64_t seed, AttemptEnd* end) {
-        return AttemptAlice(alice, known_d, d_hat, estimated, seed, &next,
-                            &fp_lineage, end, channel, ctx);
-      },
-      [&] {
-        if (estimated) {
-          d_hat = std::min<size_t>(d_hat * 2, MaxWireDHat(/*key_width=*/8));
-        }
-      },
-      "multiround failed: ");
+      &ladder, alice, channel, ctx, &next,
+      [&](const Rung& rung, AttemptEnd* end) {
+        return AttemptAlice(alice, rung, ladder, &next, &fp_lineage, end,
+                            channel, ctx);
+      });
 }
 
 Task<Result<SsrOutcome>> MultiRoundProtocol::ReconcileAsyncBob(
     const SetOfSets& bob, std::optional<size_t> known_d, Channel* channel,
     ProtocolContext* ctx) const {
-  Status valid = ValidateSetOfSets(bob, params_);
-  const bool estimated = !known_d.has_value();
+  AttemptLadder ladder(params_, known_d, kLadder);
   size_t next = 0;
-
-  size_t d_hat = 0;
-  if (!estimated) {
-    d_hat = std::max<size_t>(DHat(std::max<size_t>(*known_d, 1), params_), 1);
-    if (!valid.ok()) {
-      // Bob's first slot is msg2 of attempt 0; abort there.
-      const Channel::Message& m = co_await ctx->Receive(channel, next);
-      ++next;
-      if (std::optional<Status> abort = PeerAbort(m)) co_return *abort;
-      co_return co_await SendAbort(ctx, channel, Party::kBob, valid);
-    }
-  } else {
-    if (!valid.ok()) {
-      co_return co_await SendAbort(ctx, channel, Party::kBob, valid);
-    }
-    const L0Estimator::Params est_params =
-        RoundZeroEstimatorParams(params_.seed);
-    HashFamily fp_family(est_params.seed, /*tag=*/0x66706d32ull);
-    L0Estimator bob_est(est_params);
-    std::vector<uint64_t> bob_fps0;
-    bob_fps0.reserve(bob.size());
-    for (const ChildSet& child : bob) {
-      bob_fps0.push_back(ChildFingerprint(child, fp_family));
-    }
-    ctx->QueueL0Update(&bob_est, bob_fps0.data(), bob_fps0.size(), 2);
-    co_await ctx->FlushBuilds();
-    ByteWriter writer;
-    bob_est.Serialize(&writer);
-    size_t index = co_await ctx->Send(channel, Party::kBob, writer.Take(),
-                                      "mr-d-estimator");
-    assert(index == next && "transcript index drifted (Bob)");
-    (void)index;
-    ++next;
-  }
-
-  // Bob's retry state (d_hat) rides on the wire; empty on_retry.
   std::optional<Iblt> fp_lineage;  // Previous attempt's fingerprint table.
   co_return co_await RunBobEndTrials(
-      ctx, channel, params_.max_attempts,
-      [&](int trial) {
-        return DeriveSeed(params_.seed,
-                          kAttemptTag + static_cast<uint64_t>(trial));
-      },
-      [&](int, uint64_t seed, AttemptEnd* end) {
-        return AttemptBob(bob, &d_hat, estimated, seed, &next, &fp_lineage,
-                          end, channel, ctx);
-      },
-      [] {}, "multiround failed: ");
+      &ladder, bob, channel, ctx, &next,
+      [&](const Rung& rung, AttemptEnd* end) {
+        return AttemptBob(bob, rung, ladder, &next, &fp_lineage, end, channel,
+                          ctx);
+      });
 }
 
 }  // namespace setrec

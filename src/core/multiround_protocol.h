@@ -56,15 +56,17 @@ class MultiRoundProtocol : public SetsOfSetsProtocol {
   /// built, Bob the table he parsed; the two agree whenever a config
   /// repeats because the table is a deterministic function of (Alice's
   /// set, config). Stays empty under kDense.
-  Task<Status> AttemptAlice(const SetOfSets& alice,
-                            std::optional<size_t> known_d, size_t d_hat,
-                            bool carry_d_hat, uint64_t seed, size_t* next,
+  /// The ladder writes the rung's d-hat in front of msg1 on an estimated
+  /// SSRU rung.
+  Task<Status> AttemptAlice(const SetOfSets& alice, Rung rung,
+                            const AttemptLadder& ladder, size_t* next,
                             std::optional<Iblt>* fp_lineage, AttemptEnd* end,
                             Channel* channel, ProtocolContext* ctx) const;
-  /// Bob's side of one attempt; `*d_hat` is updated from the msg1 prefix in
-  /// estimator mode. Sends the msg4 verdict itself (ok or fail).
-  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t* d_hat,
-                                     bool carry_d_hat, uint64_t seed,
+  /// Bob's side of one attempt, reading the rung's d-hat from the msg1
+  /// prefix on an estimated SSRU rung. Sends the msg4 verdict itself (ok or
+  /// fail).
+  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, Rung rung,
+                                     const AttemptLadder& ladder,
                                      size_t* next,
                                      std::optional<Iblt>* fp_lineage,
                                      AttemptEnd* end, Channel* channel,

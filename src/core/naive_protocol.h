@@ -5,6 +5,9 @@
 
 namespace setrec {
 
+class AttemptLadder;
+struct Rung;
+
 /// The naive protocol of Section 3.1 (Theorems 3.3 and 3.4): ignore that
 /// items are sets and treat each child set as an atomic element of a huge
 /// universe. Each child is serialized into a fixed-width blob of
@@ -31,16 +34,17 @@ class NaiveProtocol : public SetsOfSetsProtocol {
       const override;
 
  private:
-  /// Builds and sends one attempt message (d-hat prefix in estimator mode,
-  /// parent fingerprint, blob IBLT); the verdict is received by the caller.
-  Task<Status> AttemptAlice(const SetOfSets& alice, size_t d_hat,
-                            bool carry_d_hat, uint64_t seed, size_t* next,
+  /// Builds and sends one attempt message (the ladder's d-hat prefix on an
+  /// estimated SSRU rung, parent fingerprint, blob IBLT); the verdict is
+  /// received by the caller.
+  Task<Status> AttemptAlice(const SetOfSets& alice, Rung rung,
+                            const AttemptLadder& ladder, size_t* next,
                             Channel* channel, ProtocolContext* ctx) const;
-  /// Receives one attempt message and tries to recover Alice's set.
-  /// `*d_hat` is updated from the message prefix in estimator mode. A peer
-  /// abort sets `*peer_aborted` and returns the carried status.
-  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, size_t* d_hat,
-                                     bool carry_d_hat, uint64_t seed,
+  /// Receives one attempt message and tries to recover Alice's set, reading
+  /// the rung's d-hat from the message's prefix on an estimated SSRU rung.
+  /// A peer abort sets `*peer_aborted` and returns the carried status.
+  Task<Result<SetOfSets>> AttemptBob(const SetOfSets& bob, Rung rung,
+                                     const AttemptLadder& ladder,
                                      size_t* next, bool* peer_aborted,
                                      Channel* channel,
                                      ProtocolContext* ctx) const;

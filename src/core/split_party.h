@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/build_context.h"
+#include "core/encoding.h"
 #include "core/protocol.h"
 #include "core/task.h"
 #include "transport/channel.h"
@@ -112,24 +113,39 @@ Result<AttemptVerdict> ParseVerdict(const Channel::Message& m);
 /// the peer is broken) and the status should surface unchanged.
 enum class AttemptEnd { kOk, kRetry, kTerminal };
 
-// --- Shared trial drivers -------------------------------------------------
+// --- The attempt ladder and the shared trial drivers ----------------------
 //
-// The per-protocol trial loops — seed formula, verdict exchange, doubling
-// schedule, "... failed:" Exhausted text — used to be duplicated between
-// each protocol's Alice and Bob halves, and the two copies had to stay in
-// wire lockstep by hand. The drivers below hoist that loop once; a protocol
-// half supplies only its per-attempt callable plus three small hooks:
+// Section 3 handles d in one of three ways, and every protocol half climbs
+// the matching ladder of attempts (AttemptLadder):
 //
-//   seed_for(trial)  -> uint64_t   the protocol's historical seed formula,
-//                                  bit-exact (wire compatibility);
-//   attempt(...)     -> Task<...>  one attempt's data phase;
-//   on_retry()                     the doubling/clamping schedule applied
-//                                  after a retriable failure (no-op when
-//                                  retry state rides on the wire instead).
+//  * Trials (SSRK, all four protocols). d is known, floored at 1: whole
+//    attempts repeat on fresh public coins, the amplification at the end of
+//    Section 3.2. max_attempts rungs, rung i seeded attempt_tag + i, each
+//    with child coins of its own.
+//  * Doubling (SSRU iblt2 and cascade; Corollaries 3.6 and 3.8). d starts
+//    at 1 or 2 and doubles after each fail verdict. 40 rungs, rung i seeded
+//    attempt_tag + 1000 + i; every rung takes its child coins from the
+//    first rung's seed, so a half writes each child config's sketches once
+//    per ladder (ChildCoins, core/encoding.h).
+//  * Estimated (SSRU naive and multiround; Theorems 3.4 and 3.10). Bob
+//    opens with an l0 estimator over his child fingerprints; Alice merges
+//    hers, takes d-hat = max(estimate_slack * estimate / 2, 2), writes it
+//    in front of each attempt message (Bob checks it with
+//    WireDHatPlausible) and doubles it after each fail verdict.
+//    max_attempts rungs, seeded as trials.
 //
-// Because Alice's and Bob's loops instantiate the SAME driver, the halves
-// cannot drift out of lockstep: the verdict slots, abort slots and retry
-// transitions are structurally shared. Two driver shapes exist:
+// Doubled d or d-hat stops at MaxWireDHat of the protocol's clamp width, so
+// a peer's fail verdicts cannot grow tables without bound. Bob opens an
+// estimated ladder, Alice every other (with her first attempt message). An
+// invalid set aborts in its half's first slot when that half opens, else
+// right after the opening message arrives (the opener's abort wins).
+//
+// A protocol supplies a LadderSpec and one attempt (build or recover one
+// message); the drivers below climb the ladder: they open it, run one
+// attempt per rung, exchange what ends it, and build the Exhausted text
+// only when the ladder runs out. Alice's and Bob's loops instantiate the
+// same driver over the same rungs, so their verdict slots, abort slots and
+// retry transitions cannot drift apart. Two driver shapes exist:
 //
 //  * RunAliceTrials / RunBobTrials — the single-data-message protocols
 //    (naive, iblt2, cascade). The DRIVER owns the verdict exchange: Alice
@@ -140,47 +156,132 @@ enum class AttemptEnd { kOk, kRetry, kTerminal };
 //    (multiround) whose verdict exchange is interleaved with the attempt's
 //    own rounds; the attempt reports how it ended via AttemptEnd.
 //
-// The hook callables are copied into the driver's coroutine frame; their
-// reference captures point into the protocol half's own frame, which stays
-// alive (suspended, not destroyed) while it awaits the driver.
+// The attempt callable is copied into the driver's coroutine frame; its
+// reference captures point into the protocol half's own frame (the ladder
+// included), which stays alive, suspended, while it awaits the driver.
 
-/// The seed of trial `trial` of a doubling protocol (iblt2, cascade;
-/// `attempt_tag` names it): SSRK trials (`known_d` set) count up from the
-/// tag, the rungs of an SSRU doubling ladder from the tag + 1000. Both
-/// halves derive it from the shared params, so it never crosses the wire.
-uint64_t DoublingTrialSeed(const SsrParams& params, uint64_t attempt_tag,
-                           std::optional<size_t> known_d, int trial);
+/// How a protocol climbs its ladder when d is unknown (SSRU).
+enum class LadderShape { kDoubling, kEstimated };
 
-/// The seed of an attempt's child coins: its child sketch configs and the
-/// family of its child and parent fingerprints. An SSRU ladder draws them
-/// once, from its first rung's seed, so a later rung sketches every child
-/// config it shares with an earlier one with the same coins and each half
-/// writes those child blobs once (ChildCoins, core/encoding.h). The ladder
-/// stays sound because each rung's outer tables (and cascade's T*) keep
-/// `attempt_seed`, and a child that one child config fails to decode is
-/// caught by the larger child config a later rung adds, whose seed is
-/// salted apart from every smaller config's (iblt2 by its size, cascade
-/// by its level). An SSRK trial (`known_d` set) draws them from its own
-/// `attempt_seed`: its retries repeat one d, and only fresh child coins
-/// amplify the per-attempt success probability. Only fail verdicts no
-/// honest peer of this build gives (a hostile peer's, or a peer's that
-/// runs other coins) drive a ladder to the MaxWireDHat clamp, where its
-/// rungs repeat one d too; there only the outer coins stay fresh.
-uint64_t ChildCoinSeed(const SsrParams& params, uint64_t attempt_tag,
-                       std::optional<size_t> known_d, uint64_t attempt_seed);
+/// What a protocol supplies to its ladder.
+struct LadderSpec {
+  /// Starts the Exhausted text, "<name> failed: <last failure>"; a
+  /// doubling protocol's text names its mode ("<name> (SSRU) failed: ...").
+  const char* name = "";
+  uint64_t attempt_tag = 0;  // Salts every rung's seed.
+  LadderShape shape = LadderShape::kDoubling;
+  size_t first_d = 1;  // Doubling: d of the first SSRU rung.
+  /// Doubled d or d-hat stops at MaxWireDHat(clamp_width).
+  size_t clamp_width = 8;
+  /// Estimated: the opening estimator is seeded DeriveSeed(params.seed,
+  /// estimator_tag) and counts child fingerprints of the family
+  /// HashFamily(that seed, fingerprint_tag); Bob's message is labelled
+  /// `opener_label`.
+  uint64_t estimator_tag = 0;
+  uint64_t fingerprint_tag = 0;
+  const char* opener_label = "";
+};
 
-/// Alice's trial loop for single-data-message protocols. `attempt(trial,
-/// seed)` sends Alice's attempt message (returning a failed Status only
-/// for local errors, which the driver converts into an abort in her slot).
-template <typename SeedFn, typename AttemptFn, typename RetryFn>
-Task<Status> RunAliceTrials(ProtocolContext* ctx, Channel* channel,
-                            size_t* next, int trials, SeedFn seed_for,
-                            AttemptFn attempt, RetryFn on_retry,
-                            std::string exhausted_prefix) {
-  Status last = DecodeFailure("no attempts made");
-  for (int trial = 0; trial < trials; ++trial) {
-    const uint64_t seed = seed_for(trial);
-    Status sent = co_await attempt(trial, seed);
+/// One rung of a ladder: what an attempt derives its tables and coins from.
+/// Both halves derive the same rungs from their shared params, except an
+/// estimated ladder's d-hat, which crosses the wire.
+struct Rung {
+  int trial = 0;  // 0-based attempt index.
+  /// A known d floored at 1, or the doubling ladder's d. 0 on an estimated
+  /// SSRU ladder, whose d-hat rides in front of Alice's attempt message
+  /// (carries_d_hat).
+  size_t d = 0;
+  size_t first_d = 0;  // d of the first rung.
+  /// max(DHat(d), 1) where d is set; on an estimated SSRU ladder Alice's
+  /// doubled estimate (0 on Bob's side until GetDHat reads her prefix).
+  size_t d_hat = 0;
+  uint64_t seed = 0;  // The attempt's public coins.
+  /// The coins of the child sketches and the child and parent fingerprints:
+  /// the first rung's seed on a doubling SSRU ladder, else `seed`. A ladder
+  /// stays sound because each rung's outer tables keep `seed`, and a child
+  /// one child config fails to decode is caught by the larger config a
+  /// later rung adds, salted apart from every smaller one. SSRK trials
+  /// repeat one d, so only fresh child coins amplify them.
+  uint64_t child_seed = 0;
+
+  bool carries_d_hat() const { return d == 0; }
+};
+
+/// One half's ladder: the rungs, the opening, the d-hat prefix, the half's
+/// child coins and the Exhausted text.
+class AttemptLadder {
+ public:
+  /// `params` must outlive the ladder.
+  AttemptLadder(const SsrParams& params, std::optional<size_t> known_d,
+                const LadderSpec& spec)
+      : params_(&params), known_d_(known_d), spec_(spec) {}
+
+  /// 40 on a doubling SSRU ladder, else max_attempts.
+  int rungs() const;
+
+  /// Rung `trial`: a pure function of the params, the known d, the spec
+  /// and, on an estimated SSRU ladder, the estimate Alice's opening took.
+  Rung At(int trial) const;
+
+  /// Alice's opening on an estimated SSRU ladder: the first rung's d-hat
+  /// from the merged estimate (both sides' differing children, about 2
+  /// d-hat), floored at 2 and clamped.
+  void TakeEstimate(uint64_t estimate);
+
+  /// Before the first rung: validates the half's set (Alice's through the
+  /// context's memo) and, on an estimated SSRU ladder, sends Bob's
+  /// estimator or merges it into Alice's. An error is terminal and has
+  /// already crossed the wire (this half's abort, or the peer's).
+  Task<Status> OpenAlice(const SetOfSets& alice, Channel* channel,
+                         ProtocolContext* ctx, size_t* next);
+  Task<Status> OpenBob(const SetOfSets& bob, Channel* channel,
+                       ProtocolContext* ctx, size_t* next);
+
+  /// Alice writes the rung's d-hat in front of her attempt message when the
+  /// rung carries it; Bob reads it into `rung`, false when it is missing or
+  /// implausible at the clamp width (WireDHatPlausible).
+  void PutDHat(const Rung& rung, ByteWriter* writer) const;
+  [[nodiscard]] bool GetDHat(ByteReader* reader, Rung* rung) const;
+
+  /// The half's child coins (iblt2, cascade).
+  ChildCoins* coins() { return &coins_; }
+
+  /// Whether rung `trial` + 1 exists and keeps rung `trial`'s child seed.
+  bool KeepsChildCoins(int trial) const;
+
+  /// Called when rung `trial`'s data phase ends, before the half exchanges
+  /// its verdict: releases the child coins unless KeepsChildCoins(trial).
+  void EndDataPhase(int trial);
+
+  /// The terminal status once every rung failed, `last` the last failure.
+  Status Exhausted(const Status& last) const;
+
+ private:
+  bool BobOpens() const;
+
+  const SsrParams* params_;
+  std::optional<size_t> known_d_;
+  LadderSpec spec_;
+  size_t opening_d_hat_ = 0;  // Set by TakeEstimate.
+  ChildCoins coins_;
+};
+
+/// Alice's trial loop for single-data-message protocols. `attempt(rung)`
+/// sends Alice's attempt message (returning a failed Status only for local
+/// errors, which the driver converts into an abort in her slot).
+template <typename AttemptFn>
+Task<Status> RunAliceTrials(AttemptLadder* ladder, const SetOfSets& alice,
+                            Channel* channel, ProtocolContext* ctx,
+                            size_t* next, AttemptFn attempt) {
+  if (Status open = co_await ladder->OpenAlice(alice, channel, ctx, next);
+      !open.ok()) {
+    co_return open;
+  }
+  Status last;
+  for (int trial = 0; trial < ladder->rungs(); ++trial) {
+    const Rung rung = ladder->At(trial);
+    Status sent = co_await attempt(rung);
+    ladder->EndDataPhase(trial);
     if (!sent.ok()) {
       co_return co_await SendAbort(ctx, channel, Party::kAlice, sent);
     }
@@ -190,27 +291,29 @@ Task<Status> RunAliceTrials(ProtocolContext* ctx, Channel* channel,
     if (verdict.value().ok) co_return Status::Ok();
     last = verdict.value().status;
     ctx->OnRetryRound();
-    on_retry();
   }
-  co_return Exhausted(exhausted_prefix + last.ToString());
+  co_return ladder->Exhausted(last);
 }
 
-/// Bob's trial loop for single-data-message protocols. `attempt(trial,
-/// seed, peer_aborted)` receives Alice's message and tries the recovery;
-/// the driver sends the verdict (ok / retriable failure), aborts on parse
+/// Bob's trial loop for single-data-message protocols. `attempt(rung,
+/// peer_aborted)` receives Alice's message and tries the recovery; the
+/// driver sends the verdict (ok / retriable failure), aborts on parse
 /// errors, and reports the outcome with per-trial attempt accounting.
-template <typename SeedFn, typename AttemptFn, typename RetryFn>
-Task<Result<SsrOutcome>> RunBobTrials(ProtocolContext* ctx, Channel* channel,
-                                      size_t* next, int trials,
-                                      SeedFn seed_for, AttemptFn attempt,
-                                      RetryFn on_retry,
-                                      std::string exhausted_prefix) {
-  Status last = DecodeFailure("no attempts made");
-  for (int trial = 0; trial < trials; ++trial) {
-    const uint64_t seed = seed_for(trial);
+template <typename AttemptFn>
+Task<Result<SsrOutcome>> RunBobTrials(AttemptLadder* ladder,
+                                      const SetOfSets& bob, Channel* channel,
+                                      ProtocolContext* ctx, size_t* next,
+                                      AttemptFn attempt) {
+  if (Status open = co_await ladder->OpenBob(bob, channel, ctx, next);
+      !open.ok()) {
+    co_return open;
+  }
+  Status last;
+  for (int trial = 0; trial < ladder->rungs(); ++trial) {
+    const Rung rung = ladder->At(trial);
     bool peer_aborted = false;
-    Result<SetOfSets> recovered = co_await attempt(trial, seed,
-                                                   &peer_aborted);
+    Result<SetOfSets> recovered = co_await attempt(rung, &peer_aborted);
+    ladder->EndDataPhase(trial);
     if (peer_aborted) co_return recovered.status();
     if (recovered.ok()) {
       co_await SendVerdict(ctx, channel, Party::kBob, Status::Ok(), next);
@@ -226,45 +329,52 @@ Task<Result<SsrOutcome>> RunBobTrials(ProtocolContext* ctx, Channel* channel,
     }
     co_await SendVerdict(ctx, channel, Party::kBob, last, next);
     ctx->OnRetryRound();
-    on_retry();
   }
-  co_return Exhausted(exhausted_prefix + last.ToString());
+  co_return ladder->Exhausted(last);
 }
 
 /// Alice's trial loop for protocols whose attempts exchange verdicts
-/// inside the attempt (multiround): `attempt(trial, seed, end)` reports
-/// how it ended; retriable failures have already crossed the wire.
-template <typename SeedFn, typename AttemptFn, typename RetryFn>
-Task<Status> RunAliceEndTrials(ProtocolContext* ctx, int trials,
-                               SeedFn seed_for, AttemptFn attempt,
-                               RetryFn on_retry,
-                               std::string exhausted_prefix) {
-  Status last = DecodeFailure("no attempts made");
-  for (int trial = 0; trial < trials; ++trial) {
-    const uint64_t seed = seed_for(trial);
+/// inside the attempt (multiround): `attempt(rung, end)` reports how it
+/// ended; retriable failures have already crossed the wire.
+template <typename AttemptFn>
+Task<Status> RunAliceEndTrials(AttemptLadder* ladder, const SetOfSets& alice,
+                               Channel* channel, ProtocolContext* ctx,
+                               size_t* next, AttemptFn attempt) {
+  if (Status open = co_await ladder->OpenAlice(alice, channel, ctx, next);
+      !open.ok()) {
+    co_return open;
+  }
+  Status last;
+  for (int trial = 0; trial < ladder->rungs(); ++trial) {
+    const Rung rung = ladder->At(trial);
     AttemptEnd end = AttemptEnd::kRetry;
-    Status s = co_await attempt(trial, seed, &end);
+    Status s = co_await attempt(rung, &end);
+    ladder->EndDataPhase(trial);
     if (end == AttemptEnd::kOk) co_return Status::Ok();
     if (end == AttemptEnd::kTerminal) co_return s;
     last = std::move(s);
     ctx->OnRetryRound();
-    on_retry();
   }
-  co_return Exhausted(exhausted_prefix + last.ToString());
+  co_return ladder->Exhausted(last);
 }
 
 /// Bob-side counterpart of RunAliceEndTrials.
-template <typename SeedFn, typename AttemptFn, typename RetryFn>
-Task<Result<SsrOutcome>> RunBobEndTrials(ProtocolContext* ctx,
-                                         Channel* channel, int trials,
-                                         SeedFn seed_for, AttemptFn attempt,
-                                         RetryFn on_retry,
-                                         std::string exhausted_prefix) {
-  Status last = DecodeFailure("no attempts made");
-  for (int trial = 0; trial < trials; ++trial) {
-    const uint64_t seed = seed_for(trial);
+template <typename AttemptFn>
+Task<Result<SsrOutcome>> RunBobEndTrials(AttemptLadder* ladder,
+                                         const SetOfSets& bob,
+                                         Channel* channel,
+                                         ProtocolContext* ctx, size_t* next,
+                                         AttemptFn attempt) {
+  if (Status open = co_await ladder->OpenBob(bob, channel, ctx, next);
+      !open.ok()) {
+    co_return open;
+  }
+  Status last;
+  for (int trial = 0; trial < ladder->rungs(); ++trial) {
+    const Rung rung = ladder->At(trial);
     AttemptEnd end = AttemptEnd::kRetry;
-    Result<SetOfSets> recovered = co_await attempt(trial, seed, &end);
+    Result<SetOfSets> recovered = co_await attempt(rung, &end);
+    ladder->EndDataPhase(trial);
     if (end == AttemptEnd::kTerminal) co_return recovered.status();
     if (end == AttemptEnd::kOk) {
       SsrOutcome outcome;
@@ -275,9 +385,8 @@ Task<Result<SsrOutcome>> RunBobEndTrials(ProtocolContext* ctx,
     last = recovered.status();
     ctx->OnDecodeFailure();
     ctx->OnRetryRound();
-    on_retry();
   }
-  co_return Exhausted(exhausted_prefix + last.ToString());
+  co_return ladder->Exhausted(last);
 }
 
 }  // namespace setrec

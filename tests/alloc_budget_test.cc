@@ -21,8 +21,13 @@
 // doubling ladder; their budgets were first set when a ladder's rungs began
 // sharing one set of child coins, so each half writes its child
 // fingerprints, index and each child config's blobs once per ladder (86.66
-// and 113.44 allocations per session before, 86.56 and 113.06 after). A
-// later change may lower a budget; it must never raise one.
+// and 113.44 allocations per session before, 86.56 and 113.06 after). Every
+// row was lowered by 4.00 when one attempt ladder took over the protocols'
+// retry loops: each half used to build its "... failed: " Exhausted prefix
+// and a placeholder "no attempts made" failure before its first attempt,
+// two strings past libstdc++'s 15-byte inline buffer, and the ladder builds
+// that text only when it runs out. A later change may lower a budget; it
+// must never raise one.
 
 #include <gtest/gtest.h>
 
@@ -147,14 +152,14 @@ TEST_P(AllocationBudgetTest, WarmSessionWithinBudget) {
 
 INSTANTIATE_TEST_SUITE_P(
     Protocols, AllocationBudgetTest,
-    ::testing::Values(Budget{SsrProtocolKind::kNaive, "naive", 81},
-                      Budget{SsrProtocolKind::kIblt2, "iblt2", 86},
-                      Budget{SsrProtocolKind::kCascade, "cascade", 111},
+    ::testing::Values(Budget{SsrProtocolKind::kNaive, "naive", 77},
+                      Budget{SsrProtocolKind::kIblt2, "iblt2", 82},
+                      Budget{SsrProtocolKind::kCascade, "cascade", 105},
                       Budget{SsrProtocolKind::kMultiRound, "multiround",
-                             161},
-                      Budget{SsrProtocolKind::kIblt2, "iblt2_ssru", 87,
+                             157},
+                      Budget{SsrProtocolKind::kIblt2, "iblt2_ssru", 83,
                              std::nullopt},
-                      Budget{SsrProtocolKind::kCascade, "cascade_ssru", 114,
+                      Budget{SsrProtocolKind::kCascade, "cascade_ssru", 110,
                              std::nullopt}),
     [](const ::testing::TestParamInfo<Budget>& param_info) {
       return std::string(param_info.param.name);

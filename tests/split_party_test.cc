@@ -4,17 +4,24 @@
 // shared channel, a SyncService kAliceHalf session fed through
 // DeliverRemote against a locally pumped Bob half, and a kBobHalf session
 // against a locally pumped Alice half. Error paths (invalid inputs) must
-// terminate both halves with the same status instead of deadlocking.
+// terminate both halves with the same status instead of deadlocking. The
+// attempt ladder both halves climb is checked rung by rung, without a
+// session, against the seed, d and d-hat formulas each protocol used to
+// carry itself.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/build_context.h"
+#include "core/encoding.h"
 #include "core/split_party.h"
 #include "core/workload.h"
+#include "hashing/random.h"
 #include "service/sync_service.h"
 
 namespace setrec {
@@ -326,6 +333,209 @@ TEST(SplitPartyErrors, InvalidBobAbortsBothHalvesWithSameStatus) {
           << SsrProtocolKindName(kind);
     }
   }
+}
+
+// --- The attempt ladder, as a pure function ------------------------------
+//
+// Every rung of every shape and mode against the formulas each protocol's
+// halves used before the ladder: seeds DeriveSeed(seed, tag + trial), or
+// tag + 1000 + trial on an SSRU doubling ladder whose child coins are its
+// first rung's; a known d floored at 1; d or d-hat doubled after each fail
+// verdict and clamped at MaxWireDHat of the protocol's width.
+
+constexpr uint64_t kTag = 0x74657374ull;  // "test"
+
+SsrParams LadderParams() {
+  SsrParams params;
+  params.max_child_size = 64;
+  params.max_children = 16;
+  params.seed = 0x6c6164646572ull;
+  params.max_attempts = 40;
+  return params;
+}
+
+const LadderSpec kDoublingSpecs[] = {
+    {.name = "iblt2", .attempt_tag = kTag, .first_d = 1},
+    {.name = "cascade", .attempt_tag = kTag, .first_d = 2},
+};
+
+LadderSpec EstimatedSpec(size_t clamp_width) {
+  return {.name = "estimated",
+          .attempt_tag = kTag,
+          .shape = LadderShape::kEstimated,
+          .clamp_width = clamp_width};
+}
+
+TEST(AttemptLadder, KnownDRunsTrialsOnFreshCoins) {
+  SsrParams params = LadderParams();
+  params.max_attempts = 4;
+  std::vector<LadderSpec> specs(std::begin(kDoublingSpecs),
+                                std::end(kDoublingSpecs));
+  specs.push_back(EstimatedSpec(8));
+  specs.push_back(EstimatedSpec(ChildBlobWidth(params.max_child_size)));
+  for (const LadderSpec& spec : specs) {
+    for (size_t known_d : {size_t{0}, size_t{1}, size_t{6}, size_t{24}}) {
+      SCOPED_TRACE(std::string(spec.name) + " d = " + std::to_string(known_d));
+      const AttemptLadder ladder(params, known_d, spec);
+      ASSERT_EQ(ladder.rungs(), 4);
+      const size_t d = std::max<size_t>(known_d, 1);
+      for (int trial = 0; trial < ladder.rungs(); ++trial) {
+        const Rung rung = ladder.At(trial);
+        const uint64_t seed =
+            DeriveSeed(params.seed, kTag + static_cast<uint64_t>(trial));
+        EXPECT_EQ(rung.trial, trial);
+        EXPECT_EQ(rung.d, d);
+        EXPECT_EQ(rung.first_d, d);
+        EXPECT_EQ(rung.d_hat, std::max<size_t>(DHat(d, params), 1));
+        EXPECT_FALSE(rung.carries_d_hat());
+        EXPECT_EQ(rung.seed, seed);
+        EXPECT_EQ(rung.child_seed, seed);
+        EXPECT_FALSE(ladder.KeepsChildCoins(trial));
+      }
+    }
+  }
+}
+
+TEST(AttemptLadder, DoublingSsruClimbsFortyRungsToTheClamp) {
+  const SsrParams params = LadderParams();
+  const size_t clamp = MaxWireDHat(/*key_width=*/8);
+  ASSERT_EQ(clamp, size_t{1} << 22);
+  for (const LadderSpec& spec : kDoublingSpecs) {
+    SCOPED_TRACE(spec.name);
+    const AttemptLadder ladder(params, std::nullopt, spec);
+    ASSERT_EQ(ladder.rungs(), 40);
+    const uint64_t first_seed = DeriveSeed(params.seed, kTag + 1000);
+    size_t d = spec.first_d;
+    int clamped_at = -1;
+    for (int trial = 0; trial < ladder.rungs(); ++trial) {
+      const Rung rung = ladder.At(trial);
+      EXPECT_EQ(rung.d, d);
+      EXPECT_EQ(rung.first_d, spec.first_d);
+      EXPECT_EQ(rung.d_hat, std::max<size_t>(DHat(d, params), 1));
+      EXPECT_FALSE(rung.carries_d_hat());
+      EXPECT_EQ(rung.seed, DeriveSeed(params.seed,
+                                      kTag + 1000 +
+                                          static_cast<uint64_t>(trial)));
+      EXPECT_EQ(rung.child_seed, first_seed);
+      EXPECT_EQ(ladder.KeepsChildCoins(trial), trial + 1 < ladder.rungs());
+      if (clamped_at < 0 && d == clamp) clamped_at = trial;
+      d = std::min(d * 2, clamp);
+    }
+    // 2^22 is first reached at rung 22 from d = 1 and rung 21 from d = 2,
+    // and every later rung repeats it.
+    EXPECT_EQ(clamped_at, spec.first_d == 1 ? 22 : 21);
+    EXPECT_EQ(ladder.At(39).d, clamp);
+  }
+}
+
+TEST(AttemptLadder, EstimatedSsruDoublesAlicesDHatToTheClamp) {
+  const SsrParams params = LadderParams();
+  for (size_t width : {size_t{8}, ChildBlobWidth(params.max_child_size)}) {
+    const size_t clamp = MaxWireDHat(width);
+    for (uint64_t estimate : {uint64_t{0}, uint64_t{3}, uint64_t{41},
+                              uint64_t{1} << 40}) {
+      SCOPED_TRACE("width " + std::to_string(width) + " estimate " +
+                   std::to_string(estimate));
+      AttemptLadder alice(params, std::nullopt, EstimatedSpec(width));
+      const AttemptLadder bob(params, std::nullopt, EstimatedSpec(width));
+      alice.TakeEstimate(estimate);
+      ASSERT_EQ(alice.rungs(), params.max_attempts);
+      ASSERT_EQ(bob.rungs(), params.max_attempts);
+      size_t d_hat = std::min<size_t>(
+          std::max<size_t>(static_cast<size_t>(params.estimate_slack *
+                                               static_cast<double>(estimate)) /
+                               2,
+                           2),
+          clamp);
+      int clamped_at = -1;
+      for (int trial = 0; trial < alice.rungs(); ++trial) {
+        const uint64_t seed =
+            DeriveSeed(params.seed, kTag + static_cast<uint64_t>(trial));
+        const AttemptLadder* const halves[] = {&alice, &bob};
+        for (const AttemptLadder* ladder : halves) {
+          const Rung rung = ladder->At(trial);
+          EXPECT_EQ(rung.d, 0u);
+          EXPECT_EQ(rung.first_d, 0u);
+          EXPECT_TRUE(rung.carries_d_hat());
+          EXPECT_EQ(rung.seed, seed);
+          EXPECT_EQ(rung.child_seed, seed);
+          EXPECT_FALSE(ladder->KeepsChildCoins(trial));
+        }
+        // Bob's d-hat is Alice's prefix, read by GetDHat.
+        EXPECT_EQ(bob.At(trial).d_hat, 0u);
+        EXPECT_EQ(alice.At(trial).d_hat, d_hat);
+        if (clamped_at < 0 && d_hat == clamp) clamped_at = trial;
+        d_hat = std::min(d_hat * 2, clamp);
+      }
+      EXPECT_GE(clamped_at, 0);
+      if (estimate == 0) {
+        // From the floor of 2: 2^22 at rung 21 for 8-byte keys; naive's
+        // blobs (h = 64, 532 bytes a cell with the header) stop at
+        // 2^30 / (5 * 532) = 403,662, first reached at rung 18.
+        EXPECT_EQ(clamped_at, width == 8 ? 21 : 18);
+      }
+    }
+    if (width != 8) {
+      EXPECT_EQ(clamp, 403662u);
+    }
+  }
+}
+
+TEST(AttemptLadder, DHatPrefixRoundTripsAndIsCheckedAtTheClamp) {
+  const SsrParams params = LadderParams();
+  for (size_t width : {size_t{8}, ChildBlobWidth(params.max_child_size)}) {
+    AttemptLadder alice(params, std::nullopt, EstimatedSpec(width));
+    const AttemptLadder bob(params, std::nullopt, EstimatedSpec(width));
+    alice.TakeEstimate(uint64_t{1} << 40);
+    const Rung sent = alice.At(3);
+    ByteWriter writer;
+    alice.PutDHat(sent, &writer);
+    const std::vector<uint8_t> bytes = writer.Take();
+    ByteReader reader(bytes);
+    Rung got = bob.At(3);
+    ASSERT_TRUE(bob.GetDHat(&reader, &got));
+    EXPECT_EQ(got.d_hat, sent.d_hat);
+    EXPECT_EQ(got.d_hat, MaxWireDHat(width));
+    for (uint64_t wire : {uint64_t{0}, uint64_t{MaxWireDHat(width)} + 1}) {
+      ByteWriter bad;
+      bad.PutVarint(wire);
+      const std::vector<uint8_t> bad_bytes = bad.Take();
+      ByteReader bad_reader(bad_bytes);
+      Rung rung = bob.At(0);
+      EXPECT_FALSE(bob.GetDHat(&bad_reader, &rung)) << wire;
+    }
+  }
+  // A rung with a known d carries no prefix: nothing is written or read.
+  const AttemptLadder known(params, size_t{5}, EstimatedSpec(8));
+  ByteWriter writer;
+  known.PutDHat(known.At(0), &writer);
+  EXPECT_TRUE(writer.bytes().empty());
+  ByteReader empty(writer.bytes());
+  Rung rung = known.At(0);
+  EXPECT_TRUE(known.GetDHat(&empty, &rung));
+  EXPECT_EQ(rung.d_hat, 5u);
+}
+
+TEST(AttemptLadder, ExhaustedTextNamesTheProtocolAndTheLastFailure) {
+  SsrParams params = LadderParams();
+  const Status last = DecodeFailure("peel stalled");
+  EXPECT_EQ(AttemptLadder(params, size_t{3}, kDoublingSpecs[0])
+                .Exhausted(last)
+                .ToString(),
+            "EXHAUSTED: iblt2 (SSRK) failed: DECODE_FAILURE: peel stalled");
+  EXPECT_EQ(AttemptLadder(params, std::nullopt, kDoublingSpecs[1])
+                .Exhausted(last)
+                .ToString(),
+            "EXHAUSTED: cascade (SSRU) failed: DECODE_FAILURE: peel stalled");
+  EXPECT_EQ(AttemptLadder(params, std::nullopt, EstimatedSpec(8))
+                .Exhausted(last)
+                .ToString(),
+            "EXHAUSTED: estimated failed: DECODE_FAILURE: peel stalled");
+  params.max_attempts = 0;
+  const AttemptLadder empty(params, size_t{3}, EstimatedSpec(8));
+  EXPECT_EQ(empty.rungs(), 0);
+  EXPECT_EQ(empty.Exhausted(Status::Ok()).ToString(),
+            "EXHAUSTED: estimated failed: DECODE_FAILURE: no attempts made");
 }
 
 }  // namespace

@@ -422,11 +422,12 @@ uint64_t HashFirstMessage(const Channel& channel) {
 // re-pinned when child sketches moved to the child-sketch form (one-byte
 // counts, checksums cut to IbltConfig::SketchCheckWidth()): 52,730 -> 29,901
 // and 44,228 -> 26,285 bytes. They were re-pinned again when an SSRU
-// ladder's rungs began sharing the first rung's child coins (ChildCoinSeed,
-// with iblt2's child tables past 16 cells salting their seeds by size): the
-// later rungs sketch children with other coins, so 29,901 -> 29,951 and
-// 26,285 -> 26,551 bytes. Rounds stayed 10 and 8 both times. Naive and
-// multiround send no child sketch, so neither change touched theirs.
+// ladder's rungs began sharing the first rung's child coins (each rung's
+// child seed, with iblt2's child tables past 16 cells salting their seeds
+// by size): the later rungs sketch children with other coins, so 29,901 ->
+// 29,951 and 26,285 -> 26,551 bytes. Rounds stayed 10 and 8 both times.
+// Naive and multiround send no child sketch, so neither change touched
+// theirs.
 TEST(SsrProtocolsTest, GoldenSparseSsruTranscripts) {
   const GoldenInstance golden_instance = MakeGoldenInstance();
   const SsrWorkload& w = golden_instance.w;
@@ -532,6 +533,66 @@ TEST(SsrProtocolsTest, GoldenSparseSsrkTranscripts) {
     Result<SsrOutcome> outcome =
         protocol->Reconcile(w.alice, w.bob, size_t{6}, &channel);
     EXPECT_EQ(outcome.status().code(), StatusCode::kExhausted);
+    EXPECT_EQ(HashTranscript(channel), golden.transcript_hash);
+    EXPECT_EQ(channel.total_bytes(), golden.bytes);
+    EXPECT_EQ(channel.rounds(), golden.rounds);
+  }
+}
+
+// The estimated SSRU ladders (naive and multiround, Theorems 3.4 and 3.10)
+// on the same instance, with an estimate slack low enough that Bob's l0
+// estimate makes Alice's first d-hat too small. A retry doubles the d-hat
+// Alice writes in front of her attempt message, and Bob reads it from
+// there; with two attempts at a lower slack both sessions run out. The
+// constants were taken from the code before one attempt ladder replaced
+// the per-protocol retry loops.
+TEST(SsrProtocolsTest, GoldenSparseSsruEstimatedLadders) {
+  const GoldenInstance golden_instance = MakeGoldenInstance();
+  const SsrWorkload& w = golden_instance.w;
+
+  struct Golden {
+    ProtocolKind kind;
+    double estimate_slack;
+    int max_attempts;
+    bool recovers;
+    int attempts;  // Of a recovering session.
+    const char* exhausted;  // The status of a session that runs out.
+    uint64_t transcript_hash;
+    size_t bytes;
+    size_t rounds;
+  };
+  const Golden kGolden[] = {
+      {ProtocolKind::kNaive, 0.25, 4, true, 2, nullptr,
+       2971674952600002464ull, 11628, 5},
+      {ProtocolKind::kMultiRound, 0.25, 4, true, 3, nullptr,
+       2575384375893033824ull, 20002, 9},
+      {ProtocolKind::kNaive, 0.1, 2, false, 0,
+       "EXHAUSTED: naive protocol failed: DECODE_FAILURE: IBLT peeling "
+       "incomplete (nonempty 2-core)",
+       2101387201684073988ull, 10620, 5},
+      {ProtocolKind::kMultiRound, 0.1, 2, false, 0,
+       "EXHAUSTED: multiround failed: DECODE_FAILURE: IBLT peeling "
+       "incomplete (nonempty 2-core)",
+       10824233287314162236ull, 9748, 5},
+  };
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(std::string(KindName(golden.kind)) + " slack " +
+                 std::to_string(golden.estimate_slack));
+    SsrParams params = golden_instance.params;
+    params.estimate_slack = golden.estimate_slack;
+    params.max_attempts = golden.max_attempts;
+    std::unique_ptr<SetsOfSetsProtocol> protocol =
+        MakeProtocol(golden.kind, params);
+    Channel channel;
+    Result<SsrOutcome> outcome =
+        protocol->Reconcile(w.alice, w.bob, std::nullopt, &channel);
+    if (golden.recovers) {
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_EQ(outcome.value().recovered, Canonicalize(w.alice));
+      EXPECT_EQ(outcome.value().stats.attempts, golden.attempts);
+    } else {
+      EXPECT_EQ(outcome.status().ToString(), golden.exhausted);
+    }
     EXPECT_EQ(HashTranscript(channel), golden.transcript_hash);
     EXPECT_EQ(channel.total_bytes(), golden.bytes);
     EXPECT_EQ(channel.rounds(), golden.rounds);

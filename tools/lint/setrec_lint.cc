@@ -31,6 +31,12 @@
 //                    them (kSimdKernelFiles). Elsewhere they would run
 //                    without the CpuHasAvx512() dispatch, or grow a second
 //                    body with no scalar twin to test it against.
+//   seed-outside-ladder
+//                    The four set-of-sets protocol sources may not read
+//                    `params_.seed`: every coin an attempt uses comes from
+//                    its rung (AttemptLadder, src/core/split_party.h), so
+//                    the two halves cannot derive different coins for one
+//                    attempt and a seed schedule changes in one place.
 //
 // Annotation vocabulary (see docs/ANALYSIS.md):
 //   // LINT(alloc-free)        begin an allocation-free region
@@ -413,6 +419,35 @@ void CheckSimdOutsideKernel(const SourceFile& f, std::vector<Violation>* out) {
   }
 }
 
+// The protocol halves that climb an attempt ladder. Their attempts take
+// every seed from the rung the ladder hands them.
+const char* const kLadderProtocolFiles[] = {
+    "src/core/naive_protocol.cc",
+    "src/core/iblt_of_iblts.cc",
+    "src/core/cascading_protocol.cc",
+    "src/core/multiround_protocol.cc",
+};
+
+void CheckSeedOutsideLadder(const SourceFile& f,
+                            std::vector<Violation>* out) {
+  if (std::find(std::begin(kLadderProtocolFiles),
+                std::end(kLadderProtocolFiles),
+                f.rel_path) == std::end(kLadderProtocolFiles)) {
+    return;
+  }
+  static const std::regex kSeedRead(R"(\bparams_\s*(\.|->)\s*seed\b)");
+  for (size_t i = 0; i < f.code.size(); ++i) {
+    if (LineAllows(f.raw[i], "seed-outside-ladder")) continue;
+    if (std::regex_search(f.code[i], kSeedRead)) {
+      out->push_back({f.rel_path, i + 1, "seed-outside-ladder",
+                      "protocol reads params_.seed; take the attempt's "
+                      "coins from its Rung (rung.seed, rung.child_seed) so "
+                      "the seed schedule stays in AttemptLadder "
+                      "(core/split_party.h)"});
+    }
+  }
+}
+
 // Tracks whether each `{` opens a class/struct body, so member declarations
 // can be told apart from locals and parameters.
 void CheckViewMembers(const SourceFile& f, std::vector<Violation>* out) {
@@ -473,6 +508,7 @@ void LintFile(const SourceFile& f, std::vector<Violation>* out) {
   CheckFormatInRegions(f, out);
   CheckRawPoll(f, out);
   CheckSimdOutsideKernel(f, out);
+  CheckSeedOutsideLadder(f, out);
   CheckViewMembers(f, out);
 }
 
